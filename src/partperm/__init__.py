@@ -23,10 +23,14 @@ from .exactmath import (
     stirling2,
 )
 from .combinat import (
+    DRACONIAN_MAX_M,
     chain_in_family,
     descents,
+    draconian_census,
     draconian_check,
+    draconian_domain,
     draconian_indices,
+    draconian_shape_tally,
     enumerate_chains,
     enumerate_draconian,
     missing_ranks,
@@ -96,9 +100,10 @@ __all__ = [
     "EngineDisagreement", "Polynomial", "Series", "binomial_poly",
     "double_factorial", "eulerian", "int_det", "interpolate", "series_ops",
     "solve_linear", "stirling2",
-    "chain_in_family", "descents", "draconian_check", "draconian_indices",
-    "enumerate_chains", "enumerate_draconian", "missing_ranks", "r_set",
-    "r_set_and_order",
+    "DRACONIAN_MAX_M", "chain_in_family", "descents", "draconian_census",
+    "draconian_check", "draconian_domain", "draconian_indices",
+    "draconian_shape_tally", "enumerate_chains", "enumerate_draconian",
+    "missing_ranks", "r_set", "r_set_and_order",
     "CutResult", "HRep", "KERNEL_NAME", "VRep", "antiblocking_vertices_edges",
     "bounding_box", "contains_point", "count_lattice_points", "count_points",
     "cut", "hull_convert", "pp_box", "pp_facets", "pp_vertices",

@@ -22,7 +22,12 @@ from typing import Iterator, List, Optional
 from . import ehrhart as EH
 from . import faces as FA
 from . import volume as VO
-from .combinat import enumerate_chains
+from .combinat import (
+    draconian_census,
+    draconian_domain,
+    draconian_shape_tally,
+    enumerate_chains,
+)
 from .exactmath import EngineDisagreement, Polynomial
 from .polytope import (
     KERNEL_NAME,
@@ -180,7 +185,7 @@ def _volume_methods(m: int, n: int) -> List[str]:
         methods.append("oracle")
     if n >= m - 1 and n >= 1:
         methods += ["recursive", "closed", "three_term"]
-        if m <= 6:
+        if draconian_domain(m, n):
             methods.append("draconian")
         if m <= 5:
             methods.append("lambda")
@@ -202,7 +207,9 @@ def _volume_value(m: int, n: int, method: str) -> int:
         return VO.nvol_draconian(m, n)
     if method == "lambda":
         val = VO.nvol_lambda(m, n)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise EngineDisagreement(
+                f"nvol_lambda({m},{n}) gave the non-integral volume {val}")
         return int(val)
     if method == "small_n":
         return VO.nvol_small_n(m, n)
@@ -246,7 +253,7 @@ def _ehrhart_methods(m: int, n: int) -> List[str]:
         methods.append("small_n")
     if m <= 4 and n >= max(1, m - 1):
         methods.append("small_m")
-    if m <= 5 and n >= m - 1:
+    if draconian_domain(m, n):
         methods.append("draconian")
     return methods
 
@@ -355,7 +362,7 @@ def _suite_engines(max_m: int, max_n: int, parallel: int) -> Iterator[dict]:
             vals["closed-2n1"] = c2
             vals["closed-series"] = c3
             vals["three_term"] = VO.nvol_three_term(m, n)
-            if m <= 6:
+            if draconian_domain(m, n):
                 vals["draconian"] = VO.nvol_draconian(m, n)
             if m <= 5:
                 vals["lambda-default"] = int(VO.nvol_lambda(m, n))
@@ -377,6 +384,14 @@ def _suite_engines(max_m: int, max_n: int, parallel: int) -> Iterator[dict]:
             ok = all(p == ps[0] for p in ps)
             yield _check("ehrhart-engines-agree", {"m": m, "n": n}, ok,
                          repr({k: v.to_strings() for k, v in polys.items()}))
+    for m in range(1, min(max_m, 5) + 1):
+        for mode in ("volume", "ehrhart"):
+            census = draconian_census(m, mode)
+            tally = draconian_shape_tally(m, mode)
+            yield _check("draconian-census-matches-enumeration",
+                         {"m": m, "mode": mode}, census == tally,
+                         repr({"census": sorted(census.items()),
+                               "enumeration": sorted(tally.items())}))
 
 
 def _suite_faces(max_m: int, max_n: int) -> Iterator[dict]:

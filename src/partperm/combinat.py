@@ -20,15 +20,31 @@ Hall's condition sum_{k in S} a_k <= |union of I_k, k in S| for every
 subset S, with total sum exactly m (volume mode) or at most m (ehrhart
 mode).  Hall's condition is tested by a bipartite matching between unit
 tokens of a and the ground set, which is exact and fast at these sizes.
+
+The draconian engines need only the shape census: how many sequences have
+each shape (s, p1, p2), with s singletons used and p1, p2 pairs at value 1
+and 2.  Read as a multigraph on [m] (a pair at 1 is an edge, a pair at 2 a
+double edge, a singleton a token on its vertex), Hall's condition says
+that no connected component has more edges plus tokens than vertices.  So
+every component is a tree, a tree with one token, a tree with one doubled
+edge, or a unicyclic graph with a cycle of length >= 3, and the census
+follows from the exponential formula without enumerating any sequence.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, List, Sequence, Tuple
+from math import comb, factorial
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 Chain = Tuple[frozenset, ...]
+Shape = Tuple[int, int, int]
+
+# The draconian engines (n >= m-1) are exact for every m; they are checked
+# against the independent closed forms up to this size and refuse beyond it.
+DRACONIAN_MAX_M = 12
 
 
 def _validate_chain_shape(chain: Sequence, m: int) -> Chain:
@@ -276,6 +292,79 @@ def enumerate_draconian(m: int, mode: str = "volume") -> List[Tuple[int, ...]]:
     if m < 1:
         raise ValueError("enumerate_draconian requires m >= 1")
     return [tuple(t) for t in _enumerate_draconian_cached(m, mode)]
+
+
+def draconian_domain(m: int, n: int) -> bool:
+    """Is (m,n) in the domain of the draconian engines (n >= m-1, m capped)?"""
+    return 1 <= m <= DRACONIAN_MAX_M and n >= max(m - 1, 0)
+
+
+def require_draconian(engine: str, m: int, n: int) -> None:
+    """Raise ValueError naming the violated bound unless draconian_domain(m, n)."""
+    if not 1 <= m <= DRACONIAN_MAX_M:
+        raise ValueError(f"{engine} is limited to 1 <= m <= {DRACONIAN_MAX_M}")
+    if not draconian_domain(m, n):
+        raise ValueError(f"{engine} requires n >= m-1")
+
+
+def _draconian_shape(a: Sequence[int], m: int) -> Shape:
+    """(s, p1, p2): singleton total, pairs at value 1, pairs at value 2."""
+    pairs = a[m:]
+    return sum(a[:m]), sum(1 for x in pairs if x == 1), sum(1 for x in pairs if x == 2)
+
+
+def draconian_shape_tally(m: int, mode: str = "volume") -> Dict[Shape, int]:
+    """Shape census by enumeration: the independent check of draconian_census."""
+    return dict(Counter(_draconian_shape(a, m) for a in enumerate_draconian(m, mode)))
+
+
+def _component_kinds(v: int, mode: str) -> List[Tuple[int, Shape]]:
+    """(count, shape) of each admissible component kind on v labelled vertices."""
+    trees = v ** (v - 2) if v >= 2 else 1
+    kinds = [(v * trees, (1, v - 1, 0))]  # a tree plus one token
+    if mode == "ehrhart":
+        kinds.append((trees, (0, v - 1, 0)))  # a bare tree
+    if v >= 2:
+        kinds.append(((v - 1) * trees, (0, v - 2, 1)))  # one edge doubled
+    if v >= 3:
+        # cycle of length k >= 3 with rooted trees hanging off it:
+        # (1/2) sum_k v!/(v-k)! v^(v-k-1), here with the 1/v taken out.
+        unicyclic = sum(
+            factorial(v - 1) // factorial(v - k) * v ** (v - k) for k in range(3, v + 1)
+        ) // 2
+        kinds.append((unicyclic, (0, v, 0)))
+    return kinds
+
+
+@lru_cache(maxsize=None)
+def _census_cached(m: int, mode: str) -> Tuple[Tuple[Shape, int], ...]:
+    tables: List[Dict[Shape, int]] = [{(0, 0, 0): 1}]
+    for k in range(1, m + 1):
+        table: Dict[Shape, int] = {}
+        # Exponential formula: the component holding element 1 has v
+        # vertices, C(k-1, v-1) ways to pick the others.
+        for v in range(1, k + 1):
+            ways = comb(k - 1, v - 1)
+            for count, (s, p1, p2) in _component_kinds(v, mode):
+                for (s2, q1, q2), rest in tables[k - v].items():
+                    key = (s + s2, p1 + q1, p2 + q2)
+                    table[key] = table.get(key, 0) + ways * count * rest
+        tables.append(table)
+    return tuple(sorted(tables[m].items()))
+
+
+def draconian_census(m: int, mode: str = "volume") -> Dict[Shape, int]:
+    """Number of draconian sequences on [m] of each shape (s, p1, p2).
+
+    Computed from the component structure, so its cost grows polynomially
+    in m instead of with the number of sequences; it equals
+    draconian_shape_tally(m, mode).
+    """
+    if mode not in ("volume", "ehrhart"):
+        raise ValueError(f"unknown draconian mode {mode!r}")
+    if m < 1:
+        raise ValueError("draconian_census requires m >= 1")
+    return dict(_census_cached(m, mode))
 
 
 def descents(seq: Sequence[int]) -> int:

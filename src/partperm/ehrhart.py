@@ -7,7 +7,8 @@ ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
 * ``ehr_closed_small_n`` — closed forms for n <= 3, every m;
 * ``ehr_closed_small_m`` — closed forms for m <= 4 (n >= max(1, m-1));
 * ``ehr_draconian``     — a positive sum of products of binomials over
-                          draconian sequences (n >= m-1, m <= 5);
+                          draconian sequences, taken shape by shape from
+                          the census (n >= m-1, m <= DRACONIAN_MAX_M);
 * ``ehr_parking``       — the pairs-only specialization at n = m-1, whose
                           summand count equals the lattice-point count of
                           P(m, m-1) itself;
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
-from .combinat import enumerate_draconian
+from .combinat import draconian_census, require_draconian
 from .exactmath import (
     EngineDisagreement,
     Polynomial,
@@ -76,8 +77,9 @@ def _tpoly(a0, a1) -> Polynomial:
 
 
 def ehr_closed_small_n(m: int, n: int) -> Polynomial:
-    """Closed Ehrhart polynomials for n <= 3, valid for every m >= 1.
+    """Closed Ehrhart polynomials for 0 <= n <= 3, valid for every m >= 1.
 
+    n=0: 1 (P(m,0) is the origin);
     n=1: C(t+m, m);
     n=2: C(3t+m, m) - m C(t+m-1, m);
     n=3: C(6t+m, m) - m C(3t+m-1, m)
@@ -85,6 +87,8 @@ def ehr_closed_small_n(m: int, n: int) -> Polynomial:
     """
     if m < 1:
         raise ValueError("ehr_closed_small_n requires m >= 1")
+    if n == 0:
+        return Polynomial([1])
     if n == 1:
         return binomial_poly(_tpoly(m, 1), m)
     if n == 2:
@@ -99,7 +103,7 @@ def ehr_closed_small_n(m: int, n: int) -> Polynomial:
                 + (m - 2) * binomial_poly(_tpoly(m - 2, 1), m)
             )
         )
-    raise ValueError("ehr_closed_small_n covers only n <= 3")
+    raise ValueError("ehr_closed_small_n covers only 0 <= n <= 3")
 
 
 def ehr_closed_small_m(m: int, n: int) -> Polynomial:
@@ -140,53 +144,50 @@ def ehr_closed_small_m(m: int, n: int) -> Polynomial:
     )
 
 
+def _draconian_sum(census, base: int) -> Polynomial:
+    """Sum over shapes of census * (base t)^s t^p1 C(t+1,2)^p2.
+
+    Each term is base^s t^(s+p1+p2) (t+1)^p2 / 2^p2, expanded directly.
+    """
+    coeffs: Dict[int, Fraction] = {}
+    for (s, p1, p2), count in census.items():
+        weight = Fraction(count * base**s, 2**p2)
+        low = s + p1 + p2
+        for j in range(p2 + 1):
+            coeffs[low + j] = coeffs.get(low + j, 0) + weight * comb(p2, j)
+    return Polynomial([coeffs.get(d, 0) for d in range(max(coeffs) + 1)])
+
+
 def ehr_draconian(m: int, n: int) -> Polynomial:
-    """Draconian-sequence Ehrhart sum (n >= m-1, m <= 5):
+    """Draconian-sequence Ehrhart sum (n >= m-1, m <= DRACONIAN_MAX_M):
 
         sum over sequences a (sum <= m) of
             prod_{singletons i} C((n-m+1)t + a_i - 1, a_i)
           * prod_{pairs k}      C(t + a_k - 1, a_k).
+
+    A summand depends only on the shape (s, p1, p2) of a, where it is
+    ((n-m+1)t)^s t^p1 C(t+1,2)^p2, so the sum runs over the shape census.
     """
-    if not 1 <= m <= 5:
-        raise ValueError("ehr_draconian is limited to m <= 5")
-    if n < m - 1 or n < 0:
-        raise ValueError("ehr_draconian requires n >= m-1")
-    base = n - m + 1
-    total = Polynomial()
-    for a in enumerate_draconian(m, "ehrhart"):
-        term = Polynomial([1])
-        for i in range(m):
-            if a[i]:
-                term = term * binomial_poly(_tpoly(a[i] - 1, base), a[i])
-        for k in range(m, len(a)):
-            if a[k]:
-                term = term * binomial_poly(_tpoly(a[k] - 1, 1), a[k])
-        total = total + term
-    return total
+    require_draconian("ehr_draconian", m, n)
+    return _draconian_sum(draconian_census(m, "ehrhart"), n - m + 1)
 
 
 def ehr_parking(m: int) -> Tuple[Polynomial, int]:
-    """Ehrhart polynomial of P(m, m-1) as a pairs-only draconian sum (m <= 5).
+    """Ehrhart polynomial of P(m, m-1) as a pairs-only draconian sum
+    (m <= DRACONIAN_MAX_M).
 
     Returns (polynomial, number of summands).  Evaluating each binomial
     product at t = 1 gives 1, so the summand count equals the polynomial's
     value at 1, i.e. the lattice-point count of P(m, m-1) itself
     (1, 3, 17, 144, ... for m = 1, 2, 3, 4, ...).
     """
-    if not 1 <= m <= 5:
-        raise ValueError("ehr_parking is limited to m <= 5")
-    total = Polynomial()
-    count = 0
-    for a in enumerate_draconian(m, "ehrhart"):
-        if any(a[:m]):
-            continue
-        term = Polynomial([1])
-        for k in range(m, len(a)):
-            if a[k]:
-                term = term * binomial_poly(_tpoly(a[k] - 1, 1), a[k])
-        total = total + term
-        count += 1
-    return total, count
+    require_draconian("ehr_parking", m, m - 1)
+    pairs_only = {
+        shape: count
+        for shape, count in draconian_census(m, "ehrhart").items()
+        if shape[0] == 0
+    }
+    return _draconian_sum(pairs_only, 0), sum(pairs_only.values())
 
 
 def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:
@@ -284,7 +285,8 @@ def hstar_tools(action: str, *args):
         a_rows = [[b.coefficient(d) for b in basis] for d in range(m + 1)]
         rhs = [poly.coefficient(d) for d in range(m + 1)]
         sol = solve_linear(a_rows, rhs)
-        assert sol is not None, "binomial basis must be unisolvent"
+        if sol is None:
+            raise EngineDisagreement(f"the degree-{m} binomial basis is not unisolvent")
         return sol
     if action == "from_hstar":
         (entries,) = args

@@ -404,7 +404,8 @@ def interpolate(points: Sequence) -> Polynomial:
     poly = Polynomial([coef[-1]])
     for i in range(n - 2, -1, -1):
         poly = poly * Polynomial([-xs[i], 1]) + coef[i]
-    assert all(poly(x) == y for x, y in zip(xs, ys))
+    if any(poly(x) != y for x, y in zip(xs, ys)):
+        raise EngineDisagreement("interpolant misses one of its own points")
     return poly
 
 

@@ -140,6 +140,13 @@ def _verify_forms(face: FaceSystem, m: int, n: int) -> None:
                 )
 
 
+def _check_block(vals, positions, chain) -> None:
+    if len(vals) != len(positions):
+        raise EngineDisagreement(
+            f"chain {chain}: {len(vals)} values for {len(positions)} positions"
+        )
+
+
 def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
     """The vertex set of the face indexed by a chain, by direct construction.
 
@@ -164,7 +171,7 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
         hi = n - len(top - c[j])
         lo = n - len(top - c[j - 1]) + 1
         vals = tuple(range(hi, lo - 1, -1))
-        assert len(vals) == len(positions)
+        _check_block(vals, positions, c)
         blocks.append((positions, sorted(set(permutations(vals)))))
     if c[0]:
         positions = tuple(sorted(c[0]))
@@ -178,7 +185,7 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
         positions = tuple(sorted(c[1]))
         hi = n - len(top - c[1])
         vals = tuple(range(hi, 0, -1)) + (0,) * (len(top) - n)
-        assert len(vals) == len(positions)
+        _check_block(vals, positions, c)
         blocks.append((positions, sorted(set(permutations(vals)))))
 
     verts = [[0] * m]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, floor, ceil, gcd
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -85,12 +86,14 @@ def _coord_json(c):
     return c if isinstance(c, int) else str(c)
 
 
+@lru_cache(maxsize=8)
 def pp_vertices(m: int, n: int) -> VRep:
     """All vertices of P(m,n), lexicographically sorted.
 
     For each k = 0..min(m,n), place the values n, n-1, ..., n-k+1 injectively
     into k of the m positions; the total count is sum_k m!/(m-k)!.
-    P(m,0) is the single point at the origin.
+    P(m,0) is the single point at the origin.  The VRep is frozen, so the
+    few most recent ones are memoised and shared between callers.
     """
     if m < 1 or n < 0:
         raise ValueError("pp_vertices requires m >= 1 and n >= 0")

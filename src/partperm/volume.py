@@ -12,7 +12,8 @@ an integer for lattice polytopes.  Engines implemented here:
                          cross-checked against each other;
 * ``nvol_three_term``  — a three-term recurrence in k for W = v/m!;
 * ``nvol_draconian``   — a sum of multinomial coefficients times powers of
-                         (n-m+1) over draconian sequences, n >= m-1;
+                         (n-m+1) over draconian sequences, taken shape by
+                         shape from the census, n >= m-1;
 * ``nvol_lambda``      — a permutation sum with free distinct parameters
                          lambda_1..lambda_{m+1} whose value is independent
                          of the lambdas, n >= m-1;
@@ -32,7 +33,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .combinat import enumerate_draconian
+from .combinat import DRACONIAN_MAX_M, draconian_census, require_draconian
 from .exactmath import (
     EngineDisagreement,
     Polynomial,
@@ -52,6 +53,13 @@ from . import ehrhart as _ehrhart
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
+
+
+def _integral(val: Fraction, what: str) -> int:
+    """val as an int; a fractional normalized volume is an engine fault."""
+    if val.denominator != 1:
+        raise EngineDisagreement(f"{what} gave the non-integral volume {val}")
+    return int(val)
 
 
 def nvol_oracle(m: int, n: int) -> int:
@@ -120,9 +128,7 @@ def nvol_recursive(m: int, n: int) -> int:
     n >= m-1.
     """
     _require(m >= 1 and n >= m - 1, "nvol_recursive requires n >= m-1")
-    val = _nvol_rec(m, n)
-    assert val.denominator == 1
-    return int(val)
+    return _integral(_nvol_rec(m, n), f"nvol_recursive({m},{n})")
 
 
 def nvol_closed(m: int, n: int) -> Tuple[int, int, int]:
@@ -161,46 +167,42 @@ def nvol_three_term(m: int, n: int) -> int:
     w_prev, w = Fraction(1), Fraction(n)
     for k in range(2, m + 1):
         w_prev, w = w, (k + n - 1) * w - (k - 1) * (n + Fraction(1, 2)) * w_prev
-    val = w * factorial(m)
-    assert val.denominator == 1
-    return int(val)
+    return _integral(w * factorial(m), f"nvol_three_term({m},{n})")
 
 
-def _multinomial(m: int, a: Sequence[int]) -> int:
-    num = factorial(m)
-    for x in a:
-        num //= factorial(x)
-    return num
+def _draconian_terms(m: int):
+    """(census, multinomial, s) per volume-mode shape; the multinomial
+    m!/prod a_k! of a sequence of shape (s, p1, p2) is m!/2^p2."""
+    for (s, _, p2), count in draconian_census(m, "volume").items():
+        yield count, factorial(m) // 2**p2, s
 
 
 def nvol_draconian(m: int, n: int, mode: str = "general") -> int:
-    """Draconian-sequence sum for v(m,n), n >= m-1 (m <= 6).
+    """Draconian-sequence sum for v(m,n), n >= m-1 (m <= DRACONIAN_MAX_M).
 
     general        sum over volume-mode sequences of the multinomial
                    coefficient times (n-m+1)^{total on singletons};
     parking_count  the same sum restricted to pairs-only sequences, which
                    requires n = m-1 (all singleton terms vanish there) and
                    is verified against the general sum before returning.
+    Both sums run over the shape census, not over the sequences.
     """
-    _require(1 <= m <= 6, "nvol_draconian is limited to m <= 6")
-    _require(n >= m - 1, "nvol_draconian requires n >= m-1")
+    require_draconian("nvol_draconian", m, n)
     if mode not in ("general", "parking_count"):
         raise ValueError(f"unknown draconian volume mode {mode!r}")
-    nsingles = m
     base = n - m + 1
     total = 0
     pairs_only_total = 0
-    for a in enumerate_draconian(m, "volume"):
-        single_sum = sum(a[:nsingles])
-        term = _multinomial(m, a) * base**single_sum
-        total += term
-        if single_sum == 0:
-            pairs_only_total += _multinomial(m, a)
+    for count, multinomial, s in _draconian_terms(m):
+        total += count * multinomial * base**s
+        if s == 0:
+            pairs_only_total += count * multinomial
     if mode == "parking_count":
         _require(n == m - 1, "parking_count mode requires n = m-1")
         if pairs_only_total != total:
             raise EngineDisagreement(
-                "pairs-only draconian sum differs from the general sum at n = m-1"
+                f"pairs-only draconian sum {pairs_only_total} differs from the "
+                f"general sum {total} at n = m-1"
             )
         return pairs_only_total
     return total
@@ -245,13 +247,16 @@ def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
 
 
 def nvol_small_n(m: int, n: int) -> int:
-    """Closed volume formulas for n <= 4, valid for every m >= 1.
+    """Closed volume formulas for 0 <= n <= 4, valid for every m >= 1.
 
-    v(m,1) = 1;  v(m,2) = 3^m - m;  v(m,3) = 6^m - m 3^m - (m-1) C(m,2);
+    v(m,0) = 0 (P(m,0) is the origin);  v(m,1) = 1;  v(m,2) = 3^m - m;
+    v(m,3) = 6^m - m 3^m - (m-1) C(m,2);
     v(m,4) = 10^m - m 6^m - [m(m-1)(m-3)/6] 3^m - (3m^2-6m+1) C(m,3).
     """
     _require(m >= 1, "nvol_small_n requires m >= 1")
-    _require(1 <= n <= 4, "nvol_small_n covers only n <= 4")
+    _require(0 <= n <= 4, "nvol_small_n covers only 0 <= n <= 4")
+    if n == 0:
+        return 0
     if n == 1:
         return 1
     if n == 2:
@@ -264,8 +269,7 @@ def nvol_small_n(m: int, n: int) -> int:
         - Fraction(m * (m - 1) * (m - 3), 6) * 3**m
         - (3 * m * m - 6 * m + 1) * comb(m, 3)
     )
-    assert val.denominator == 1
-    return int(val)
+    return _integral(val, f"nvol_small_n({m},{n})")
 
 
 def nvol_poly(m: int, variable: str = "n") -> Polynomial:
@@ -274,7 +278,8 @@ def nvol_poly(m: int, variable: str = "n") -> Polynomial:
     variable 'n' (m <= 8): expansion of the closed forms in n, with the two
     independent closed forms cross-checked; leading coefficient m!, all
     lower coefficients nonpositive integers.
-    variable 'N' (m <= 6): expansion of the draconian sum in N = n-m+1;
+    variable 'N' (m <= DRACONIAN_MAX_M): expansion of the draconian sum in
+    N = n-m+1;
     all coefficients positive integers, leading coefficient m!.
     """
     if variable == "n":
@@ -294,13 +299,17 @@ def nvol_poly(m: int, variable: str = "n") -> Polynomial:
         poly2 = Polynomial([scale * c for c in coef2])
         if poly1 != poly2:
             raise EngineDisagreement("the two closed n-polynomial forms disagree")
-        assert all(c.denominator == 1 for c in poly1.coeffs)
+        if any(c.denominator != 1 for c in poly1.coeffs):
+            raise EngineDisagreement(f"v({m}, n) has a non-integral coefficient")
         return poly1
     if variable == "N":
-        _require(1 <= m <= 6, "nvol_poly in N is limited to m <= 6")
+        _require(
+            1 <= m <= DRACONIAN_MAX_M,
+            f"nvol_poly in N is limited to 1 <= m <= {DRACONIAN_MAX_M}",
+        )
         coef = [0] * (m + 1)
-        for a in enumerate_draconian(m, "volume"):
-            coef[sum(a[:m])] += _multinomial(m, a)
+        for count, multinomial, s in _draconian_terms(m):
+            coef[s] += count * multinomial
         return Polynomial(coef)
     raise ValueError(f"unknown nvol_poly variable {variable!r}")
 

@@ -9,10 +9,15 @@ contract; values agree with the library routines.
 import importlib.metadata
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import partperm
 from partperm import nvol_poly, nvol_recursive, pp_facets, pp_vertices
 from partperm.cli import main, verify_suite
 
@@ -136,6 +141,55 @@ def test_volume_small_n_territory(capsys):
     assert data["method"] in {"small_n", "oracle"}
 
 
+def test_volume_of_a_point(capsys):
+    # P(m,0) is the origin; the n <= 4 formulas cover it
+    code, out, _ = run_cli(capsys, "volume", "--m", "2", "--n", "0")
+    assert code == 0
+    assert json.loads(out)["value"] == 0
+    code, out, _ = run_cli(capsys, "volume", "--m", "2", "--n", "0",
+                           "--all-methods")
+    assert code == 0
+    assert json.loads(out)["values"] == {"oracle": 0, "small_n": 0}
+
+
+def test_volume_draconian_beyond_enumeration(capsys):
+    code, out, _ = run_cli(capsys, "volume", "--m", "9", "--n", "10",
+                           "--all-methods")
+    assert code == 0
+    data = json.loads(out)
+    assert data["agree"] is True
+    assert "draconian" in data["values"]
+
+
+def test_volume_lambda_check_survives_python_O():
+    # a fractional lambda sum is an engine fault even where python -O
+    # strips assert statements
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        import partperm.volume as VO
+        from partperm.cli import main
+        from partperm.exactmath import EngineDisagreement
+        if sys.flags.optimize != 1:
+            sys.exit(99)
+        VO._nvol_rec = lambda m, n: Fraction(1, 2)
+        try:
+            VO.nvol_recursive(2, 2)
+            sys.exit(98)
+        except EngineDisagreement:
+            pass
+        VO.nvol_lambda = lambda m, n, lam=None: Fraction(1, 2)
+        sys.exit(main(["volume", "--m", "2", "--n", "2", "--method", "lambda"]))
+    """)
+    src = str(Path(partperm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "engine disagreement" in proc.stderr
+    assert "non-integral" in proc.stderr
+
+
 def test_volume_no_engine_is_usage_error(capsys):
     # m = 8, n = 5: n > 4 rules out small_n, n < m-1 rules out the rest,
     # m > 5 rules out the oracle
@@ -178,6 +232,27 @@ def test_ehrhart_all_methods(capsys):
     assert data["agree"] is True
     assert set(data["results"]) == {"interpolate", "small_n", "small_m",
                                     "draconian"}
+
+
+def test_ehrhart_of_a_point(capsys):
+    code, out, _ = run_cli(capsys, "ehrhart", "--m", "3", "--n", "0",
+                           "--all-methods")
+    assert code == 0
+    data = json.loads(out)
+    assert data["agree"] is True
+    assert data["results"] == {"interpolate": ["1"], "small_n": ["1"]}
+
+
+def test_ehrhart_draconian_default_beyond_counting(capsys):
+    # m = 7 is past the counting oracle; the draconian census covers it
+    code, out, _ = run_cli(capsys, "ehrhart", "--m", "7", "--n", "7")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "draconian"
+    assert data["coefficients"][0] == "1"
+    code, _, err = run_cli(capsys, "ehrhart", "--m", "13", "--n", "13",
+                           "--method", "draconian")
+    assert code == 1
 
 
 def test_ehrhart_method_selection(capsys):
@@ -309,6 +384,14 @@ def test_verify_conjectures_suite(capsys):
                            "--max-m", "3", "--max-n", "3")
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["summary"] == "PASS"
+
+
+def test_verify_engines_census_records():
+    recs = [r for r in verify_suite("engines", max_m=3, max_n=3)
+            if r["check"] == "draconian-census-matches-enumeration"]
+    assert [(r["params"]["m"], r["params"]["mode"]) for r in recs] == [
+        (m, mode) for m in (1, 2, 3) for mode in ("volume", "ehrhart")]
+    assert all(r["status"] == "pass" for r in recs)
 
 
 def test_verify_suite_generator_records():

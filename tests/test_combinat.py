@@ -4,7 +4,8 @@ Oracle strategy: chain enumeration is cross-checked against a filtered
 brute-force walk over all chains of subsets; the Hall-style feasibility test
 behind draconian sequences is checked against a direct subset scan; frozen
 census numbers (51 chains for m = n = 3; 4 / 8 / 51 / 455 draconian
-sequences) pin the semantics.
+sequences) pin the semantics; the shape census from the component formula
+is checked against the shape tally of the enumeration.
 """
 
 from itertools import chain as ichain, combinations
@@ -14,10 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partperm import (
+    DRACONIAN_MAX_M,
     chain_in_family,
     descents,
+    draconian_census,
     draconian_check,
+    draconian_domain,
     draconian_indices,
+    draconian_shape_tally,
     enumerate_chains,
     enumerate_draconian,
     missing_ranks,
@@ -311,6 +316,49 @@ def test_enumerate_draconian_ehrhart_complete_vs_filter():
 def test_enumerate_draconian_bad_mode():
     with pytest.raises(ValueError):
         enumerate_draconian(2, "nonsense")
+
+
+# --------------------------------------------------------------------------
+# Shape census
+
+
+@pytest.mark.parametrize("mode", ["volume", "ehrhart"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_census_matches_enumeration(m, mode):
+    assert draconian_census(m, mode) == draconian_shape_tally(m, mode)
+
+
+def test_census_m2_by_hand():
+    # sequences (a_1, a_2, a_12): (0,0,2) is a doubled edge, shape (0,0,1);
+    # (0,1,1) and (1,0,1) are an edge with a token, (1,1,0); (1,1,0) is two
+    # lone vertices with a token each, (2,0,0)
+    assert draconian_census(2, "volume") == {(0, 0, 1): 1, (1, 1, 0): 2, (2, 0, 0): 1}
+
+
+def test_census_modes_nested_beyond_enumeration():
+    # as for the sequences: the volume census is the part of the ehrhart
+    # census whose shapes use exactly m units (s + p1 + 2 p2 = m)
+    m = 9
+    vol = draconian_census(m, "volume")
+    ehr = draconian_census(m, "ehrhart")
+    assert all(s + p1 + 2 * p2 <= m for s, p1, p2 in ehr)
+    assert vol == {(s, p1, p2): c for (s, p1, p2), c in ehr.items()
+                   if s + p1 + 2 * p2 == m}
+
+
+def test_census_bad_arguments():
+    with pytest.raises(ValueError):
+        draconian_census(2, "nonsense")
+    with pytest.raises(ValueError):
+        draconian_census(0)
+
+
+def test_draconian_domain():
+    assert draconian_domain(1, 0)
+    assert draconian_domain(DRACONIAN_MAX_M, DRACONIAN_MAX_M - 1)
+    assert not draconian_domain(4, 2)
+    assert not draconian_domain(DRACONIAN_MAX_M + 1, 100)
+    assert not draconian_domain(0, 3)
 
 
 # --------------------------------------------------------------------------

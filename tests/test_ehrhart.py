@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from partperm import (
+    DRACONIAN_MAX_M,
     Polynomial,
     VRep,
     aux3_points,
@@ -112,6 +113,14 @@ def test_small_n_rejects_n4():
         ehr_closed_small_n(3, 4)
 
 
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_small_n0_is_a_point(m):
+    # P(m,0) is the origin: one lattice point in every dilate
+    assert ehr_closed_small_n(m, 0) == Polynomial([1])
+    if m <= 5:
+        assert ehr_interpolate(m, 0) == Polynomial([1])
+
+
 # --------------------------------------------------------------------------
 # Closed small-m forms (n >= max(1, m-1), theorem ranges)
 
@@ -168,6 +177,21 @@ def test_draconian_range():
         ehr_draconian(4, 2)
 
 
+@pytest.mark.parametrize("m", range(7, DRACONIAN_MAX_M + 1))
+def test_draconian_beyond_enumeration_matches_conjecture_and_recurrence(m):
+    for n in (m - 1, m, m + 2):
+        poly = ehr_draconian(m, n)
+        assert poly == ehr_recurrence(m, n), (m, n)
+        assert poly.coefficient(m) * math.factorial(m) == nvol_recursive(m, n)
+    assert ehr_draconian(m, m) == ehr_conjecture(m, m)[0]
+
+
+def test_draconian_refuses_beyond_cap():
+    m = DRACONIAN_MAX_M + 1
+    with pytest.raises(ValueError, match=f"m <= {DRACONIAN_MAX_M}"):
+        ehr_draconian(m, m)
+
+
 # --------------------------------------------------------------------------
 # Parking specialization at n = m-1
 
@@ -203,8 +227,17 @@ def test_parking_m2_hand_expansion():
 
 
 def test_parking_range():
+    with pytest.raises(ValueError, match=f"m <= {DRACONIAN_MAX_M}"):
+        ehr_parking(DRACONIAN_MAX_M + 1)
     with pytest.raises(ValueError):
-        ehr_parking(6)
+        ehr_parking(0)
+
+
+@pytest.mark.parametrize("m", range(7, DRACONIAN_MAX_M + 1))
+def test_parking_beyond_enumeration(m):
+    poly, count = ehr_parking(m)
+    assert poly == ehr_recurrence(m, m - 1)
+    assert count == poly(1)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from partperm import (
+    DRACONIAN_MAX_M,
     Polynomial,
     aux1_vertices,
     aux2_vertices,
@@ -221,6 +222,15 @@ def test_small_n_matches_oracle(m, n):
 def test_small_n_range():
     with pytest.raises(ValueError):
         nvol_small_n(3, 5)
+    with pytest.raises(ValueError):
+        nvol_small_n(3, -1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_small_n0_is_a_point(m):
+    assert nvol_small_n(m, 0) == 0
+    if m <= 5:
+        assert nvol_oracle(m, 0) == 0
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +256,32 @@ def test_draconian_rejects_low_n():
 def test_draconian_bad_mode():
     with pytest.raises(ValueError):
         nvol_draconian(2, 1, mode="bogus")
+
+
+@pytest.mark.parametrize("m", range(7, DRACONIAN_MAX_M + 1))
+def test_draconian_beyond_enumeration_matches_closed(m):
+    for n in (m - 1, m, m + 1, m + 4):
+        assert nvol_draconian(m, n) == nvol_closed(m, n)[0], (m, n)
+    assert nvol_draconian(m, m - 1, mode="parking_count") == nvol_closed(m, m - 1)[0]
+
+
+@pytest.mark.parametrize("m", range(7, DRACONIAN_MAX_M + 1))
+def test_nvol_poly_shifted_form_beyond_enumeration(m):
+    pN = nvol_poly(m, "N")
+    assert pN.coefficient(m) == math.factorial(m)
+    assert all(c > 0 and c.denominator == 1 for c in pN.coeffs)
+    if m <= 8:  # the n-form's range
+        assert pN(Polynomial([1 - m, 1])) == nvol_poly(m, "n")
+    for n in (m - 1, m + 2):
+        assert pN(n - m + 1) == nvol_closed(m, n)[0]
+
+
+def test_draconian_refuses_beyond_cap():
+    m = DRACONIAN_MAX_M + 1
+    with pytest.raises(ValueError, match=f"m <= {DRACONIAN_MAX_M}"):
+        nvol_draconian(m, m)
+    with pytest.raises(ValueError, match=f"m <= {DRACONIAN_MAX_M}"):
+        nvol_poly(m, "N")
 
 
 def test_draconian_m2_hand_sum():
