@@ -23,7 +23,9 @@ from .exactmath import (
     stirling2,
 )
 from .combinat import (
+    CHAIN_WORK_MAX,
     DRACONIAN_MAX_M,
+    chain_count,
     chain_in_family,
     descents,
     draconian_census,
@@ -100,7 +102,8 @@ __all__ = [
     "EngineDisagreement", "Polynomial", "Series", "binomial_poly",
     "double_factorial", "eulerian", "int_det", "interpolate", "series_ops",
     "solve_linear", "stirling2",
-    "DRACONIAN_MAX_M", "chain_in_family", "descents", "draconian_census",
+    "CHAIN_WORK_MAX", "DRACONIAN_MAX_M", "chain_count", "chain_in_family",
+    "descents", "draconian_census",
     "draconian_check", "draconian_domain", "draconian_indices",
     "draconian_shape_tally", "enumerate_chains", "enumerate_draconian",
     "missing_ranks", "r_set", "r_set_and_order",

@@ -55,6 +55,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; argparse names the flag on failure."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -540,9 +553,11 @@ def _build_parser() -> _Parser:
                 description="Exact invariants of partial permutohedra P(m,n).")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_mn(sp, n_required=True):
-        sp.add_argument("--m", type=int, required=True, help="dimension m >= 1")
-        sp.add_argument("--n", type=int, required=n_required, help="value bound n >= 1")
+    def add_mn(sp, n_min=0):
+        sp.add_argument("--m", type=_int_at_least(1), required=True,
+                        help="dimension m >= 1")
+        sp.add_argument("--n", type=_int_at_least(n_min), required=True,
+                        help=f"value bound n >= {n_min}")
         sp.add_argument("--format", choices=("json", "csv", "tex"), default="json")
 
     sp = sub.add_parser("vertices", help="vertex list of P(m,n)")
@@ -554,15 +569,15 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_facets)
 
     sp = sub.add_parser("faces", help="all faces as chain records (JSON lines)")
-    add_mn(sp)
+    add_mn(sp, n_min=1)
     sp.set_defaults(func=_cmd_faces)
 
     sp = sub.add_parser("fvector", help="f-vector of P(m,n)")
-    add_mn(sp)
+    add_mn(sp, n_min=1)
     sp.set_defaults(func=_cmd_fvector)
 
     sp = sub.add_parser("hpoly", help="h-polynomial of P(m,n)")
-    add_mn(sp)
+    add_mn(sp, n_min=1)
     sp.add_argument("--method", choices=FA.H_POLY_METHODS)
     sp.add_argument("--all-methods", action="store_true")
     sp.set_defaults(func=_cmd_hpoly)
@@ -582,7 +597,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--all-methods", action="store_true")
     sp.add_argument("--eval", type=int, default=None, metavar="T",
                     help="also evaluate at t=T")
-    sp.add_argument("--parallel", type=int, default=1)
+    sp.add_argument("--parallel", type=_int_at_least(1), default=1)
     sp.set_defaults(func=_cmd_ehrhart)
 
     sp = sub.add_parser("verify", help="run a cross-validation suite")
@@ -590,7 +605,7 @@ def _build_parser() -> _Parser:
                                         "appendix", "all"), default="all")
     sp.add_argument("--max-m", type=int, default=4)
     sp.add_argument("--max-n", type=int, default=6)
-    sp.add_argument("--parallel", type=int, default=1)
+    sp.add_argument("--parallel", type=_int_at_least(1), default=1)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("table", help="volume polynomial tables")

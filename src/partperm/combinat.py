@@ -46,6 +46,10 @@ Shape = Tuple[int, int, int]
 # against the independent closed forms up to this size and refuse beyond it.
 DRACONIAN_MAX_M = 12
 
+# Chain enumeration scans all 2^m subsets at each chain it visits; it refuses
+# shapes whose (chains + 1) * 2^m exceeds this many steps (about 2 s).
+CHAIN_WORK_MAX = 2**25
+
 
 def _validate_chain_shape(chain: Sequence, m: int) -> Chain:
     c = tuple(frozenset(a) for a in chain)
@@ -71,15 +75,41 @@ def chain_in_family(chain: Sequence, m: int, n: int) -> bool:
     return True  # the chain (emptyset)
 
 
+def chain_count(m: int, n: int) -> int:
+    """Number of chains in the family on [m] with width bound n, by formula.
+
+    A chain with nonempty bottom A_1 is A_1 plus an ordered set partition
+    of the w = |A_l \\ A_1| <= n-1 elements added above it; the chains with
+    A_1 empty are the same count again (one per choice of A_2 onwards),
+    plus the chain (emptyset) itself.
+    """
+    fubini = [1]  # ordered set partitions of a w-set
+    for w in range(1, min(n - 1, m) + 1):
+        fubini.append(sum(comb(w, i) * fubini[w - i] for i in range(1, w + 1)))
+    above = sum(
+        comb(m, a) * comb(m - a, w) * fubini[w]
+        for a in range(1, m + 1)
+        for w in range(min(n - 1, m - a) + 1)
+    )
+    return 1 + 2 * above
+
+
 def enumerate_chains(m: int, n: int, include_empty: bool = False) -> List[Chain]:
     """All chains of the family on [m] with width bound n, deterministic order.
 
     With ``include_empty`` the empty chain () is appended as a final extra
     element (it indexes the empty face but is not itself a family member).
     Chains are ordered by (length, sorted member tuples) for determinism.
+    Shapes beyond ``CHAIN_WORK_MAX`` search steps are refused up front.
     """
     if m < 1 or n < 1:
         raise ValueError("enumerate_chains requires m >= 1 and n >= 1")
+    work = (chain_count(m, n) + 1) << m
+    if work > CHAIN_WORK_MAX:
+        raise ValueError(
+            f"chain enumeration for (m,n)=({m},{n}) needs {work} subset tests, "
+            f"above the work bound CHAIN_WORK_MAX = {CHAIN_WORK_MAX}"
+        )
     ground = list(range(1, m + 1))
     subsets = []
     for r in range(m + 1):

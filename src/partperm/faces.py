@@ -42,17 +42,11 @@ from .combinat import (
     r_set,
 )
 from .exactmath import EngineDisagreement, Polynomial, eulerian
-from .polytope import pp_vertices
+from .polytope import _facet_rhs, pp_vertices
 
 # Above this vertex count, face_from_chain verifies its two equality systems
 # on the face's own constructed vertices instead of filtering all of V(P).
 _FULL_VERIFY_LIMIT = 20000
-
-
-def _clamped_rhs(n: int, w: int) -> int:
-    """C(n+1,2) - C(n+1-w,2), the latter read as 0 when n+1-w <= 1."""
-    a = n + 1 - w
-    return comb(n + 1, 2) - (comb(a, 2) if a >= 2 else 0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ def face_from_chain(chain: Sequence, m: int, n: int) -> FaceSystem:
         if j == 1 and special:
             continue
         diff = top - c[j - 1]
-        case_rows.append((_indicator(diff, m), _clamped_rhs(n, len(diff))))
+        case_rows.append((_indicator(diff, m), _facet_rhs(len(diff), n)))
     if special:
         case_rows.append((_indicator(ground, m), comb(n + 1, 2)))
 
@@ -104,7 +98,7 @@ def face_from_chain(chain: Sequence, m: int, n: int) -> FaceSystem:
     for j in range(1, ell + 1):
         outside = ground - c[j - 1]
         w = len(top - c[j - 1])
-        compact_rows.append((_indicator(outside, m), _clamped_rhs(n, w)))
+        compact_rows.append((_indicator(outside, m), _facet_rhs(w, n)))
 
     dim = missing_ranks(c)
     face = FaceSystem(c, dim, tuple(case_rows), tuple(compact_rows))

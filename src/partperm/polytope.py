@@ -14,8 +14,8 @@ where C(a,2) is taken as 0 for a <= 1 (equivalently the right-hand side is
 
 Also here: exact lattice-point counting of dilates (compiled kernel with a
 pure-Python fallback, optional process-parallel splitting), exact hull
-conversion in both directions by brute subset enumeration, halfspace cuts
-for strip-decomposition arguments, and the anti-blocking polytope of a
+conversion in both directions by integer double description, halfspace
+cuts for strip-decomposition arguments, and the anti-blocking polytope of a
 weakly decreasing score vector together with its vertex-edge graph.
 """
 
@@ -26,14 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, floor, ceil, gcd
+from math import comb, floor, ceil, gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactmath import int_det, solve_linear
+from .exactmath import int_det
+
+from . import _counting_py
 
 if os.environ.get("PARTPERM_PURE") == "1":
-    from . import _counting_py as _kernel
-
+    _kernel = _counting_py
     KERNEL_NAME = "pure"
 else:
     try:
@@ -41,11 +42,40 @@ else:
 
         KERNEL_NAME = "compiled"
     except ImportError:
-        from . import _counting_py as _kernel
-
+        _kernel = _counting_py
         KERNEL_NAME = "pure"
 
-count_lattice_points = _kernel.count_lattice_points
+_INT64_MAX = 2**63 - 1
+
+
+def _fits_int64(rows_a, rows_b, lows, highs) -> bool:
+    """Do all the compiled kernel's intermediate values fit in a C long long?
+
+    Per row, |b| + 2 * sum_j |a_j| * max(|low_j|, |high_j|) bounds every
+    slack, partial sum and minimum the kernel forms; the product of the box
+    widths bounds the count.
+    """
+    mags = [max(abs(lo), abs(hi)) for lo, hi in zip(lows, highs)]
+    size = 1
+    for lo, hi in zip(lows, highs):
+        size *= max(hi - lo + 1, 0)
+    if size > _INT64_MAX or max(mags, default=0) > _INT64_MAX:
+        return False
+    return all(
+        abs(b) + 2 * sum(abs(c) * x for c, x in zip(a, mags)) <= _INT64_MAX
+        for a, b in zip(rows_a, rows_b)
+    )
+
+
+if KERNEL_NAME == "compiled":
+
+    def count_lattice_points(rows_a, rows_b, lows, highs):
+        """The compiled kernel, or the pure one where 64 bits could overflow."""
+        kernel = _kernel if _fits_int64(rows_a, rows_b, lows, highs) else _counting_py
+        return kernel.count_lattice_points(rows_a, rows_b, lows, highs)
+
+else:
+    count_lattice_points = _kernel.count_lattice_points
 
 
 @dataclass(frozen=True)
@@ -213,103 +243,117 @@ def bounding_box(h: HRep) -> Tuple[Tuple[int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact hull conversion by brute subset enumeration.
+# Exact hull conversion by integer double description.
 
 
-def _det_small(rows) -> Fraction:
-    """Exact determinant; direct formulas up to 3x3, elimination above."""
-    k = len(rows)
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return Fraction(rows[0][0])
-    if k == 2:
-        return Fraction(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-    if k == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    if all(isinstance(x, int) for row in rows for x in row):
-        return Fraction(int_det(rows))
-    # Fraction Gaussian elimination for the rare non-integer case.
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, k):
-            if mat[r][col] != 0:
-                f = mat[r][col] * inv
-                for cc in range(col, k):
-                    mat[r][cc] -= f * mat[col][cc]
-    return det
+def _integral(row) -> Tuple[int, ...]:
+    """The row times the least common denominator of its entries."""
+    den = lcm(*(x.denominator for x in row))
+    return tuple(int(x * den) for x in row)
 
 
-def _affine_rank(points) -> int:
-    base = points[0]
-    vecs = [[Fraction(c - b) for c, b in zip(p, base)] for p in points[1:]]
-    rank = 0
-    ncols = len(base)
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(vecs)) if vecs[r][col] != 0), None)
-        if piv is None:
-            continue
-        vecs[rank], vecs[piv] = vecs[piv], vecs[rank]
-        inv = 1 / vecs[rank][col]
-        for r in range(len(vecs)):
-            if r != rank and vecs[r][col] != 0:
-                f = vecs[r][col] * inv
-                for cc in range(col, ncols):
-                    vecs[r][cc] -= f * vecs[rank][cc]
-        rank += 1
-    return rank
+def _primitive(v) -> Tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
-def _normal_through(points_subset):
-    """Primitive normal of the hyperplane through m affinely independent points.
+def _row_basis(gens, d: int) -> List[int]:
+    """Indices of a greedy row basis: each row independent of the earlier
+    ones, at most d of them, so fewer than d exactly when the rank is.
 
-    Returns (nu, c) with <nu, p> = c on the subset, or None if the subset is
-    affinely dependent.  nu is computed from signed maximal minors of the
-    difference matrix, so it is exact; the caller fixes the orientation.
+    Fraction-free elimination: each accepted row is reduced against the
+    earlier ones by integer cross-multiplication and kept primitive.
     """
-    m = len(points_subset[0])
-    base = points_subset[0]
-    diffs = [[p[j] - base[j] for j in range(m)] for p in points_subset[1:]]
-    nu = []
-    sign = 1
-    for j in range(m):
-        minor = [row[:j] + row[j + 1 :] for row in diffs]
-        d = _det_small(minor)
-        nu.append(sign * d)
-        sign = -sign
-    if all(x == 0 for x in nu):
+    basis, echelon = [], []
+    for i, g in enumerate(gens):
+        v = g
+        for col, e in echelon:
+            if v[col]:
+                v = [e[col] * x - v[col] * y for x, y in zip(v, e)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            continue
+        echelon.append((col, _primitive(v)))
+        basis.append(i)
+        if len(basis) == d:
+            break
+    return basis
+
+
+def _adjacent(common: int, zeros: List[int]) -> bool:
+    """Combinatorial test: only the two rays themselves vanish on ``common``."""
+    seen = 0
+    for z in zeros:
+        if z & common == common:
+            seen += 1
+            if seen > 2:
+                return False
+    return True
+
+
+def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
+    """Primitive extreme rays of the cone {y : g . y >= 0 for every g in gens}.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
+    integer arithmetic.  It starts from the simplicial cone on d
+    independent rows, whose rays are the columns of their adjugate, and
+    adds the other rows one at a time: rays on the violated side are
+    dropped, and every adjacent pair across the new hyperplane gives one
+    new ray.  Each ray keeps its zero set (the rows it lies on) as a
+    bitmask, and two rays are adjacent when no third ray vanishes on all
+    the rows they share.  Returns None when the rows have rank below d,
+    that is when the cone contains a line.
+    """
+    gens = [_integral(g) for g in gens]
+    d = len(gens[0])
+    basis = _row_basis(gens, d)
+    if len(basis) < d:
         return None
-    # Clear denominators, then divide by the gcd (signs preserved).
-    dens = [x.denominator for x in nu]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(x * lcm) for x in nu]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    c = sum(v * p for v, p in zip(ints, base))
-    return ints, c
+    rows = [gens[i] for i in basis]
+    sign = 1 if int_det(rows) > 0 else -1
+    rays, zeros = [], []
+    everything = sum(1 << i for i in basis)
+    for k, i in enumerate(basis):
+        rest = rows[:k] + rows[k + 1:]
+        adj = [(-1) ** (j + k) * int_det([r[:j] + r[j + 1:] for r in rest])
+               for j in range(d)]
+        rays.append(_primitive([sign * x for x in adj]))
+        zeros.append(everything & ~(1 << i))
+    skip = set(basis)
+    for i, g in enumerate(gens):
+        if i in skip:
+            continue
+        bit = 1 << i
+        vals = [sum(a * y for a, y in zip(g, r)) for r in rays]
+        pos = [k for k, s in enumerate(vals) if s > 0]
+        neg = [k for k, s in enumerate(vals) if s < 0]
+        new_rays, new_zeros = [], []
+        for p in pos:
+            for q in neg:
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < d - 2 or not _adjacent(common, zeros):
+                    continue
+                ray = [vals[p] * y - vals[q] * x for x, y in zip(rays[p], rays[q])]
+                new_rays.append(_primitive(ray))
+                new_zeros.append(common | bit)
+        keep = [k for k, s in enumerate(vals) if s >= 0]
+        rays = [rays[k] for k in keep] + new_rays
+        zeros = [zeros[k] | (bit if vals[k] == 0 else 0) for k in keep] + new_zeros
+    return rays
 
 
 def hull_convert(rep, m: Optional[int] = None):
     """Exact hull conversion: VRep -> HRep (facets) or HRep -> VRep (vertices).
 
-    Brute force over all m-element subsets of points (resp. rows), intended
-    as an independent cross-check of structured constructions rather than a
-    scalable hull code.  The V->H direction requires a full-dimensional
-    input and raises ValueError on degenerate point sets.
+    Both directions compute the extreme rays of a homogenised cone with
+    ``_extreme_rays``.  V->H: the cone of valid inequalities a . x <= c,
+    with one row (1, -p) per point; its rays with a != 0 are the facets,
+    each with a primitive integer normal, sorted.  The input must be full
+    dimensional; degenerate point sets raise ValueError.  H->V: the cone
+    {(w, x) : a . x <= b w, w >= 0}; its rays with w > 0 are the vertices
+    x / w, sorted, each coordinate an int when integral and a Fraction
+    otherwise.  A system whose rows have rank below m has no vertex and
+    gives the empty VRep.
     """
     if isinstance(rep, VRep):
         return _hull_v_to_h(rep, m if m is not None else rep.dim)
@@ -318,71 +362,28 @@ def hull_convert(rep, m: Optional[int] = None):
     raise TypeError("hull_convert expects a VRep or an HRep")
 
 
+def _exact(num: int, den: int):
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 def _hull_v_to_h(v: VRep, m: int) -> HRep:
-    pts = list(v.points)
-    if len(pts) < m + 1:
+    if len(v.points) < m + 1:
         raise ValueError("point set is degenerate (too few points)")
-    if _affine_rank(pts) < m:
+    rays = _extreme_rays([(1,) + tuple(-x for x in p) for p in v.points])
+    if rays is None:
         raise ValueError("point set is degenerate (affine rank below dimension)")
-    facets = {}
-    nfacets = 0
-    point_masks = [0] * len(pts)  # per point: bitmask of facets through it
-    for subset in combinations(range(len(pts)), m):
-        acc = point_masks[subset[0]]
-        for idx in subset[1:]:
-            acc &= point_masks[idx]
-            if not acc:
-                break
-        if acc:
-            continue  # subset lies inside an already-found facet hyperplane
-        res = _normal_through([pts[i] for i in subset])
-        if res is None:
-            continue
-        nu, c = res
-        below = above = False
-        vals = []
-        for p in pts:
-            s = sum(a * x for a, x in zip(nu, p))
-            vals.append(s)
-            if s > c:
-                above = True
-            elif s < c:
-                below = True
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            nu = [-x for x in nu]
-            c = -c
-            vals = [-s for s in vals]
-        key = (tuple(nu), c)
-        if key in facets:
-            continue
-        facets[key] = nfacets
-        bit = 1 << nfacets
-        for i, s in enumerate(vals):
-            if s == c:
-                point_masks[i] |= bit
-        nfacets += 1
-    rows = sorted(facets.keys())
-    return HRep(tuple((tuple(a), c) for a, c in rows), m)
+    rows = []
+    for c, *a in rays:
+        g = gcd(*a)
+        if g:
+            rows.append((tuple(x // g for x in a), _exact(c, g)))
+    return HRep(tuple(sorted(rows)), m)
 
 
 def _hull_h_to_v(h: HRep, m: int) -> VRep:
-    rows = list(h.rows)
-    found = set()
-    for subset in combinations(range(len(rows)), m):
-        a_mat = [list(rows[i][0]) for i in subset]
-        b_vec = [rows[i][1] for i in subset]
-        x = solve_linear(a_mat, b_vec)
-        if x is None:
-            continue
-        if all(sum(c * xi for c, xi in zip(a, x)) <= b for a, b in rows):
-            found.add(tuple(x))
-    pts = []
-    for p in sorted(found):
-        pts.append(tuple(int(c) if c.denominator == 1 else c for c in p))
+    gens = [(1,) + (0,) * m] + [(b,) + tuple(-x for x in a) for a, b in h.rows]
+    rays = _extreme_rays(gens) or []
+    pts = [tuple(_exact(x, w) for x in xs) for w, *xs in rays if w > 0]
     return VRep(tuple(sorted(pts)), m)
 
 

@@ -366,6 +366,29 @@ def test_bad_range_is_error_code_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("volume", "--m", "0", "--n", "3"), "--m"),
+    (("volume", "--m", "3", "--n", "-2"), "--n"),
+    (("fvector", "--m", "two", "--n", "2"), "--m"),
+    (("fvector", "--m", "3", "--n", "0"), "--n"),
+    (("ehrhart", "--m", "2", "--n", "2", "--parallel", "0"), "--parallel"),
+    (("ehrhart", "--m", "2", "--n", "2", "--parallel", "-4"), "--parallel"),
+    (("verify", "--suite", "appendix", "--parallel", "0"), "--parallel"),
+])
+def test_parser_names_the_bad_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}:" in err
+
+
+def test_chain_work_bound_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "hpoly", "--m", "30", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert "CHAIN_WORK_MAX" in err
+
+
 def test_verify_small_suite_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "faces",
                            "--max-m", "3", "--max-n", "3")

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partperm import (
+    CHAIN_WORK_MAX,
     DRACONIAN_MAX_M,
+    chain_count,
     chain_in_family,
     descents,
     draconian_census,
@@ -87,6 +89,23 @@ def test_enumerate_chains_matches_brute_force(m, n):
 def test_enumerate_chains_frozen_counts(m, n, count):
     assert len(enumerate_chains(m, n)) == count
     assert len(enumerate_chains(m, n, include_empty=True)) == count + 1
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chain_count_matches_enumeration(m, n):
+    assert chain_count(m, n) == len(enumerate_chains(m, n))
+
+
+def test_chain_work_bound_refuses_up_front():
+    # hpoly --m 30 --n 2 used to scan 2^30 subsets per chain with no bound
+    with pytest.raises(ValueError, match="CHAIN_WORK_MAX"):
+        enumerate_chains(30, 2)
+    with pytest.raises(ValueError, match="CHAIN_WORK_MAX"):
+        enumerate_chains(11, 2)
+    # the largest shapes in use stay inside the bound
+    for m, n in [(9, 2), (10, 2), (7, 3), (6, 4), (5, 6), (4, 8), (7, 7)]:
+        assert (chain_count(m, n) + 1) << m <= CHAIN_WORK_MAX
 
 
 def test_enumerate_chains_33_census_by_missing_ranks():

@@ -117,3 +117,21 @@ def test_active_kernel_name_is_consistent():
     assert KERNEL_NAME in {"pure", "compiled"}
     if count_compiled is None:
         assert KERNEL_NAME == "pure"
+
+
+def test_large_magnitudes_count_exactly():
+    # Every input fits in 64 bits, but c * low and the row minima do not:
+    # the compiled kernel alone returned 12 here.  The public counter routes
+    # such inputs to the pure kernel.
+    from partperm import count_lattice_points
+
+    lows, highs = [-(2**62), 2**62 - 5], [-(2**62) + 2, 2**62]
+    assert count_lattice_points([[1, 1]], [2**62], lows, highs) == 18
+    assert count_pure([[1, 1]], [2**62], lows, highs) == 18
+
+
+def test_rhs_beyond_64_bits_counts_exactly():
+    from partperm import count_lattice_points
+
+    assert count_lattice_points([[1, 0]], [2**63], [0, 0], [3, 4]) == 20
+    assert count_lattice_points([[1, 0]], [-(2**64)], [0, 0], [3, 4]) == 0

@@ -8,8 +8,9 @@ anti-blocking graphs are pinned to small frozen neighborhoods.
 """
 
 import math
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -25,6 +26,7 @@ from partperm import (
     pp_box,
     pp_facets,
     pp_vertices,
+    solve_linear,
     verify_antiblocking_identity,
 )
 
@@ -174,6 +176,139 @@ def _vset(v):
     return set(v.points)
 
 
+def _det(rows):
+    """Exact determinant by cofactor expansion (tiny matrices only)."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+        if rows[0][j]
+    )
+
+
+def _exact(x):
+    x = Fraction(x)
+    return int(x) if x.denominator == 1 else x
+
+
+def _brute_hull(rep):
+    """Reference hull conversion by brute force over all m-subsets.
+
+    V->H: every m points spanning a hyperplane with all points on one side
+    give a facet (primitive integer normal).  H->V: every m rows with a
+    unique common solution that satisfies all rows give a vertex.  This is
+    the enumeration the library used before its double-description routine.
+    """
+    m = rep.dim
+    if isinstance(rep, HRep):
+        found = set()
+        for subset in combinations(rep.rows, m):
+            x = solve_linear([list(a) for a, _ in subset], [b for _, b in subset])
+            if x is not None and contains_point(rep, x):
+                found.add(tuple(_exact(c) for c in x))
+        return VRep(tuple(sorted(found)), m)
+    pts = rep.points
+    full = any(
+        _det([[c - b for c, b in zip(p, sub[0])] for p in sub[1:]])
+        for sub in combinations(pts, m + 1)
+    )
+    if not full:
+        raise ValueError("point set is degenerate")
+    facets = set()
+    for sub in combinations(pts, m):
+        diffs = [[c - b for c, b in zip(p, sub[0])] for p in sub[1:]]
+        nu = [Fraction((-1) ** j * _det([r[:j] + r[j + 1:] for r in diffs]))
+              for j in range(m)]
+        if not any(nu):
+            continue
+        den = math.lcm(*(x.denominator for x in nu))
+        ints = [int(x * den) for x in nu]
+        g = math.gcd(*ints)
+        ints = [x // g for x in ints]
+        c = sum(v * p for v, p in zip(ints, sub[0]))
+        vals = [sum(v * x for v, x in zip(ints, p)) for p in pts]
+        if all(s <= c for s in vals):
+            facets.add((tuple(ints), _exact(c)))
+        elif all(s >= c for s in vals):
+            facets.add((tuple(-x for x in ints), _exact(-c)))
+    return HRep(tuple(sorted(facets)), m)
+
+
+def _random_hrep(rng, kind, m):
+    rows = [
+        (tuple(rng.randrange(-3, 4) for _ in range(m)), rng.randrange(-2, 6))
+        for _ in range(rng.randrange(m, m + 5))
+    ]
+    if kind == "unbounded":
+        rows = rows[: max(1, len(rows) // 2)]
+    elif kind == "empty":
+        a = tuple(rng.randrange(-2, 3) for _ in range(m))
+        rows += [(a, -1), (tuple(-x for x in a), -1)]
+    elif kind == "equality":
+        a = tuple(rng.randrange(-2, 3) for _ in range(m))
+        b = rng.randrange(0, 4)
+        rows += [(a, b), (tuple(-x for x in a), -b)]
+    return HRep(tuple(rows), m)
+
+
+def _random_vrep(rng, kind, m):
+    npts = rng.randrange(m + 1, m + 7)
+    if kind == "rational":
+        def coord():
+            return Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+    else:
+        def coord():
+            return rng.randrange(-3, 4)
+    pts = [tuple(coord() for _ in range(m)) for _ in range(npts)]
+    if kind == "degenerate":  # all points on the hyperplane x_m = x_1
+        pts = [p[:-1] + (p[0],) for p in pts]
+    return VRep(tuple(pts), m)
+
+
+def _outcome(convert, rep):
+    try:
+        return repr(convert(rep))
+    except ValueError:
+        return "degenerate"
+
+
+@pytest.mark.parametrize("kind", ["bounded", "unbounded", "empty", "equality"])
+def test_hull_h_to_v_matches_brute_force(kind):
+    rng = random.Random(f"h-{kind}")
+    for _ in range(60):
+        rep = _random_hrep(rng, kind, rng.randrange(1, 4))
+        assert _outcome(hull_convert, rep) == _outcome(_brute_hull, rep), rep
+
+
+@pytest.mark.parametrize("kind", ["integral", "rational", "degenerate"])
+def test_hull_v_to_h_matches_brute_force(kind):
+    rng = random.Random(f"v-{kind}")
+    for _ in range(60):
+        rep = _random_vrep(rng, kind, rng.randrange(1, 4))
+        assert _outcome(hull_convert, rep) == _outcome(_brute_hull, rep), rep
+
+
+def test_hull_random_inputs_cover_every_case():
+    # the seeded inputs above do reach empty systems, rational vertices and
+    # degenerate point sets
+    rng = random.Random("h-bounded")
+    hs = [hull_convert(_random_hrep(rng, "bounded", rng.randrange(1, 4)))
+          for _ in range(60)]
+    assert any(not v.points for v in hs)
+    assert any(isinstance(c, Fraction) for v in hs for p in v.points for c in p)
+    rng = random.Random("v-degenerate")
+    outs = [_outcome(hull_convert, _random_vrep(rng, "degenerate", rng.randrange(1, 4)))
+            for _ in range(60)]
+    assert "degenerate" in outs
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3)])
+def test_hull_matches_brute_force_on_pp(m, n):
+    assert hull_convert(pp_vertices(m, n)) == _brute_hull(pp_vertices(m, n))
+    assert hull_convert(pp_facets(m, n)) == _brute_hull(pp_facets(m, n))
+
+
 @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (2, 5), (3, 2), (3, 3), (3, 5)])
 def test_hull_round_trip_small(m, n):
     v = pp_vertices(m, n)
@@ -186,17 +321,29 @@ def test_hull_round_trip_small(m, n):
     assert _vset(hull_convert(h)) == _vset(v)
 
 
-@pytest.mark.parametrize("m,n", [(4, 4)])
+@pytest.mark.parametrize("m,n", [(4, 4), (5, 5)])
 def test_hull_round_trip_heavier(m, n):
     v = pp_vertices(m, n)
-    assert _vset(hull_convert(hull_convert(v))) == _vset(v)
+    assert hull_convert(hull_convert(v)) == v
 
 
 def test_hull_v_to_h_matches_pp_facets_as_sets():
     # the produced facet system must be exactly the irredundant pp_facets rows
-    for m, n in [(2, 2), (3, 2), (3, 3)]:
+    for m, n in [(2, 2), (3, 2), (3, 3), (4, 4), (5, 3), (5, 4)]:
         got = hull_convert(pp_vertices(m, n))
         assert set(got.rows) == set(pp_facets(m, n).rows)
+        assert len(got.rows) == len(pp_facets(m, n).rows)
+
+
+def test_hull_fraction_coordinates():
+    # the triangle (0,0), (3/2,0), (0,1/2): 1/3 x + y <= 1/2 scales to the
+    # primitive normal (1, 3) with rhs 3/2
+    half = Fraction(1, 2)
+    v = VRep(((0, 0), (Fraction(3, 2), 0), (0, half), (half, Fraction(1, 4))), 2)
+    h = hull_convert(v)
+    assert h.rows == (((-1, 0), 0), ((0, -1), 0), ((1, 3), Fraction(3, 2)))
+    assert hull_convert(h).points == ((0, 0), (0, half), (Fraction(3, 2), 0))
+    assert h == _brute_hull(v)
 
 
 def test_hull_degenerate_input_raises():
