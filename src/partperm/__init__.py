@@ -25,6 +25,8 @@ from .exactmath import (
 from .combinat import (
     CHAIN_WORK_MAX,
     DRACONIAN_MAX_M,
+    ORACLE_MAX_M,
+    ORACLE_MAX_N,
     chain_count,
     chain_in_family,
     descents,
@@ -36,6 +38,7 @@ from .combinat import (
     enumerate_chains,
     enumerate_draconian,
     missing_ranks,
+    oracle_domain,
     r_set,
     r_set_and_order,
 )
@@ -43,6 +46,7 @@ from .polytope import (
     CutResult,
     HRep,
     KERNEL_NAME,
+    PP_COUNT_WORK_MAX,
     VRep,
     antiblocking_vertices_edges,
     bounding_box,
@@ -52,6 +56,7 @@ from .polytope import (
     cut,
     hull_convert,
     pp_box,
+    pp_count,
     pp_facets,
     pp_vertices,
     verify_antiblocking_identity,
@@ -102,14 +107,16 @@ __all__ = [
     "EngineDisagreement", "Polynomial", "Series", "binomial_poly",
     "double_factorial", "eulerian", "int_det", "interpolate", "series_ops",
     "solve_linear", "stirling2",
-    "CHAIN_WORK_MAX", "DRACONIAN_MAX_M", "chain_count", "chain_in_family",
+    "CHAIN_WORK_MAX", "DRACONIAN_MAX_M", "ORACLE_MAX_M", "ORACLE_MAX_N",
+    "chain_count", "chain_in_family",
     "descents", "draconian_census",
     "draconian_check", "draconian_domain", "draconian_indices",
     "draconian_shape_tally", "enumerate_chains", "enumerate_draconian",
-    "missing_ranks", "r_set", "r_set_and_order",
-    "CutResult", "HRep", "KERNEL_NAME", "VRep", "antiblocking_vertices_edges",
+    "missing_ranks", "oracle_domain", "r_set", "r_set_and_order",
+    "CutResult", "HRep", "KERNEL_NAME", "PP_COUNT_WORK_MAX", "VRep",
+    "antiblocking_vertices_edges",
     "bounding_box", "contains_point", "count_lattice_points", "count_points",
-    "cut", "hull_convert", "pp_box", "pp_facets", "pp_vertices",
+    "cut", "hull_convert", "pp_box", "pp_count", "pp_facets", "pp_vertices",
     "verify_antiblocking_identity",
     "FaceSystem", "VertexStats", "comb_equiv_check", "f_polynomial",
     "f_vector", "face_from_chain", "face_vertices", "h_poly",

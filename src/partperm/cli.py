@@ -23,10 +23,13 @@ from . import ehrhart as EH
 from . import faces as FA
 from . import volume as VO
 from .combinat import (
+    ORACLE_MAX_M,
+    ORACLE_MAX_N,
     draconian_census,
     draconian_domain,
     draconian_shape_tally,
     enumerate_chains,
+    oracle_domain,
 )
 from .exactmath import EngineDisagreement, Polynomial
 from .polytope import (
@@ -35,6 +38,7 @@ from .polytope import (
     count_points,
     hull_convert,
     pp_box,
+    pp_count,
     pp_facets,
     pp_vertices,
     antiblocking_vertices_edges,
@@ -74,6 +78,12 @@ def _dump(obj) -> str:
 
 def _poly_json(p: Polynomial) -> List[str]:
     return p.to_strings()
+
+
+def _disagreement(what: str, m: int, n: int, values: dict) -> EngineDisagreement:
+    """The --all-methods error, naming every method and the value it gave."""
+    pairs = "; ".join(f"{meth} -> {val}" for meth, val in values.items())
+    return EngineDisagreement(f"{what} disagree at (m,n)=({m},{n}): {pairs}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +181,8 @@ def _cmd_hpoly(args) -> int:
         }
         print(_dump(out))
         if not agree:
-            raise EngineDisagreement("h-polynomial methods disagree")
+            raise _disagreement("h-polynomial methods", m, n,
+                                {k: p.render() for k, p in results.items()})
         return 0
     p = FA.h_poly(m, n, args.method or "from_f")
     out = {
@@ -194,7 +205,7 @@ def _cmd_hpoly(args) -> int:
 
 def _volume_methods(m: int, n: int) -> List[str]:
     methods = []
-    if m <= 5 and n <= 6:
+    if oracle_domain(m, n):
         methods.append("oracle")
     if n >= m - 1 and n >= 1:
         methods += ["recursive", "closed", "three_term"]
@@ -242,7 +253,7 @@ def _cmd_volume(args) -> int:
         agree = len(set(values.values())) == 1
         print(_dump({"m": m, "n": n, "values": values, "agree": agree}))
         if not agree:
-            raise EngineDisagreement("volume engines disagree")
+            raise _disagreement("volume engines", m, n, values)
         return 0
     method = args.method or ("closed" if "closed" in methods else methods[-1])
     if method not in methods:
@@ -260,7 +271,7 @@ def _cmd_volume(args) -> int:
 
 def _ehrhart_methods(m: int, n: int) -> List[str]:
     methods = []
-    if m <= 5 and n <= 6:
+    if oracle_domain(m, n):
         methods.append("interpolate")
     if n <= 3:
         methods.append("small_n")
@@ -271,9 +282,9 @@ def _ehrhart_methods(m: int, n: int) -> List[str]:
     return methods
 
 
-def _ehrhart_value(m: int, n: int, method: str, parallel: int) -> Polynomial:
+def _ehrhart_value(m: int, n: int, method: str) -> Polynomial:
     if method == "interpolate":
-        return EH.ehr_interpolate(m, n, parallel=parallel)
+        return EH.ehr_interpolate(m, n)
     if method == "small_n":
         return EH.ehr_closed_small_n(m, n)
     if method == "small_m":
@@ -289,7 +300,7 @@ def _cmd_ehrhart(args) -> int:
     if not methods:
         raise UsageError(f"no exact Ehrhart engine covers (m,n)=({m},{n})")
     if args.all_methods:
-        values = {meth: _ehrhart_value(m, n, meth, args.parallel) for meth in methods}
+        values = {meth: _ehrhart_value(m, n, meth) for meth in methods}
         polys = list(values.values())
         agree = all(p == polys[0] for p in polys)
         out = {"m": m, "n": n,
@@ -299,7 +310,8 @@ def _cmd_ehrhart(args) -> int:
             out["value_at_t"] = str(polys[0](args.eval))
         print(_dump(out))
         if not agree:
-            raise EngineDisagreement("Ehrhart engines disagree")
+            raise _disagreement("Ehrhart engines", m, n,
+                                {k: p.render() for k, p in values.items()})
         return 0
     method = args.method or methods[0]
     if method not in methods:
@@ -307,7 +319,7 @@ def _cmd_ehrhart(args) -> int:
             f"method {method!r} not applicable at (m,n)=({m},{n}); "
             f"applicable: {', '.join(methods)}"
         )
-    p = _ehrhart_value(m, n, method, args.parallel)
+    p = _ehrhart_value(m, n, method)
     out = {"m": m, "n": n, "method": method, "coefficients": _poly_json(p),
            "rendered": p.render()}
     if args.eval is not None:
@@ -363,11 +375,11 @@ def _check(name: str, params: dict, ok: bool, detail: Optional[str] = None) -> d
     return rec
 
 
-def _suite_engines(max_m: int, max_n: int, parallel: int) -> Iterator[dict]:
+def _suite_engines(max_m: int, max_n: int) -> Iterator[dict]:
     for m in range(1, min(max_m, 5) + 1):
         for n in range(max(1, m - 1), max_n + 1):
             vals = {}
-            if m <= 5 and n <= 6:
+            if oracle_domain(m, n):
                 vals["oracle"] = VO.nvol_oracle(m, n)
             vals["recursive"] = VO.nvol_recursive(m, n)
             c1, c2, c3 = VO.nvol_closed(m, n)
@@ -385,9 +397,9 @@ def _suite_engines(max_m: int, max_n: int, parallel: int) -> Iterator[dict]:
                 vals["small_n"] = VO.nvol_small_n(m, n)
             ok = len(set(vals.values())) == 1
             yield _check("volume-engines-agree", {"m": m, "n": n}, ok, repr(vals))
-    for m in range(1, min(max_m, 5) + 1):
-        for n in range(max(1, m - 1), min(max_n, 6) + 1):
-            polys = {"interpolate": EH.ehr_interpolate(m, n, parallel=parallel)}
+    for m in range(1, min(max_m, ORACLE_MAX_M) + 1):
+        for n in range(max(1, m - 1), min(max_n, ORACLE_MAX_N) + 1):
+            polys = {"interpolate": EH.ehr_interpolate(m, n)}
             if n <= 3:
                 polys["small_n"] = EH.ehr_closed_small_n(m, n)
             if m <= 4:
@@ -405,6 +417,13 @@ def _suite_engines(max_m: int, max_n: int, parallel: int) -> Iterator[dict]:
                          {"m": m, "mode": mode}, census == tally,
                          repr({"census": sorted(census.items()),
                                "enumeration": sorted(tally.items())}))
+    for m in range(1, min(max_m, ORACLE_MAX_M) + 1):
+        for n in range(0, min(max_n, ORACLE_MAX_N) + 1):
+            h, box = pp_facets(m, n), pp_box(m, n)
+            counts = {t: (pp_count(m, n, t), count_points(h, t, box=box))
+                      for t in (1, 2)}
+            yield _check("pp-count-matches-generic", {"m": m, "n": n},
+                         all(a == b for a, b in counts.values()), repr(counts))
 
 
 def _suite_faces(max_m: int, max_n: int) -> Iterator[dict]:
@@ -513,11 +532,10 @@ def _suite_appendix(max_m: int, max_n: int) -> Iterator[dict]:
         yield _check("aux3-count-difference", {"n": n}, ok)
 
 
-def verify_suite(name: str, max_m: int = 4, max_n: int = 6,
-                 parallel: int = 1) -> Iterator[dict]:
+def verify_suite(name: str, max_m: int = 4, max_n: int = 6) -> Iterator[dict]:
     """Yield check records for one named verification suite."""
     suites = {
-        "engines": lambda: _suite_engines(max_m, max_n, parallel),
+        "engines": lambda: _suite_engines(max_m, max_n),
         "faces": lambda: _suite_faces(max_m, max_n),
         "conjectures": lambda: _suite_conjectures(max_m, max_n),
         "appendix": lambda: _suite_appendix(max_m, max_n),
@@ -533,7 +551,7 @@ def verify_suite(name: str, max_m: int = 4, max_n: int = 6,
 
 def _cmd_verify(args) -> int:
     count = 0
-    for rec in verify_suite(args.suite, args.max_m, args.max_n, args.parallel):
+    for rec in verify_suite(args.suite, args.max_m, args.max_n):
         print(_dump(rec))
         count += 1
         if rec["status"] == "fail":
@@ -597,7 +615,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--all-methods", action="store_true")
     sp.add_argument("--eval", type=int, default=None, metavar="T",
                     help="also evaluate at t=T")
-    sp.add_argument("--parallel", type=_int_at_least(1), default=1)
     sp.set_defaults(func=_cmd_ehrhart)
 
     sp = sub.add_parser("verify", help="run a cross-validation suite")
@@ -605,7 +622,6 @@ def _build_parser() -> _Parser:
                                         "appendix", "all"), default="all")
     sp.add_argument("--max-m", type=int, default=4)
     sp.add_argument("--max-n", type=int, default=6)
-    sp.add_argument("--parallel", type=_int_at_least(1), default=1)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("table", help="volume polynomial tables")

@@ -46,6 +46,12 @@ Shape = Tuple[int, int, int]
 # against the independent closed forms up to this size and refuse beyond it.
 DRACONIAN_MAX_M = 12
 
+# The counting oracle (ehr_interpolate, nvol_oracle) is offered on this grid.
+# pp_count reaches far beyond it, but the CLI runs the oracle under
+# --all-methods wherever this grid allows, so widening it adds counting work
+# to every such call in the new range.
+ORACLE_MAX_M, ORACLE_MAX_N = 5, 6
+
 # Chain enumeration scans all 2^m subsets at each chain it visits; it refuses
 # shapes whose (chains + 1) * 2^m exceeds this many steps (about 2 s).
 CHAIN_WORK_MAX = 2**25
@@ -335,6 +341,19 @@ def require_draconian(engine: str, m: int, n: int) -> None:
         raise ValueError(f"{engine} is limited to 1 <= m <= {DRACONIAN_MAX_M}")
     if not draconian_domain(m, n):
         raise ValueError(f"{engine} requires n >= m-1")
+
+
+def oracle_domain(m: int, n: int) -> bool:
+    """Is (m,n) in the domain of the counting oracle (m, n capped)?"""
+    return 1 <= m <= ORACLE_MAX_M and 0 <= n <= ORACLE_MAX_N
+
+
+def require_oracle(engine: str, m: int, n: int) -> None:
+    """Raise ValueError naming the bounds unless oracle_domain(m, n)."""
+    if not oracle_domain(m, n):
+        raise ValueError(
+            f"{engine} is limited to m <= {ORACLE_MAX_M}, n <= {ORACLE_MAX_N}"
+        )
 
 
 def _draconian_shape(a: Sequence[int], m: int) -> Shape:

@@ -2,8 +2,9 @@
 
 ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
 
-* ``ehr_interpolate``   — exact counts at t = 0..m interpolated, then
-                          verified against a fresh count at t = m+1;
+* ``ehr_interpolate``   — exact counts at t = 0..m by the symmetric counter
+                          ``pp_count``, interpolated, then verified against
+                          a fresh count at t = m+1;
 * ``ehr_closed_small_n`` — closed forms for n <= 3, every m;
 * ``ehr_closed_small_m`` — closed forms for m <= 4 (n >= max(1, m-1));
 * ``ehr_draconian``     — a positive sum of products of binomials over
@@ -26,9 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .combinat import draconian_census, require_draconian
+from .combinat import draconian_census, require_draconian, require_oracle
 from .exactmath import (
     EngineDisagreement,
     Polynomial,
@@ -42,34 +43,45 @@ from .exactmath import (
     solve_linear,
     sqrt_one_minus,
 )
-from .polytope import HRep, VRep, count_points, pp_box, pp_facets
+from .polytope import pp_count
 
 _INTERP_CACHE: Dict[Tuple[int, int], Polynomial] = {}
 
 
-def ehr_interpolate(m: int, n: int, parallel: int = 1) -> Polynomial:
-    """Ehrhart polynomial from exact counts at t = 0..m (m <= 5, n <= 6).
+def interpolate_counts(count: Callable[[int], int], m: int, what: str) -> Polynomial:
+    """Ehrhart polynomial of an m-dimensional lattice polytope from counts.
 
-    The interpolant is verified against a fresh count at t = m+1; any
-    mismatch raises EngineDisagreement.  Results are cached per (m,n).
-    P(m,0) is the origin, so n = 0 yields the constant polynomial 1.
+    ``count(t)`` is the number of lattice points in its t-th dilate.  The
+    counts at t = 0..m are interpolated, and the interpolant is verified
+    against a fresh count at t = m+1; a mismatch raises EngineDisagreement
+    naming ``what``.
     """
-    if not (1 <= m <= 5 and 0 <= n <= 6):
-        raise ValueError("ehr_interpolate is limited to m <= 5, n <= 6")
-    key = (m, n)
-    if key in _INTERP_CACHE:
-        return _INTERP_CACHE[key]
-    h = pp_facets(m, n)
-    box = pp_box(m, n)
-    pts = [(t, count_points(h, t, box=box, parallel=parallel)) for t in range(m + 1)]
-    poly = interpolate(pts)
-    fresh = count_points(h, m + 1, box=box, parallel=parallel)
+    poly = interpolate([(t, count(t)) for t in range(m + 1)])
+    fresh = count(m + 1)
     if poly(m + 1) != fresh:
         raise EngineDisagreement(
-            f"Ehrhart interpolation of P({m},{n}) failed its t={m+1} verification"
+            f"Ehrhart interpolation of {what} failed its t={m+1} verification: "
+            f"the interpolant gives {poly(m + 1)}, the count {fresh}"
         )
-    _INTERP_CACHE[key] = poly
     return poly
+
+
+def ehr_interpolate(m: int, n: int) -> Polynomial:
+    """Ehrhart polynomial from exact counts on the oracle domain
+    (m <= ORACLE_MAX_M, n <= ORACLE_MAX_N).
+
+    The counts come from ``pp_count`` at t = 0..m, and the interpolant is
+    verified against a fresh count at t = m+1; any mismatch raises
+    EngineDisagreement.  Results are cached per (m,n).  P(m,0) is the
+    origin, so n = 0 yields the constant polynomial 1.
+    """
+    require_oracle("ehr_interpolate", m, n)
+    key = (m, n)
+    if key not in _INTERP_CACHE:
+        _INTERP_CACHE[key] = interpolate_counts(
+            lambda t: pp_count(m, n, t), m, f"P({m},{n})"
+        )
+    return _INTERP_CACHE[key]
 
 
 def _tpoly(a0, a1) -> Polynomial:

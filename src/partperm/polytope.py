@@ -12,8 +12,9 @@ inequalities are x_i >= 0 together with, for every nonempty S in [m] with
 where C(a,2) is taken as 0 for a <= 1 (equivalently the right-hand side is
 |S|*n - C(|S|,2) when |S| <= n and C(n+1,2) otherwise).
 
-Also here: exact lattice-point counting of dilates (compiled kernel with a
-pure-Python fallback, optional process-parallel splitting), exact hull
+Also here: exact lattice-point counting of dilates, by a symmetric
+dynamic programme over sorted values for P(m,n) itself and by a generic box
+kernel (compiled, with a pure-Python fallback) for any system; exact hull
 conversion in both directions by integer double description, halfspace
 cuts for strip-decomposition arguments, and the anti-blocking polytope of a
 weakly decreasing score vector together with its vertex-edge graph.
@@ -184,24 +185,19 @@ def contains_point(h: HRep, x: Sequence) -> bool:
     return all(sum(c * xi for c, xi in zip(a, x)) <= b for a, b in h.rows)
 
 
-def _count_chunk(payload):
-    rows_a, rows_b, lows, highs = payload
-    return count_lattice_points(rows_a, rows_b, lows, highs)
-
-
 def count_points(
     h: HRep,
     t: int,
     box: Optional[Sequence[Tuple[int, int]]] = None,
-    parallel: int = 1,
 ) -> int:
     """Number of lattice points in the t-th dilate of the polytope.
 
-    ``box`` bounds the *undilated* polytope coordinatewise; when omitted it
-    is derived by exact vertex enumeration (affordable only for small
-    systems — callers with known geometry should pass it).  ``parallel``
-    splits the first coordinate range into that many contiguous chunks
-    counted in separate processes; the result is their deterministic sum.
+    The generic route: a depth-first search of the dilated box that bounds
+    each coordinate by the slack of every row.  ``box`` bounds the
+    *undilated* polytope coordinatewise; when omitted it is derived by exact
+    vertex enumeration (affordable only for small systems — callers with
+    known geometry should pass it).  For P(m,n) itself ``pp_count`` is far
+    faster.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -215,21 +211,57 @@ def count_points(
     rows_b = [b * t for _, b in h.rows]
     lows = [lo * t for lo, _ in box]
     highs = [hi * t for _, hi in box]
-    if parallel <= 1 or h.dim == 0:
-        return count_lattice_points(rows_a, rows_b, lows, highs)
-    width = highs[0] - lows[0] + 1
-    nchunks = min(parallel, max(width, 1))
-    bounds = [lows[0] + (width * i) // nchunks for i in range(nchunks + 1)]
-    payloads = []
-    for c in range(nchunks):
-        lo0, hi0 = bounds[c], bounds[c + 1] - 1
-        if lo0 > hi0:
-            continue
-        payloads.append((rows_a, rows_b, [lo0] + lows[1:], [hi0] + highs[1:]))
-    from concurrent.futures import ProcessPoolExecutor
+    return count_lattice_points(rows_a, rows_b, lows, highs)
 
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        return sum(pool.map(_count_chunk, payloads))
+
+# pp_count tries at most m-k copy counts at each state (value, k positions
+# filled, prefix sum); it refuses shapes whose sum of these exceeds this
+# many steps (at most about 2 s).
+PP_COUNT_WORK_MAX = 2**23
+
+
+def pp_count(m: int, n: int, t: int) -> int:
+    """Number of lattice points in t*P(m,n), counted by sorted values.
+
+    Reads the anti-blocking description of P(m,n), not the facet list: an
+    integer x >= 0 lies in t*P(m,n) exactly when, for every k, the sum of
+    its k largest coordinates is at most t*g(k), where g(k) = z_1 + ... + z_k
+    is a prefix sum of the score vector z_i = max(n-i+1, 0).
+
+    A dynamic programme places the values t*n, ..., 1 from the largest
+    down, c copies at a time, in C(free, c) ways.  Its state is (positions
+    filled, prefix sum), and each prefix sum is tested against t*g(k).
+    Zeros fill the positions that remain, so the count is the sum over all
+    states.  Shapes above ``PP_COUNT_WORK_MAX`` steps are refused up front.
+    """
+    if m < 1 or n < 0 or t < 0:
+        raise ValueError("pp_count requires m >= 1, n >= 0 and t >= 0")
+    bound = [0]
+    for i in range(m):
+        bound.append(bound[-1] + t * max(n - i, 0))
+    work = t * n * sum((b + 1) * (m - k) for k, b in enumerate(bound[:m]))
+    if work > PP_COUNT_WORK_MAX:
+        raise ValueError(
+            f"pp_count({m},{n},{t}) needs {work} steps, "
+            f"above the work bound PP_COUNT_WORK_MAX = {PP_COUNT_WORK_MAX}"
+        )
+    ways_to_place = [[comb(free, c) for c in range(free + 1)] for free in range(m + 1)]
+    # layers[k][s]: weighted placements that fill k positions with sum s
+    layers = [[0] * (b + 1) for b in bound]
+    layers[0][0] = 1
+    for v in range(t * n, 0, -1):
+        # Sources from the most filled down, so no source has gained v yet.
+        for k in range(m - 1, -1, -1):
+            ways_c = ways_to_place[m - k]
+            for s, ways in enumerate(layers[k]):
+                if not ways:
+                    continue
+                for c in range(1, m - k + 1):
+                    s += v
+                    if s > bound[k + c]:
+                        break
+                    layers[k + c][s] += ways * ways_c[c]
+    return sum(map(sum, layers))
 
 
 def bounding_box(h: HRep) -> Tuple[Tuple[int, int], ...]:

@@ -4,7 +4,7 @@
 an integer for lattice polytopes.  Engines implemented here:
 
 * ``nvol_oracle``      — lattice-point counting: leading Ehrhart coefficient
-                         times m! (small parameters only; ground truth);
+                         times m! (oracle domain only; ground truth);
 * ``nvol_recursive``   — a facet-coning recursion over the non-origin
                          facets, valid for n >= m-1;
 * ``nvol_closed``      — three closed forms (a double sum in 2n, a single
@@ -33,13 +33,17 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .combinat import DRACONIAN_MAX_M, draconian_census, require_draconian
+from .combinat import (
+    DRACONIAN_MAX_M,
+    draconian_census,
+    require_draconian,
+    require_oracle,
+)
 from .exactmath import (
     EngineDisagreement,
     Polynomial,
     Series,
     double_factorial,
-    interpolate,
     series_coeff,
     series_exp,
     series_mul,
@@ -65,10 +69,11 @@ def _integral(val: Fraction, what: str) -> int:
 def nvol_oracle(m: int, n: int) -> int:
     """Ground-truth normalized volume from exact lattice-point counts.
 
-    m! times the leading coefficient of the interpolated Ehrhart
-    polynomial; restricted to m <= 5, n <= 6 where counting is affordable.
+    m! times the leading coefficient of the Ehrhart polynomial that
+    ``ehr_interpolate`` builds from ``pp_count``; restricted to the oracle
+    domain m <= ORACLE_MAX_M, n <= ORACLE_MAX_N.
     """
-    _require(1 <= m <= 5 and 0 <= n <= 6, "nvol_oracle is limited to m <= 5, n <= 6")
+    require_oracle("nvol_oracle", m, n)
     poly = _ehrhart.ehr_interpolate(m, n)
     lead = poly.coefficient(m) * factorial(m)
     if lead.denominator != 1:
@@ -81,29 +86,24 @@ def nvol_oracle(m: int, n: int) -> int:
 def nvol_of_vrep(v: VRep) -> int:
     """Normalized volume of an arbitrary full-dimensional lattice polytope.
 
-    Facets by exact hull conversion, then lattice counts at t = 0..dim,
-    interpolation, and m! times the leading coefficient.  Affordable only
-    for small vertex sets; used to audit auxiliary polytope formulas.
+    Facets by exact hull conversion, then generic lattice counts at
+    t = 0..dim, interpolation verified at t = dim+1, and m! times the
+    leading coefficient.  Affordable only for small vertex sets; used to
+    audit auxiliary polytope formulas.
     """
     m = v.dim
     h = hull_convert(v)
     lows = [min(p[j] for p in v.points) for j in range(m)]
     highs = [max(p[j] for p in v.points) for j in range(m)]
     box = tuple(zip(lows, highs))
-    pts = [(t, count_points(h, t, box=box)) for t in range(m + 1)]
-    poly = _ehrhart_interp_from_counts(pts, h, box, m)
+    poly = _ehrhart.interpolate_counts(
+        lambda t: count_points(h, t, box=box), m,
+        f"the hull of {len(v.points)} points in dimension {m}",
+    )
     lead = poly.coefficient(m) * factorial(m)
     if lead.denominator != 1:
         raise EngineDisagreement("normalized volume came out non-integral")
     return int(lead)
-
-
-def _ehrhart_interp_from_counts(pts, h, box, m) -> Polynomial:
-    poly = interpolate(pts)
-    fresh = count_points(h, m + 1, box=box)
-    if poly(m + 1) != fresh:
-        raise EngineDisagreement("interpolated Ehrhart polynomial failed verification")
-    return poly
 
 
 @lru_cache(maxsize=None)

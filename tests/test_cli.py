@@ -13,12 +13,20 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import partperm
-from partperm import nvol_poly, nvol_recursive, pp_facets, pp_vertices
+from partperm import (
+    Polynomial,
+    nvol_poly,
+    nvol_recursive,
+    oracle_domain,
+    pp_facets,
+    pp_vertices,
+)
 from partperm.cli import main, verify_suite
 
 
@@ -371,15 +379,78 @@ def test_bad_range_is_error_code_1(capsys):
     (("volume", "--m", "3", "--n", "-2"), "--n"),
     (("fvector", "--m", "two", "--n", "2"), "--m"),
     (("fvector", "--m", "3", "--n", "0"), "--n"),
-    (("ehrhart", "--m", "2", "--n", "2", "--parallel", "0"), "--parallel"),
-    (("ehrhart", "--m", "2", "--n", "2", "--parallel", "-4"), "--parallel"),
-    (("verify", "--suite", "appendix", "--parallel", "0"), "--parallel"),
 ])
 def test_parser_names_the_bad_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert f"argument {flag}:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ehrhart", "--m", "2", "--n", "2", "--parallel", "2"),
+    ("verify", "--suite", "appendix", "--parallel", "2"),
+])
+def test_parallel_flag_is_gone(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --parallel 2" in err
+
+
+# --------------------------------------------------------------------------
+# --all-methods disagreements name every method and its value
+
+
+def _rendered(coefficients):
+    return Polynomial([Fraction(c) for c in coefficients]).render()
+
+
+def test_volume_disagreement_names_every_value(capsys, monkeypatch):
+    import partperm.volume as VO
+
+    monkeypatch.setattr(VO, "nvol_recursive", lambda m, n: 1000)
+    code, out, err = run_cli(capsys, "volume", "--m", "3", "--n", "3",
+                             "--all-methods")
+    assert code == 3
+    values = json.loads(out)["values"]
+    assert values["recursive"] == 1000 and values["oracle"] == 129
+    assert "volume engines disagree at (m,n)=(3,3)" in err
+    for method, value in values.items():
+        assert f"{method} -> {value}" in err
+
+
+def test_ehrhart_disagreement_names_every_value(capsys, monkeypatch):
+    import partperm.ehrhart as EH
+
+    monkeypatch.setattr(EH, "ehr_closed_small_n",
+                        lambda m, n: Polynomial([1, 2, 3]))
+    code, out, err = run_cli(capsys, "ehrhart", "--m", "2", "--n", "2",
+                             "--all-methods")
+    assert code == 3
+    results = json.loads(out)["results"]
+    assert set(results) == {"interpolate", "small_n", "small_m", "draconian"}
+    assert "Ehrhart engines disagree at (m,n)=(2,2)" in err
+    assert "small_n -> " + Polynomial([1, 2, 3]).render() in err
+    for method, coefficients in results.items():
+        assert f"{method} -> {_rendered(coefficients)}" in err
+
+
+def test_hpoly_disagreement_names_every_value(capsys, monkeypatch):
+    import partperm.faces as FA
+
+    true_h_poly = FA.h_poly
+    monkeypatch.setattr(FA, "h_poly", lambda m, n, method="from_f": (
+        Polynomial([1, 1]) if method == "closed" else true_h_poly(m, n, method)))
+    code, out, err = run_cli(capsys, "hpoly", "--m", "3", "--n", "3",
+                             "--all-methods")
+    assert code == 3
+    results = json.loads(out)["results"]
+    assert len(results) == 5
+    assert "h-polynomial methods disagree at (m,n)=(3,3)" in err
+    assert "closed -> " + Polynomial([1, 1]).render() in err
+    for method, coefficients in results.items():
+        assert f"{method} -> {_rendered(coefficients)}" in err
 
 
 def test_chain_work_bound_is_usage_error(capsys):
@@ -415,6 +486,22 @@ def test_verify_engines_census_records():
     assert [(r["params"]["m"], r["params"]["mode"]) for r in recs] == [
         (m, mode) for m in (1, 2, 3) for mode in ("volume", "ehrhart")]
     assert all(r["status"] == "pass" for r in recs)
+
+
+def test_verify_engines_pp_count_records_cover_the_oracle_domain():
+    recs = [r for r in verify_suite("engines", max_m=6, max_n=7)
+            if r["check"] == "pp-count-matches-generic"]
+    assert [(r["params"]["m"], r["params"]["n"]) for r in recs] == [
+        (m, n) for m in range(1, 7) for n in range(8) if oracle_domain(m, n)]
+    assert all(r["status"] == "pass" for r in recs)
+
+
+def test_oracle_methods_follow_the_oracle_domain(capsys):
+    for m, n in [(5, 6), (6, 5), (5, 7), (2, 0)]:
+        code, out, _ = run_cli(capsys, "volume", "--m", str(m), "--n", str(n),
+                               "--all-methods")
+        assert code == 0
+        assert ("oracle" in json.loads(out)["values"]) == oracle_domain(m, n)
 
 
 def test_verify_suite_generator_records():

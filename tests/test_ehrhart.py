@@ -1,7 +1,8 @@
 """Tests for the Ehrhart engines, h*-vector helpers, and the cut polytope.
 
-Oracle strategy: the interpolation engine (exact counts at t = 0..m plus a
-verification count at t = m+1) arbitrates every closed form; the conjecture
+Oracle strategy: the interpolation engine (exact counts by the symmetric
+counter at t = 0..m plus a verification count at t = m+1) arbitrates every
+closed form, on the oracle domain and, in tests only, above it; the conjecture
 routes are cross-checked against each other and then against the oracle;
 h*-conversions round trip through the binomial-coefficient basis; the
 auxiliary quasi-difference polynomial is compared with direct counts on the
@@ -15,6 +16,9 @@ import pytest
 
 from partperm import (
     DRACONIAN_MAX_M,
+    ORACLE_MAX_M,
+    ORACLE_MAX_N,
+    EngineDisagreement,
     Polynomial,
     VRep,
     aux3_points,
@@ -29,9 +33,13 @@ from partperm import (
     ehr_recurrence,
     hstar_tools,
     hull_convert,
+    nvol_closed,
     nvol_recursive,
+    oracle_domain,
+    pp_count,
     pp_facets,
 )
+from partperm.ehrhart import interpolate_counts
 
 # --------------------------------------------------------------------------
 # Interpolation oracle and frozen goldens
@@ -74,6 +82,45 @@ def test_ehr_interpolate_out_of_range():
         ehr_interpolate(6, 2)
     with pytest.raises(ValueError):
         ehr_interpolate(2, 7)
+
+
+def test_ehr_interpolate_domain_is_the_oracle_domain():
+    bounds = f"m <= {ORACLE_MAX_M}, n <= {ORACLE_MAX_N}"
+    for m in range(0, ORACLE_MAX_M + 2):
+        for n in range(-1, ORACLE_MAX_N + 2):
+            if oracle_domain(m, n):
+                assert ehr_interpolate(m, n)(0) == 1
+            else:
+                with pytest.raises(ValueError, match=bounds):
+                    ehr_interpolate(m, n)
+
+
+def test_ehr_interpolate_counts_with_pp_count():
+    for m, n in [(2, 2), (3, 5), (5, 6)]:
+        p = ehr_interpolate(m, n)
+        assert [p(t) for t in range(m + 3)] == [pp_count(m, n, t) for t in range(m + 3)]
+
+
+def test_interpolate_counts_rejects_a_non_polynomial_count():
+    # 2^t agrees with a cubic at t = 0..3 but not at the check t = 4
+    with pytest.raises(EngineDisagreement, match="t=4 verification"):
+        interpolate_counts(lambda t: 2**t, 3, "a test sequence")
+    cube = interpolate_counts(lambda t: (t + 1) ** 3, 3, "a cube")
+    assert cube == Polynomial([1, 3, 3, 1])
+
+
+@pytest.mark.parametrize("m,n", [(6, 5), (7, 8), (8, 7), (9, 8)])
+def test_counts_confirm_the_engines_above_the_oracle_domain(m, n):
+    # ground truth where no other check reaches: pp_count interpolated at
+    # t = 0..m and verified at t = m+1
+    assert not oracle_domain(m, n)
+    truth = interpolate_counts(lambda t: pp_count(m, n, t), m, f"P({m},{n})")
+    p1, p2, _ = ehr_conjecture(m, n)
+    assert p1 == p2 == truth
+    assert ehr_recurrence(m, n) == truth
+    assert ehr_draconian(m, n) == truth
+    volume = truth.coefficient(m) * math.factorial(m)
+    assert nvol_closed(m, n) == (volume, volume, volume)
 
 
 def test_ehr_point_counts_at_one():

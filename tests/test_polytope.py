@@ -15,6 +15,9 @@ from itertools import combinations, product
 import pytest
 
 from partperm import (
+    ORACLE_MAX_M,
+    ORACLE_MAX_N,
+    PP_COUNT_WORK_MAX,
     HRep,
     VRep,
     antiblocking_vertices_edges,
@@ -22,8 +25,11 @@ from partperm import (
     contains_point,
     count_points,
     cut,
+    ehr_recurrence,
     hull_convert,
+    oracle_domain,
     pp_box,
+    pp_count,
     pp_facets,
     pp_vertices,
     solve_linear,
@@ -156,16 +162,62 @@ def test_count_points_matches_direct_scan():
             assert count_points(h, t) == brute
 
 
-def test_count_points_parallel_agrees():
-    h = pp_facets(3, 3)
-    for t in (1, 2, 3):
-        assert count_points(h, t, parallel=2) == count_points(h, t)
-
-
 def test_count_points_known_values():
     assert count_points(pp_facets(2, 3), 1) == 15
     assert count_points(pp_facets(3, 3), 1) == 51
     assert count_points(pp_facets(4, 4), 1) == 455
+
+
+# --------------------------------------------------------------------------
+# The symmetric counter pp_count
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+@pytest.mark.parametrize("n", range(0, 4))
+def test_pp_count_matches_box_brute_force(m, n):
+    h = pp_facets(m, n)
+    for t in range(0, 4):
+        ht = h.dilate(t)
+        brute = sum(1 for x in product(range(n * t + 1), repeat=m)
+                    if contains_point(ht, x))
+        assert pp_count(m, n, t) == brute, (m, n, t)
+
+
+@pytest.mark.parametrize("m", range(1, ORACLE_MAX_M + 1))
+@pytest.mark.parametrize("n", range(0, ORACLE_MAX_N + 1))
+def test_pp_count_matches_generic_counter_on_oracle_domain(m, n):
+    assert oracle_domain(m, n)
+    h, box = pp_facets(m, n), pp_box(m, n)
+    for t in (1, 2):
+        assert pp_count(m, n, t) == count_points(h, t, box=box)
+
+
+def test_pp_count_known_values():
+    assert [pp_count(2, 2, t) for t in range(4)] == [1, 8, 22, 43]
+    assert pp_count(3, 3, 1) == 51
+    assert pp_count(4, 4, 1) == 455
+    assert pp_count(7, 0, 5) == 1
+    assert pp_count(9, 4, 0) == 1
+
+
+def test_pp_count_admits_p_10_11_up_to_t_11():
+    # the work grows with t, so t = 11 is the largest shape admitted here;
+    # the value is the conjectural recurrence's, which counts confirm
+    assert pp_count(10, 11, 11) == ehr_recurrence(10, 11)(11)
+
+
+def test_pp_count_refuses_work_above_bound():
+    with pytest.raises(ValueError, match="PP_COUNT_WORK_MAX"):
+        pp_count(2, 10**4, 10)
+    with pytest.raises(ValueError, match="PP_COUNT_WORK_MAX"):
+        pp_count(30, 31, 30)
+    assert PP_COUNT_WORK_MAX == 2**23
+
+
+@pytest.mark.parametrize("m,n,t", [(0, 2, 1), (-1, 2, 1), (2, -1, 1), (2, 2, -1)])
+def test_pp_count_rejects_bad_arguments(m, n, t):
+    with pytest.raises(ValueError, match="pp_count requires"):
+        pp_count(m, n, t)
 
 
 # --------------------------------------------------------------------------

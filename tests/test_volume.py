@@ -317,6 +317,18 @@ def test_nvol_of_vrep_matches_pp(m=3, n=2):
     assert nvol_of_vrep(pp_vertices(m, n)) == nvol_recursive(m, n)
 
 
+def test_nvol_of_vrep_verifies_its_interpolation(monkeypatch):
+    from partperm import EngineDisagreement, VRep
+    import partperm.volume as VO
+
+    pts = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    true_count = VO.count_points
+    monkeypatch.setattr(VO, "count_points",
+                        lambda h, t, box=None: true_count(h, t, box) + (t == 4))
+    with pytest.raises(EngineDisagreement, match="t=4 verification"):
+        nvol_of_vrep(VRep(pts, 3))
+
+
 # --------------------------------------------------------------------------
 # Formula bank and the auxiliary polytopes
 
@@ -416,7 +428,7 @@ def test_engines_reject_low_n():
 
 
 def test_oracle_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nvol_oracle is limited to m <= 5, n <= 6"):
         nvol_oracle(6, 2)
     with pytest.raises(ValueError):
         nvol_oracle(2, 7)
