@@ -1,26 +1,5 @@
-"""Build script: compiles the optional Cython counting kernel.
+"""Build script: the package is pure Python; all metadata is in pyproject.toml."""
 
-The package works without the compiled extension (a pure-Python twin is
-selected at import time), so any build failure here downgrades gracefully
-to a pure install rather than aborting.
-"""
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "partperm._countcore",
-                ["src/partperm/_countcore.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-except Exception:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup()

@@ -18,13 +18,13 @@ from .exactmath import (
     eulerian,
     int_det,
     interpolate,
-    series_ops,
     solve_linear,
     stirling2,
 )
 from .combinat import (
     CHAIN_WORK_MAX,
     DRACONIAN_MAX_M,
+    Engine,
     ORACLE_MAX_M,
     ORACLE_MAX_N,
     chain_count,
@@ -63,6 +63,7 @@ from .polytope import (
 )
 from .faces import (
     FaceSystem,
+    H_POLY_ENGINES,
     VertexStats,
     comb_equiv_check,
     f_polynomial,
@@ -74,10 +75,12 @@ from .faces import (
     vertex_stats,
 )
 from .volume import (
+    VOLUME_ENGINES,
+    aux1_nvol,
     aux1_vertices,
+    aux2_nvol,
     aux2_vertices,
     conj_vmn_fit,
-    formula_bank,
     nvol_closed,
     nvol_draconian,
     nvol_lambda,
@@ -89,6 +92,7 @@ from .volume import (
     nvol_three_term,
 )
 from .ehrhart import (
+    EHRHART_ENGINES,
     aux3_points,
     aux_lemma3,
     ehr_closed_small_m,
@@ -98,16 +102,17 @@ from .ehrhart import (
     ehr_interpolate,
     ehr_parking,
     ehr_recurrence,
-    hstar_tools,
+    from_hstar,
+    to_hstar,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EngineDisagreement", "Polynomial", "Series", "binomial_poly",
-    "double_factorial", "eulerian", "int_det", "interpolate", "series_ops",
+    "double_factorial", "eulerian", "int_det", "interpolate",
     "solve_linear", "stirling2",
-    "CHAIN_WORK_MAX", "DRACONIAN_MAX_M", "ORACLE_MAX_M", "ORACLE_MAX_N",
+    "CHAIN_WORK_MAX", "DRACONIAN_MAX_M", "Engine", "ORACLE_MAX_M", "ORACLE_MAX_N",
     "chain_count", "chain_in_family",
     "descents", "draconian_census",
     "draconian_check", "draconian_domain", "draconian_indices",
@@ -118,15 +123,16 @@ __all__ = [
     "bounding_box", "contains_point", "count_lattice_points", "count_points",
     "cut", "hull_convert", "pp_box", "pp_count", "pp_facets", "pp_vertices",
     "verify_antiblocking_identity",
-    "FaceSystem", "VertexStats", "comb_equiv_check", "f_polynomial",
+    "FaceSystem", "H_POLY_ENGINES", "VertexStats", "comb_equiv_check", "f_polynomial",
     "f_vector", "face_from_chain", "face_vertices", "h_poly",
     "is_palindromic", "vertex_stats",
-    "aux1_vertices", "aux2_vertices", "conj_vmn_fit", "formula_bank",
+    "VOLUME_ENGINES", "aux1_nvol", "aux1_vertices", "aux2_nvol",
+    "aux2_vertices", "conj_vmn_fit",
     "nvol_closed", "nvol_draconian", "nvol_lambda", "nvol_of_vrep",
     "nvol_oracle", "nvol_poly", "nvol_recursive", "nvol_small_n",
     "nvol_three_term",
-    "aux3_points", "aux_lemma3", "ehr_closed_small_m", "ehr_closed_small_n",
+    "EHRHART_ENGINES", "aux3_points", "aux_lemma3", "ehr_closed_small_m", "ehr_closed_small_n",
     "ehr_conjecture", "ehr_draconian", "ehr_interpolate", "ehr_parking",
-    "ehr_recurrence", "hstar_tools",
+    "ehr_recurrence", "from_hstar", "to_hstar",
     "__version__",
 ]

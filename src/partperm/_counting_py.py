@@ -10,9 +10,8 @@ in bulk (ub - lb + 1) without iterating.
 A row becomes inactive past its last nonzero coefficient: the bound it
 imposed at that level was exact, so no recheck is needed deeper down.
 
-This module is the semantic reference; the compiled extension
-``partperm._countcore`` implements the identical algorithm over C integers
-and is preferred at import time unless PARTPERM_PURE=1.
+Arbitrary-precision Python integers keep every count exact, whatever the
+magnitudes of the rows and the box.
 """
 
 from __future__ import annotations

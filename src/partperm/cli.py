@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from math import comb, factorial
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from . import ehrhart as EH
 from . import faces as FA
@@ -25,11 +23,10 @@ from . import volume as VO
 from .combinat import (
     ORACLE_MAX_M,
     ORACLE_MAX_N,
+    Engine,
     draconian_census,
-    draconian_domain,
     draconian_shape_tally,
     enumerate_chains,
-    oracle_domain,
 )
 from .exactmath import EngineDisagreement, Polynomial
 from .polytope import (
@@ -78,6 +75,24 @@ def _dump(obj) -> str:
 
 def _poly_json(p: Polynomial) -> List[str]:
     return p.to_strings()
+
+
+def _methods(table: Dict[str, Engine], m: int, n: int) -> List[str]:
+    """The methods of an engine table that cover (m,n), in table order."""
+    return [name for name, engine in table.items() if engine.domain(m, n)]
+
+
+def _values(table: Dict[str, Engine], m: int, n: int) -> dict:
+    """Every covering method of an engine table -> its value at (m,n)."""
+    return {name: table[name].value(m, n) for name in _methods(table, m, n)}
+
+
+def _require_applicable(method: str, methods: List[str], m: int, n: int) -> None:
+    if method not in methods:
+        raise UsageError(
+            f"method {method!r} not applicable at (m,n)=({m},{n}); "
+            f"applicable: {', '.join(methods)}"
+        )
 
 
 def _disagreement(what: str, m: int, n: int, values: dict) -> EngineDisagreement:
@@ -159,17 +174,11 @@ def _cmd_fvector(args) -> int:
     return 0
 
 
-def _hpoly_methods(m: int, n: int) -> List[str]:
-    methods = ["from_f", "closed", "orientation", "recurrence"]
-    if n >= m:
-        methods.insert(2, "stellohedron")
-    return methods
-
-
 def _cmd_hpoly(args) -> int:
     m, n = args.m, args.n
     if args.all_methods:
-        results = {meth: FA.h_poly(m, n, meth) for meth in _hpoly_methods(m, n)}
+        results = {meth: FA.h_poly(m, n, meth)
+                   for meth in _methods(FA.H_POLY_ENGINES, m, n)}
         polys = list(results.values())
         agree = all(p == polys[0] for p in polys)
         out = {
@@ -203,65 +212,22 @@ def _cmd_hpoly(args) -> int:
     return 0
 
 
-def _volume_methods(m: int, n: int) -> List[str]:
-    methods = []
-    if oracle_domain(m, n):
-        methods.append("oracle")
-    if n >= m - 1 and n >= 1:
-        methods += ["recursive", "closed", "three_term"]
-        if draconian_domain(m, n):
-            methods.append("draconian")
-        if m <= 5:
-            methods.append("lambda")
-    if n <= 4:
-        methods.append("small_n")
-    return methods
-
-
-def _volume_value(m: int, n: int, method: str) -> int:
-    if method == "oracle":
-        return VO.nvol_oracle(m, n)
-    if method == "recursive":
-        return VO.nvol_recursive(m, n)
-    if method == "closed":
-        return VO.nvol_closed(m, n)[0]
-    if method == "three_term":
-        return VO.nvol_three_term(m, n)
-    if method == "draconian":
-        return VO.nvol_draconian(m, n)
-    if method == "lambda":
-        val = VO.nvol_lambda(m, n)
-        if val.denominator != 1:
-            raise EngineDisagreement(
-                f"nvol_lambda({m},{n}) gave the non-integral volume {val}")
-        return int(val)
-    if method == "small_n":
-        return VO.nvol_small_n(m, n)
-    raise UsageError(f"unknown volume method {method!r}")
-
-
 def _cmd_volume(args) -> int:
     m, n = args.m, args.n
-    methods = _volume_methods(m, n)
+    engines = VO.VOLUME_ENGINES
+    methods = _methods(engines, m, n)
     if not methods:
-        raise UsageError(
-            f"no exact volume engine covers (m,n)=({m},{n}); "
-            "available ranges need n <= 4 or n >= m-1"
-        )
+        raise UsageError(f"no exact volume engine covers (m,n)=({m},{n})")
     if args.all_methods:
-        values = {meth: _volume_value(m, n, meth) for meth in methods}
+        values = _values(engines, m, n)
         agree = len(set(values.values())) == 1
         print(_dump({"m": m, "n": n, "values": values, "agree": agree}))
         if not agree:
             raise _disagreement("volume engines", m, n, values)
         return 0
     method = args.method or ("closed" if "closed" in methods else methods[-1])
-    if method not in methods:
-        raise UsageError(
-            f"method {method!r} not applicable at (m,n)=({m},{n}); "
-            f"applicable: {', '.join(methods)}"
-        )
-    value = _volume_value(m, n, method)
+    _require_applicable(method, methods, m, n)
+    value = engines[method].value(m, n)
     if args.format == "csv":
         print(f"{m},{n},{value}")
     else:
@@ -269,38 +235,14 @@ def _cmd_volume(args) -> int:
     return 0
 
 
-def _ehrhart_methods(m: int, n: int) -> List[str]:
-    methods = []
-    if oracle_domain(m, n):
-        methods.append("interpolate")
-    if n <= 3:
-        methods.append("small_n")
-    if m <= 4 and n >= max(1, m - 1):
-        methods.append("small_m")
-    if draconian_domain(m, n):
-        methods.append("draconian")
-    return methods
-
-
-def _ehrhart_value(m: int, n: int, method: str) -> Polynomial:
-    if method == "interpolate":
-        return EH.ehr_interpolate(m, n)
-    if method == "small_n":
-        return EH.ehr_closed_small_n(m, n)
-    if method == "small_m":
-        return EH.ehr_closed_small_m(m, n)
-    if method == "draconian":
-        return EH.ehr_draconian(m, n)
-    raise UsageError(f"unknown ehrhart method {method!r}")
-
-
 def _cmd_ehrhart(args) -> int:
     m, n = args.m, args.n
-    methods = _ehrhart_methods(m, n)
+    engines = EH.EHRHART_ENGINES
+    methods = _methods(engines, m, n)
     if not methods:
         raise UsageError(f"no exact Ehrhart engine covers (m,n)=({m},{n})")
     if args.all_methods:
-        values = {meth: _ehrhart_value(m, n, meth) for meth in methods}
+        values = _values(engines, m, n)
         polys = list(values.values())
         agree = all(p == polys[0] for p in polys)
         out = {"m": m, "n": n,
@@ -314,12 +256,8 @@ def _cmd_ehrhart(args) -> int:
                                 {k: p.render() for k, p in values.items()})
         return 0
     method = args.method or methods[0]
-    if method not in methods:
-        raise UsageError(
-            f"method {method!r} not applicable at (m,n)=({m},{n}); "
-            f"applicable: {', '.join(methods)}"
-        )
-    p = _ehrhart_value(m, n, method)
+    _require_applicable(method, methods, m, n)
+    p = engines[method].value(m, n)
     out = {"m": m, "n": n, "method": method, "coefficients": _poly_json(p),
            "rendered": p.render()}
     if args.eval is not None:
@@ -336,11 +274,11 @@ def _cmd_ehrhart(args) -> int:
 def _cmd_table(args) -> int:
     which = args.which
     if which == "volume-n":
-        max_m = args.max_m or 7
+        max_m = 7 if args.max_m is None else args.max_m
         rows = [(m, VO.nvol_poly(m, "n")) for m in range(1, max_m + 1)]
         var = "n"
     elif which == "volume-N":
-        max_m = args.max_m or 6
+        max_m = 6 if args.max_m is None else args.max_m
         rows = [(m, VO.nvol_poly(m, "N")) for m in range(1, max_m + 1)]
         var = "N"
     else:
@@ -378,33 +316,15 @@ def _check(name: str, params: dict, ok: bool, detail: Optional[str] = None) -> d
 def _suite_engines(max_m: int, max_n: int) -> Iterator[dict]:
     for m in range(1, min(max_m, 5) + 1):
         for n in range(max(1, m - 1), max_n + 1):
-            vals = {}
-            if oracle_domain(m, n):
-                vals["oracle"] = VO.nvol_oracle(m, n)
-            vals["recursive"] = VO.nvol_recursive(m, n)
-            c1, c2, c3 = VO.nvol_closed(m, n)
-            vals["closed-2n"] = c1
-            vals["closed-2n1"] = c2
-            vals["closed-series"] = c3
-            vals["three_term"] = VO.nvol_three_term(m, n)
-            if draconian_domain(m, n):
-                vals["draconian"] = VO.nvol_draconian(m, n)
-            if m <= 5:
-                vals["lambda-default"] = int(VO.nvol_lambda(m, n))
+            vals = _values(VO.VOLUME_ENGINES, m, n)
+            if "lambda" in vals:  # the lambda sum again, at other parameters
                 primes = (2, 3, 5, 7, 11, 13)[: m + 1]
-                vals["lambda-primes"] = int(VO.nvol_lambda(m, n, primes))
-            if n <= 4:
-                vals["small_n"] = VO.nvol_small_n(m, n)
+                vals["lambda-primes"] = VO.nvol_lambda(m, n, primes)
             ok = len(set(vals.values())) == 1
             yield _check("volume-engines-agree", {"m": m, "n": n}, ok, repr(vals))
     for m in range(1, min(max_m, ORACLE_MAX_M) + 1):
         for n in range(max(1, m - 1), min(max_n, ORACLE_MAX_N) + 1):
-            polys = {"interpolate": EH.ehr_interpolate(m, n)}
-            if n <= 3:
-                polys["small_n"] = EH.ehr_closed_small_n(m, n)
-            if m <= 4:
-                polys["small_m"] = EH.ehr_closed_small_m(m, n)
-            polys["draconian"] = EH.ehr_draconian(m, n)
+            polys = _values(EH.EHRHART_ENGINES, m, n)
             ps = list(polys.values())
             ok = all(p == ps[0] for p in ps)
             yield _check("ehrhart-engines-agree", {"m": m, "n": n}, ok,
@@ -457,7 +377,8 @@ def _suite_faces(max_m: int, max_n: int) -> Iterator[dict]:
                  not FA.comb_equiv_check(2, 1, 2))
     for m in range(1, min(max_m, 4) + 1):
         for n in range(1, max_n + 1):
-            polys = {meth: FA.h_poly(m, n, meth) for meth in _hpoly_methods(m, n)}
+            polys = {meth: FA.h_poly(m, n, meth)
+                     for meth in _methods(FA.H_POLY_ENGINES, m, n)}
             ps = list(polys.values())
             ok = all(p == ps[0] for p in ps)
             ok = ok and FA.is_palindromic(ps[0], m)
@@ -510,10 +431,10 @@ def _suite_appendix(max_m: int, max_n: int) -> Iterator[dict]:
     for m in (3, 4):
         v = VO.aux1_vertices(m)
         yield _check("aux1-volume", {"m": m},
-                     VO.nvol_of_vrep(v) == VO.formula_bank("aux1", m))
+                     VO.nvol_of_vrep(v) == VO.aux1_nvol(m))
         v2 = VO.aux2_vertices(m)
         yield _check("aux2-volume", {"m": m},
-                     VO.nvol_of_vrep(v2) == VO.formula_bank("aux2", m))
+                     VO.nvol_of_vrep(v2) == VO.aux2_nvol(m))
     for n in (4, 5):
         qpts, fpts = EH.aux3_points(n)
         hq = hull_convert(VRep(qpts, 4))
@@ -596,22 +517,19 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("hpoly", help="h-polynomial of P(m,n)")
     add_mn(sp, n_min=1)
-    sp.add_argument("--method", choices=FA.H_POLY_METHODS)
+    sp.add_argument("--method", choices=tuple(FA.H_POLY_ENGINES))
     sp.add_argument("--all-methods", action="store_true")
     sp.set_defaults(func=_cmd_hpoly)
 
     sp = sub.add_parser("volume", help="normalized volume of P(m,n)")
     add_mn(sp)
-    sp.add_argument("--method", choices=("oracle", "recursive", "closed",
-                                         "three_term", "draconian", "lambda",
-                                         "small_n"))
+    sp.add_argument("--method", choices=tuple(VO.VOLUME_ENGINES))
     sp.add_argument("--all-methods", action="store_true")
     sp.set_defaults(func=_cmd_volume)
 
     sp = sub.add_parser("ehrhart", help="Ehrhart polynomial of P(m,n)")
     add_mn(sp)
-    sp.add_argument("--method", choices=("interpolate", "small_n", "small_m",
-                                         "draconian"))
+    sp.add_argument("--method", choices=tuple(EH.EHRHART_ENGINES))
     sp.add_argument("--all-methods", action="store_true")
     sp.add_argument("--eval", type=int, default=None, metavar="T",
                     help="also evaluate at t=T")
@@ -620,13 +538,13 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="run a cross-validation suite")
     sp.add_argument("--suite", choices=("engines", "faces", "conjectures",
                                         "appendix", "all"), default="all")
-    sp.add_argument("--max-m", type=int, default=4)
-    sp.add_argument("--max-n", type=int, default=6)
+    sp.add_argument("--max-m", type=_int_at_least(1), default=4)
+    sp.add_argument("--max-n", type=_int_at_least(0), default=6)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("table", help="volume polynomial tables")
     sp.add_argument("--which", choices=("volume-n", "volume-N"), required=True)
-    sp.add_argument("--max-m", type=int, default=None)
+    sp.add_argument("--max-m", type=_int_at_least(1), default=None)
     sp.add_argument("--format", choices=("json", "csv", "tex"), default="json")
     sp.set_defaults(func=_cmd_table)
 

@@ -37,7 +37,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 Chain = Tuple[frozenset, ...]
 Shape = Tuple[int, int, int]
@@ -328,6 +328,19 @@ def enumerate_draconian(m: int, mode: str = "volume") -> List[Tuple[int, ...]]:
     if m < 1:
         raise ValueError("enumerate_draconian requires m >= 1")
     return [tuple(t) for t in _enumerate_draconian_cached(m, mode)]
+
+
+class Engine(NamedTuple):
+    """One route to an invariant of P(m,n): the (m,n) it covers, and its value.
+
+    ``value(m, n)`` raises ValueError exactly where ``domain(m, n)`` is
+    false.  Each invariant keeps an ordered table of these, name -> Engine
+    (``VOLUME_ENGINES``, ``EHRHART_ENGINES``, ``H_POLY_ENGINES``); the CLI
+    methods, ``verify`` and the cross-engine tests all iterate over it.
+    """
+
+    domain: Callable[[int, int], bool]
+    value: Callable[[int, int], Any]
 
 
 def draconian_domain(m: int, n: int) -> bool:

@@ -18,6 +18,10 @@ ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
                           cross-checked against each other;
 * ``ehr_recurrence``    — a conjectural three-term recurrence in m.
 
+``EHRHART_ENGINES`` is the ordered table of the four proved routes, method
+name -> (domain, value); each validates its arguments with the same domain
+predicate.
+
 Also here: h*-vector helpers (basis change between the monomial and
 binomial-coefficient bases) and the closed quasi-difference polynomial for
 the auxiliary four-dimensional cut polytope used in the volume analysis.
@@ -29,7 +33,14 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .combinat import draconian_census, require_draconian, require_oracle
+from .combinat import (
+    Engine,
+    draconian_census,
+    draconian_domain,
+    oracle_domain,
+    require_draconian,
+    require_oracle,
+)
 from .exactmath import (
     EngineDisagreement,
     Polynomial,
@@ -88,6 +99,16 @@ def _tpoly(a0, a1) -> Polynomial:
     return Polynomial([a0, a1])
 
 
+def small_n_domain(m: int, n: int) -> bool:
+    """The domain of ehr_closed_small_n: 0 <= n <= 3, every m."""
+    return m >= 1 and 0 <= n <= 3
+
+
+def small_m_domain(m: int, n: int) -> bool:
+    """The domain of ehr_closed_small_m: m <= 4, n >= max(1, m-1)."""
+    return 1 <= m <= 4 and n >= max(1, m - 1)
+
+
 def ehr_closed_small_n(m: int, n: int) -> Polynomial:
     """Closed Ehrhart polynomials for 0 <= n <= 3, valid for every m >= 1.
 
@@ -97,25 +118,23 @@ def ehr_closed_small_n(m: int, n: int) -> Polynomial:
     n=3: C(6t+m, m) - m C(3t+m-1, m)
          - C(m,2) [ C(t+m-1, m) + (m-2) C(t+m-2, m) ].
     """
-    if m < 1:
-        raise ValueError("ehr_closed_small_n requires m >= 1")
+    if not small_n_domain(m, n):
+        raise ValueError("ehr_closed_small_n covers only m >= 1, 0 <= n <= 3")
     if n == 0:
         return Polynomial([1])
     if n == 1:
         return binomial_poly(_tpoly(m, 1), m)
     if n == 2:
         return binomial_poly(_tpoly(m, 3), m) - m * binomial_poly(_tpoly(m - 1, 1), m)
-    if n == 3:
-        return (
-            binomial_poly(_tpoly(m, 6), m)
-            - m * binomial_poly(_tpoly(m - 1, 3), m)
-            - comb(m, 2)
-            * (
-                binomial_poly(_tpoly(m - 1, 1), m)
-                + (m - 2) * binomial_poly(_tpoly(m - 2, 1), m)
-            )
+    return (
+        binomial_poly(_tpoly(m, 6), m)
+        - m * binomial_poly(_tpoly(m - 1, 3), m)
+        - comb(m, 2)
+        * (
+            binomial_poly(_tpoly(m - 1, 1), m)
+            + (m - 2) * binomial_poly(_tpoly(m - 2, 1), m)
         )
-    raise ValueError("ehr_closed_small_n covers only 0 <= n <= 3")
+    )
 
 
 def ehr_closed_small_m(m: int, n: int) -> Polynomial:
@@ -127,10 +146,8 @@ def ehr_closed_small_m(m: int, n: int) -> Polynomial:
     m=3: 1, 3n-3/2, 3n^2-3n/2-3/2, n^3-3n/2-1;
     m=4: 1, 4n-3, 6n^2-6n-9/4, 4n^3-3n^2-6n-5/2, n^4-3n^2-4n-9/4.
     """
-    if not 1 <= m <= 4:
-        raise ValueError("ehr_closed_small_m covers only m <= 4")
-    if n < max(1, m - 1):
-        raise ValueError("ehr_closed_small_m requires n >= max(1, m-1)")
+    if not small_m_domain(m, n):
+        raise ValueError("ehr_closed_small_m covers only 1 <= m <= 4, n >= max(1, m-1)")
     half = Fraction(1, 2)
     if m == 1:
         return Polynomial([1, n])
@@ -182,6 +199,17 @@ def ehr_draconian(m: int, n: int) -> Polynomial:
     """
     require_draconian("ehr_draconian", m, n)
     return _draconian_sum(draconian_census(m, "ehrhart"), n - m + 1)
+
+
+# Method name -> Engine, in the order the CLI offers them.  Each value looks
+# its engine up in this module at call time, so patched or traced engines
+# are the ones called.
+EHRHART_ENGINES: Dict[str, Engine] = {
+    "interpolate": Engine(oracle_domain, lambda m, n: ehr_interpolate(m, n)),
+    "small_n": Engine(small_n_domain, lambda m, n: ehr_closed_small_n(m, n)),
+    "small_m": Engine(small_m_domain, lambda m, n: ehr_closed_small_m(m, n)),
+    "draconian": Engine(draconian_domain, lambda m, n: ehr_draconian(m, n)),
+}
 
 
 def ehr_parking(m: int) -> Tuple[Polynomial, int]:
@@ -279,39 +307,28 @@ def _binom_basis(m: int) -> List[Polynomial]:
     return [binomial_poly(Polynomial([m - i, 1]), m) for i in range(m + 1)]
 
 
-def hstar_tools(action: str, *args):
-    """h*-vector helpers.
+def to_hstar(poly, m: int) -> List[Fraction]:
+    """[h*_0..h*_m] with poly = sum h*_i C(t+m-i, m); ValueError when
+    deg(poly) > m."""
+    if not isinstance(poly, Polynomial):
+        poly = Polynomial(poly)
+    if poly.degree > m:
+        raise ValueError("polynomial degree exceeds the declared dimension")
+    basis = _binom_basis(m)
+    a_rows = [[b.coefficient(d) for b in basis] for d in range(m + 1)]
+    rhs = [poly.coefficient(d) for d in range(m + 1)]
+    sol = solve_linear(a_rows, rhs)
+    if sol is None:
+        raise EngineDisagreement(f"the degree-{m} binomial basis is not unisolvent")
+    return sol
 
-    to_hstar(poly, m)    -> [h*_0..h*_m] with poly = sum h*_i C(t+m-i, m);
-                            raises ValueError when deg(poly) > m;
-    from_hstar(entries)  -> the Ehrhart polynomial of that h*-vector;
-    pyramid(entries)     -> h*-vector of the pyramid (a trailing zero).
-    """
-    if action == "to_hstar":
-        poly, m = args
-        if not isinstance(poly, Polynomial):
-            poly = Polynomial(poly)
-        if poly.degree > m:
-            raise ValueError("polynomial degree exceeds the declared dimension")
-        basis = _binom_basis(m)
-        a_rows = [[b.coefficient(d) for b in basis] for d in range(m + 1)]
-        rhs = [poly.coefficient(d) for d in range(m + 1)]
-        sol = solve_linear(a_rows, rhs)
-        if sol is None:
-            raise EngineDisagreement(f"the degree-{m} binomial basis is not unisolvent")
-        return sol
-    if action == "from_hstar":
-        (entries,) = args
-        m = len(entries) - 1
-        basis = _binom_basis(m)
-        total = Polynomial()
-        for h, b in zip(entries, basis):
-            total = total + h * b
-        return total
-    if action == "pyramid":
-        (entries,) = args
-        return list(entries) + [0]
-    raise ValueError(f"unknown hstar_tools action {action!r}")
+
+def from_hstar(entries: Sequence) -> Polynomial:
+    """The Ehrhart polynomial sum h*_i C(t+m-i, m) of an h*-vector, m = len - 1."""
+    total = Polynomial()
+    for h, b in zip(entries, _binom_basis(len(entries) - 1)):
+        total = total + h * b
+    return total
 
 
 def aux3_points(n: int) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:

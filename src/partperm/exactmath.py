@@ -369,20 +369,6 @@ def tree_function(order: int) -> Series:
     return Series(coeffs, order)
 
 
-def series_ops(kind: str, *args):
-    """Dispatcher over the series toolkit: mul, exp, sqrt_one_minus, coeff, tree_function."""
-    table = {
-        "mul": series_mul,
-        "exp": series_exp,
-        "sqrt_one_minus": sqrt_one_minus,
-        "coeff": series_coeff,
-        "tree_function": tree_function,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown series operation {kind!r}")
-    return table[kind](*args)
-
-
 def interpolate(points: Sequence) -> Polynomial:
     """Unique polynomial of degree < len(points) through the given (x, y) pairs.
 

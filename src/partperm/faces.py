@@ -21,9 +21,10 @@ P(m,n); equivalence is therefore verified on vertex sets, never on spans.
 
 The h-polynomial h(t) = f(t-1) is computed independently from the face
 census, from a closed Eulerian-polynomial sum, from the stellohedron
-specialization (n >= m), from an edge-orientation/indegree statistic on
-the vertex graph, and by an n-recurrence; all routes are cross-checked in
-the test suite.
+specialization (n >= m), and from an edge-orientation/indegree statistic
+on the vertex graph.  ``H_POLY_ENGINES`` is the ordered table of these
+routes, method name -> (domain, value); all are cross-checked in the test
+suite.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb, factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combinat import (
+    Engine,
     chain_in_family,
     descents,
     enumerate_chains,
@@ -259,8 +261,76 @@ def vertex_stats(m: int, n: int) -> List[VertexStats]:
     return out
 
 
+def h_domain(m: int, n: int) -> bool:
+    """The domain of the from_f, closed and orientation routes."""
+    return m >= 1 and n >= 1
+
+
+def stellohedron_domain(m: int, n: int) -> bool:
+    """The domain of the stellohedron route, n >= m >= 1."""
+    return h_domain(m, n) and n >= m
+
+
+def _require_h(m: int, n: int) -> None:
+    if not h_domain(m, n):
+        raise ValueError("h_poly requires m >= 1 and n >= 1")
+
+
+def _h_from_f(m: int, n: int) -> Polynomial:
+    _require_h(m, n)
+    return f_polynomial(m, n)(Polynomial([-1, 1]))
+
+
+def _h_closed(m: int, n: int) -> Polynomial:
+    _require_h(m, n)
+    h = Polynomial([1])
+    for i in range(min(n, m)):
+        ai = eulerian(i) * comb(m, i)
+        geom = Polynomial([0] + [1] * (m - i))  # t + ... + t^{m-i}
+        h = h + ai * geom
+    return h
+
+
+def _h_stellohedron(m: int, n: int) -> Polynomial:
+    _require_h(m, n)
+    if not stellohedron_domain(m, n):
+        raise ValueError("stellohedron form requires n >= m")
+    h1 = Polynomial([1])
+    h2 = Polynomial()
+    t = Polynomial.x()
+    for i in range(m + 1):
+        term = eulerian(i) * comb(m, i)
+        h2 = h2 + term * t ** (m - i)
+        if i >= 1:
+            h1 = h1 + term * t
+    if h1 != h2:
+        raise EngineDisagreement("the two stellohedron h-forms disagree")
+    return h2
+
+
+def _h_orientation(m: int, n: int) -> Polynomial:
+    _require_h(m, n)
+    coeffs = {0: 1}
+    for st in vertex_stats(m, n):
+        if st.category == "zero":
+            continue
+        e = 1 + st.des_inv + (st.beta if st.category == "V1" else 0)
+        coeffs[e] = coeffs.get(e, 0) + 1
+    return Polynomial([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+
+
+# Method name -> Engine, in the order the CLI offers them.  The routes are
+# private: callers go through h_poly, the entry point to patch or trace.
+H_POLY_ENGINES: Dict[str, Engine] = {
+    "from_f": Engine(h_domain, _h_from_f),
+    "closed": Engine(h_domain, _h_closed),
+    "stellohedron": Engine(stellohedron_domain, _h_stellohedron),
+    "orientation": Engine(h_domain, _h_orientation),
+}
+
+
 def h_poly(m: int, n: int, method: str = "from_f") -> Polynomial:
-    """h-polynomial of P(m,n) by one of five independent routes.
+    """h-polynomial of P(m,n) by one of the routes of H_POLY_ENGINES.
 
     from_f        h(t) = f(t-1) from the chain census;
     closed        1 + sum_{i<n} sum_{j=1}^{m-i} C(m,i) A_i(t) t^j;
@@ -268,54 +338,13 @@ def h_poly(m: int, n: int, method: str = "from_f") -> Polynomial:
                   internally against 1 + t sum_{i>=1} C(m,i) A_i(t);
     orientation   1 + sum over nonzero vertices of t^{indegree} with
                   indegree 1 + des of the inverse permutation, plus the
-                  trailing-zero count beta for vertices containing 1;
-    recurrence    h(m,1) = 1 + t + ... + t^m, then adding
-                  C(m,nn) A_nn(t) (t + ... + t^{m-nn}) for nn = 1..n-1.
+                  trailing-zero count beta for vertices containing 1.
+
+    Raises ValueError for an unknown method or outside the method's domain.
     """
-    if m < 1 or n < 1:
-        raise ValueError("h_poly requires m >= 1 and n >= 1")
-    if method == "from_f":
-        return f_polynomial(m, n)(Polynomial([-1, 1]))
-    if method == "closed":
-        h = Polynomial([1])
-        for i in range(min(n, m)):
-            ai = eulerian(i) * comb(m, i)
-            geom = Polynomial([0] + [1] * (m - i))  # t + ... + t^{m-i}
-            h = h + ai * geom
-        return h
-    if method == "stellohedron":
-        if n < m:
-            raise ValueError("stellohedron form requires n >= m")
-        h1 = Polynomial([1])
-        h2 = Polynomial()
-        t = Polynomial.x()
-        for i in range(m + 1):
-            term = eulerian(i) * comb(m, i)
-            h2 = h2 + term * t ** (m - i)
-            if i >= 1:
-                h1 = h1 + term * t
-        if h1 != h2:
-            raise EngineDisagreement("the two stellohedron h-forms disagree")
-        return h2
-    if method == "orientation":
-        coeffs = {0: 1}
-        for st in vertex_stats(m, n):
-            if st.category == "zero":
-                continue
-            e = 1 + st.des_inv + (st.beta if st.category == "V1" else 0)
-            coeffs[e] = coeffs.get(e, 0) + 1
-        return Polynomial([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
-    if method == "recurrence":
-        h = Polynomial([1] * (m + 1))  # P(m,1) is the m-simplex
-        for nn in range(1, n):
-            if m - nn >= 1:
-                geom = Polynomial([0] + [1] * (m - nn))
-                h = h + eulerian(nn) * comb(m, nn) * geom
-        return h
-    raise ValueError(f"unknown h_poly method {method!r}")
-
-
-H_POLY_METHODS = ("from_f", "closed", "stellohedron", "orientation", "recurrence")
+    if method not in H_POLY_ENGINES:
+        raise ValueError(f"unknown h_poly method {method!r}")
+    return H_POLY_ENGINES[method].value(m, n)
 
 
 def comb_equiv_check(m: int, n1: int, n2: int) -> bool:

@@ -14,15 +14,14 @@ where C(a,2) is taken as 0 for a <= 1 (equivalently the right-hand side is
 
 Also here: exact lattice-point counting of dilates, by a symmetric
 dynamic programme over sorted values for P(m,n) itself and by a generic box
-kernel (compiled, with a pure-Python fallback) for any system; exact hull
-conversion in both directions by integer double description, halfspace
-cuts for strip-decomposition arguments, and the anti-blocking polytope of a
-weakly decreasing score vector together with its vertex-edge graph.
+kernel for any system; exact hull conversion in both directions by integer
+double description, halfspace cuts for strip-decomposition arguments, and
+the anti-blocking polytope of a weakly decreasing score vector together
+with its vertex-edge graph.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,53 +29,12 @@ from itertools import combinations, permutations
 from math import comb, floor, ceil, gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from ._counting_py import count_lattice_points
 from .exactmath import int_det
 
-from . import _counting_py
-
-if os.environ.get("PARTPERM_PURE") == "1":
-    _kernel = _counting_py
-    KERNEL_NAME = "pure"
-else:
-    try:
-        from . import _countcore as _kernel  # type: ignore[attr-defined]
-
-        KERNEL_NAME = "compiled"
-    except ImportError:
-        _kernel = _counting_py
-        KERNEL_NAME = "pure"
-
-_INT64_MAX = 2**63 - 1
-
-
-def _fits_int64(rows_a, rows_b, lows, highs) -> bool:
-    """Do all the compiled kernel's intermediate values fit in a C long long?
-
-    Per row, |b| + 2 * sum_j |a_j| * max(|low_j|, |high_j|) bounds every
-    slack, partial sum and minimum the kernel forms; the product of the box
-    widths bounds the count.
-    """
-    mags = [max(abs(lo), abs(hi)) for lo, hi in zip(lows, highs)]
-    size = 1
-    for lo, hi in zip(lows, highs):
-        size *= max(hi - lo + 1, 0)
-    if size > _INT64_MAX or max(mags, default=0) > _INT64_MAX:
-        return False
-    return all(
-        abs(b) + 2 * sum(abs(c) * x for c, x in zip(a, mags)) <= _INT64_MAX
-        for a, b in zip(rows_a, rows_b)
-    )
-
-
-if KERNEL_NAME == "compiled":
-
-    def count_lattice_points(rows_a, rows_b, lows, highs):
-        """The compiled kernel, or the pure one where 64 bits could overflow."""
-        kernel = _kernel if _fits_int64(rows_a, rows_b, lows, highs) else _counting_py
-        return kernel.count_lattice_points(rows_a, rows_b, lows, highs)
-
-else:
-    count_lattice_points = _kernel.count_lattice_points
+# The one counting kernel; kept as a name because benchmark records and the
+# ``verify`` summary report it.
+KERNEL_NAME = "pure"
 
 
 @dataclass(frozen=True)

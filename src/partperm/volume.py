@@ -19,6 +19,10 @@ an integer for lattice polytopes.  Engines implemented here:
                          of the lambdas, n >= m-1;
 * ``nvol_small_n``     — closed formulas for n <= 4 valid for every m.
 
+``VOLUME_ENGINES`` is the ordered table of these engines, method name ->
+(domain, value); each engine validates its arguments with the same domain
+predicate.
+
 ``nvol_poly`` packages v(m,n) as a polynomial in n (closed form) or in
 N = n-m+1 (draconian form); ``conj_vmn_fit`` fits the conjectural
 alternating expansion v(m,n) = C(n+1,2)^m - m C(n,2)^m - sum_i p_{n,i}(m)
@@ -35,7 +39,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combinat import (
     DRACONIAN_MAX_M,
+    Engine,
     draconian_census,
+    draconian_domain,
+    oracle_domain,
     require_draconian,
     require_oracle,
 )
@@ -64,6 +71,26 @@ def _integral(val: Fraction, what: str) -> int:
     if val.denominator != 1:
         raise EngineDisagreement(f"{what} gave the non-integral volume {val}")
     return int(val)
+
+
+# nvol_lambda sums over the (m+1)! permutations of S_{m+1}.
+LAMBDA_MAX_M = 5
+
+
+def polynomial_domain(m: int, n: int) -> bool:
+    """n >= m-1, where v(m,n) is the polynomial nvol_poly(m, "n"): the domain
+    of the recursive, closed and three-term engines."""
+    return m >= 1 and n >= m - 1
+
+
+def lambda_domain(m: int, n: int) -> bool:
+    """The domain of nvol_lambda: n >= m-1 with m capped."""
+    return 1 <= m <= LAMBDA_MAX_M and n >= m - 1
+
+
+def small_n_domain(m: int, n: int) -> bool:
+    """The domain of nvol_small_n: 0 <= n <= 4, every m."""
+    return m >= 1 and 0 <= n <= 4
 
 
 def nvol_oracle(m: int, n: int) -> int:
@@ -127,7 +154,7 @@ def nvol_recursive(m: int, n: int) -> int:
     partial permutohedron, and the facet height kn - C(k,2).  Valid for
     n >= m-1.
     """
-    _require(m >= 1 and n >= m - 1, "nvol_recursive requires n >= m-1")
+    _require(polynomial_domain(m, n), "nvol_recursive requires m >= 1 and n >= m-1")
     return _integral(_nvol_rec(m, n), f"nvol_recursive({m},{n})")
 
 
@@ -139,7 +166,7 @@ def nvol_closed(m: int, n: int) -> Tuple[int, int, int]:
     (3) (m!)^2 [z^m] sqrt(1-z) e^{(n+1/2)z}.
     All use the convention (-3)!! = -1 baked into double_factorial.
     """
-    _require(m >= 1 and n >= m - 1, "nvol_closed requires n >= m-1")
+    _require(polynomial_domain(m, n), "nvol_closed requires m >= 1 and n >= m-1")
     scale = -Fraction(factorial(m), 2**m)
     s1 = Fraction(0)
     for j in range(m + 1):
@@ -163,7 +190,7 @@ def nvol_three_term(m: int, n: int) -> int:
     """Three-term recurrence for W_k = v(k,n)/k!:
     W_0 = 1, W_1 = n, W_k = (k+n-1) W_{k-1} - (k-1)(n+1/2) W_{k-2}.
     """
-    _require(m >= 1 and n >= m - 1, "nvol_three_term requires n >= m-1")
+    _require(polynomial_domain(m, n), "nvol_three_term requires m >= 1 and n >= m-1")
     w_prev, w = Fraction(1), Fraction(n)
     for k in range(2, m + 1):
         w_prev, w = w, (k + n - 1) * w - (k - 1) * (n + Fraction(1, 2)) * w_prev
@@ -209,7 +236,8 @@ def nvol_draconian(m: int, n: int, mode: str = "general") -> int:
 
 
 def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
-    """Permutation-sum volume formula with free parameters (m <= 5, n >= m-1).
+    """Permutation-sum volume formula with free parameters (n >= m-1,
+    m <= LAMBDA_MAX_M).
 
     For any pairwise distinct lambda_1..lambda_{m+1},
 
@@ -223,8 +251,8 @@ def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
     """
     from itertools import permutations as _perms
 
-    _require(1 <= m <= 5, "nvol_lambda is limited to m <= 5")
-    _require(n >= m - 1, "nvol_lambda requires n >= m-1")
+    _require(lambda_domain(m, n),
+             f"nvol_lambda requires 1 <= m <= {LAMBDA_MAX_M} and n >= m-1")
     if lam is None:
         lam = tuple(range(1, m + 2))
     lam = tuple(Fraction(x) for x in lam)
@@ -253,8 +281,7 @@ def nvol_small_n(m: int, n: int) -> int:
     v(m,3) = 6^m - m 3^m - (m-1) C(m,2);
     v(m,4) = 10^m - m 6^m - [m(m-1)(m-3)/6] 3^m - (3m^2-6m+1) C(m,3).
     """
-    _require(m >= 1, "nvol_small_n requires m >= 1")
-    _require(0 <= n <= 4, "nvol_small_n covers only 0 <= n <= 4")
+    _require(small_n_domain(m, n), "nvol_small_n covers only m >= 1, 0 <= n <= 4")
     if n == 0:
         return 0
     if n == 1:
@@ -270,6 +297,21 @@ def nvol_small_n(m: int, n: int) -> int:
         - (3 * m * m - 6 * m + 1) * comb(m, 3)
     )
     return _integral(val, f"nvol_small_n({m},{n})")
+
+
+# Method name -> Engine, in the order the CLI offers them.  Each value looks
+# its engine up in this module at call time, so patched or traced engines
+# are the ones called.
+VOLUME_ENGINES: Dict[str, Engine] = {
+    "oracle": Engine(oracle_domain, lambda m, n: nvol_oracle(m, n)),
+    "recursive": Engine(polynomial_domain, lambda m, n: nvol_recursive(m, n)),
+    "closed": Engine(polynomial_domain, lambda m, n: nvol_closed(m, n)[0]),
+    "three_term": Engine(polynomial_domain, lambda m, n: nvol_three_term(m, n)),
+    "draconian": Engine(draconian_domain, lambda m, n: nvol_draconian(m, n)),
+    "lambda": Engine(lambda_domain, lambda m, n: _integral(
+        nvol_lambda(m, n), f"nvol_lambda({m},{n})")),
+    "small_n": Engine(small_n_domain, lambda m, n: nvol_small_n(m, n)),
+}
 
 
 def nvol_poly(m: int, variable: str = "n") -> Polynomial:
@@ -334,6 +376,12 @@ def aux1_vertices(m: int) -> VRep:
     return VRep(tuple(sorted(set(pts))), m)
 
 
+def aux1_nvol(m: int) -> int:
+    """Normalized volume 2^m - 3^m + m 3^{m-1} of the first auxiliary polytope."""
+    _require(m >= 3, "aux1_nvol requires m >= 3")
+    return 2**m - 3**m + m * 3 ** (m - 1)
+
+
 def aux2_vertices(m: int) -> VRep:
     """Second auxiliary polytope: three apexes 4e1+3e2+3e3 (cyclically) plus
     the product of the permutohedron of (4,3,2) in coordinates 1..3 with the
@@ -357,23 +405,10 @@ def aux2_vertices(m: int) -> VRep:
     return VRep(tuple(sorted(set(pts))), m)
 
 
-def formula_bank(which: str, m: int) -> int:
-    """Closed values for reference polytopes.
-
-    perm_nvol: normalized volume m^{m-2} of the standard permutohedron
-    class (lattice-normalized in its affine span);
-    aux1/aux2: normalized volumes of the two auxiliary polytopes (m >= 3).
-    """
-    if which == "perm_nvol":
-        _require(m >= 1, "perm_nvol requires m >= 1")
-        return 1 if m == 1 else m ** (m - 2)
-    if which == "aux1":
-        _require(m >= 3, "aux1 requires m >= 3")
-        return 2**m - 3**m + m * 3 ** (m - 1)
-    if which == "aux2":
-        _require(m >= 3, "aux2 requires m >= 3")
-        return 3 * m * m - 6 * m + 1
-    raise ValueError(f"unknown formula_bank entry {which!r}")
+def aux2_nvol(m: int) -> int:
+    """Normalized volume 3m^2 - 6m + 1 of the second auxiliary polytope."""
+    _require(m >= 3, "aux2_nvol requires m >= 3")
+    return 3 * m * m - 6 * m + 1
 
 
 def conj_vmn_fit(n: int, m_values: Optional[Sequence[int]] = None) -> Dict:

@@ -27,7 +27,7 @@ from partperm import (
     pp_facets,
     pp_vertices,
 )
-from partperm.cli import main, verify_suite
+from partperm.cli import _build_parser, main, verify_suite
 
 
 def run_cli(capsys, *argv):
@@ -105,8 +105,8 @@ def test_hpoly_all_methods(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["agree"] is True
-    assert set(data["results"]) >= {"from_f", "closed", "orientation",
-                                    "recurrence", "stellohedron"}
+    assert set(data["results"]) == {"from_f", "closed", "orientation",
+                                    "stellohedron"}
     assert len({tuple(v) for v in data["results"].values()}) == 1
 
 
@@ -158,6 +158,18 @@ def test_volume_of_a_point(capsys):
                            "--all-methods")
     assert code == 0
     assert json.loads(out)["values"] == {"oracle": 0, "small_n": 0}
+
+
+def test_volume_at_p_1_0_offers_every_engine(capsys):
+    # P(1,0) is the point 0 of the line; every n >= m-1 engine covers it
+    code, out, _ = run_cli(capsys, "volume", "--m", "1", "--n", "0",
+                           "--all-methods")
+    assert code == 0
+    assert json.loads(out)["values"] == {
+        "oracle": 0, "recursive": 0, "closed": 0, "three_term": 0,
+        "draconian": 0, "lambda": 0, "small_n": 0}
+    code, out, _ = run_cli(capsys, "volume", "--m", "1", "--n", "0")
+    assert json.loads(out)["method"] == "closed"
 
 
 def test_volume_draconian_beyond_enumeration(capsys):
@@ -379,6 +391,9 @@ def test_bad_range_is_error_code_1(capsys):
     (("volume", "--m", "3", "--n", "-2"), "--n"),
     (("fvector", "--m", "two", "--n", "2"), "--m"),
     (("fvector", "--m", "3", "--n", "0"), "--n"),
+    (("verify", "--suite", "engines", "--max-m", "0"), "--max-m"),
+    (("table", "--which", "volume-n", "--max-m", "0"), "--max-m"),
+    (("table", "--which", "volume-n", "--max-m", "-3"), "--max-m"),
 ])
 def test_parser_names_the_bad_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -446,11 +461,31 @@ def test_hpoly_disagreement_names_every_value(capsys, monkeypatch):
                              "--all-methods")
     assert code == 3
     results = json.loads(out)["results"]
-    assert len(results) == 5
+    assert len(results) == 4
     assert "h-polynomial methods disagree at (m,n)=(3,3)" in err
     assert "closed -> " + Polynomial([1, 1]).render() in err
     for method, coefficients in results.items():
         assert f"{method} -> {_rendered(coefficients)}" in err
+
+
+def test_hpoly_method_recurrence_is_gone(capsys):
+    code, out, err = run_cli(capsys, "hpoly", "--m", "2", "--n", "2",
+                             "--method", "recurrence")
+    assert code == 1
+    assert out == ""
+    assert "argument --method:" in err
+
+
+@pytest.mark.parametrize("command,table", [
+    ("volume", partperm.VOLUME_ENGINES),
+    ("ehrhart", partperm.EHRHART_ENGINES),
+    ("hpoly", partperm.H_POLY_ENGINES),
+])
+def test_method_choices_are_the_engine_table(command, table):
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    method = next(a for a in sub._actions if a.dest == "method")
+    assert list(method.choices) == list(table)
 
 
 def test_chain_work_bound_is_usage_error(capsys):

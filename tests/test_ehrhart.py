@@ -31,7 +31,8 @@ from partperm import (
     ehr_interpolate,
     ehr_parking,
     ehr_recurrence,
-    hstar_tools,
+    from_hstar,
+    to_hstar,
     hull_convert,
     nvol_closed,
     nvol_recursive,
@@ -338,7 +339,7 @@ def test_hstar_simplex():
     # Δ_m has ehr = C(t+m,m): h* = (1,0,...,0)
     for m in (1, 2, 3):
         p = ehr_closed_small_n(m, 1)
-        assert hstar_tools("to_hstar", p, m) == [1] + [0] * m
+        assert to_hstar(p, m) == [1] + [0] * m
 
 
 def test_hstar_half_open_simplex():
@@ -347,45 +348,38 @@ def test_hstar_half_open_simplex():
 
     m = 3
     p = binomial_poly(Polynomial([m - 1, 1]), m)
-    assert hstar_tools("to_hstar", p, m) == [0, 1, 0, 0]
+    assert to_hstar(p, m) == [0, 1, 0, 0]
 
 
 def test_hstar_round_trip():
     for m, n in [(2, 2), (3, 2), (3, 3), (4, 3)]:
         p = ehr_interpolate(m, n)
-        h = hstar_tools("to_hstar", p, m)
-        assert hstar_tools("from_hstar", h) == p
+        h = to_hstar(p, m)
+        assert from_hstar(h) == p
 
 
 def test_hstar_entries_nonnegative_integers():
     for m in range(1, 5):
         for n in range(1, 6):
-            h = hstar_tools("to_hstar", ehr_interpolate(m, n), m)
+            h = to_hstar(ehr_interpolate(m, n), m)
             for entry in h:
                 assert entry.denominator == 1
                 assert entry >= 0
 
 
 def test_hstar_pyramid():
-    assert hstar_tools("pyramid", [1, 1]) == [1, 1, 0]
-    # pyramid semantics: same ehr dimension bump; spot check on the segment
-    # [0,1] (h* = (1,0)) -> unit triangle pyramid (h* = (1,0,0))
+    # a lattice pyramid of height 1 appends a zero to the h*-vector; spot
+    # check on the segment [0,1] (h* = (1,0)) -> unit triangle (h* = (1,0,0))
     seg = Polynomial([1, 1])  # ehr of [0,1]
-    h = hstar_tools("to_hstar", seg, 1)
-    hp = hstar_tools("pyramid", h)
-    tri = hstar_tools("from_hstar", hp)
+    h = to_hstar(seg, 1)
+    tri = from_hstar(h + [0])
     for t in range(5):
         assert tri(t) == math.comb(t + 2, 2)
 
 
 def test_hstar_degree_check():
     with pytest.raises(ValueError):
-        hstar_tools("to_hstar", Polynomial([1, 1, 1]), 1)
-
-
-def test_hstar_unknown_action():
-    with pytest.raises(ValueError):
-        hstar_tools("explode", [1])
+        to_hstar(Polynomial([1, 1, 1]), 1)
 
 
 # --------------------------------------------------------------------------

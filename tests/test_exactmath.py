@@ -24,7 +24,6 @@ from partperm import (
     eulerian,
     int_det,
     interpolate,
-    series_ops,
     solve_linear,
     stirling2,
 )
@@ -240,15 +239,6 @@ def test_tree_function_satisfies_functional_equation():
     rhs = series_mul(_z(order), series_exp(t))
     for i in range(order + 1):
         assert series_coeff(rhs, i) == series_coeff(t, i)
-
-
-def test_series_ops_dispatcher():
-    order = 6
-    z = _z(order)
-    assert series_ops("coeff", series_ops("sqrt_one_minus", z), 1) == Fraction(-1, 2)
-    assert series_ops("mul", z, z) == series_mul(z, z)
-    with pytest.raises(ValueError):
-        series_ops("unknown-op", z)
 
 
 def test_series_polynomial_coefficients():

@@ -18,8 +18,10 @@ from partperm import (
     Polynomial,
     aux1_vertices,
     aux2_vertices,
+    VOLUME_ENGINES,
+    aux1_nvol,
+    aux2_nvol,
     conj_vmn_fit,
-    formula_bank,
     nvol_closed,
     nvol_draconian,
     nvol_lambda,
@@ -142,18 +144,12 @@ def test_nvol_poly_bad_variable():
 
 
 def _engine_values(m, n):
-    vals = {
-        "oracle": nvol_oracle(m, n),
-        "recursive": nvol_recursive(m, n),
-        "three_term": nvol_three_term(m, n),
-        "draconian": nvol_draconian(m, n),
-        "lambda_default": int(nvol_lambda(m, n)),
-        "lambda_primes": int(nvol_lambda(m, n, lam=_primes(m + 1))),
-    }
+    vals = {name: engine.value(m, n) for name, engine in VOLUME_ENGINES.items()
+            if engine.domain(m, n)}
+    # the lambda sum at other parameters, compared as the exact Fraction
+    vals["lambda_primes"] = nvol_lambda(m, n, lam=_primes(m + 1))
     c1, c2, c3 = nvol_closed(m, n)
     vals["closed_1"], vals["closed_2"], vals["closed_3"] = c1, c2, c3
-    if 1 <= n <= 4:
-        vals["small_n"] = nvol_small_n(m, n)
     return vals
 
 
@@ -330,41 +326,29 @@ def test_nvol_of_vrep_verifies_its_interpolation(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# Formula bank and the auxiliary polytopes
+# The auxiliary polytopes
 
 
 @pytest.mark.parametrize("m,value", [(3, 8), (4, 43)])
 def test_aux1_formula_values(m, value):
-    assert formula_bank("aux1", m) == value
+    assert aux1_nvol(m) == value
     assert 2 ** m - 3 ** m + m * 3 ** (m - 1) == value
 
 
 @pytest.mark.parametrize("m,value", [(3, 10), (4, 25)])
 def test_aux2_formula_values(m, value):
-    assert formula_bank("aux2", m) == value
+    assert aux2_nvol(m) == value
     assert 3 * m * m - 6 * m + 1 == value
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_aux1_vertex_volume_matches_formula(m):
-    assert nvol_of_vrep(aux1_vertices(m)) == formula_bank("aux1", m)
+    assert nvol_of_vrep(aux1_vertices(m)) == aux1_nvol(m)
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_aux2_vertex_volume_matches_formula(m):
-    assert nvol_of_vrep(aux2_vertices(m)) == formula_bank("aux2", m)
-
-
-def test_perm_nvol_values():
-    assert formula_bank("perm_nvol", 1) == 1
-    assert formula_bank("perm_nvol", 2) == 1
-    assert formula_bank("perm_nvol", 3) == 3
-    assert formula_bank("perm_nvol", 4) == 16
-
-
-def test_formula_bank_unknown():
-    with pytest.raises(ValueError):
-        formula_bank("nope", 3)
+    assert nvol_of_vrep(aux2_vertices(m)) == aux2_nvol(m)
 
 
 def test_aux_vertices_preconditions():
@@ -372,6 +356,10 @@ def test_aux_vertices_preconditions():
         aux1_vertices(2)
     with pytest.raises(ValueError):
         aux2_vertices(2)
+    with pytest.raises(ValueError):
+        aux1_nvol(2)
+    with pytest.raises(ValueError):
+        aux2_nvol(2)
 
 
 # --------------------------------------------------------------------------
