@@ -27,7 +27,6 @@ from .combinat import (
     Engine,
     ORACLE_MAX_M,
     ORACLE_MAX_N,
-    chain_count,
     chain_in_family,
     descents,
     draconian_census,
@@ -47,6 +46,7 @@ from .polytope import (
     HRep,
     KERNEL_NAME,
     PP_COUNT_WORK_MAX,
+    VERTEX_LIST_MAX,
     VRep,
     antiblocking_vertices_edges,
     bounding_box,
@@ -58,6 +58,7 @@ from .polytope import (
     pp_box,
     pp_count,
     pp_facets,
+    pp_vertex_count,
     pp_vertices,
     verify_antiblocking_identity,
 )
@@ -113,16 +114,16 @@ __all__ = [
     "double_factorial", "eulerian", "int_det", "interpolate",
     "solve_linear", "stirling2",
     "CHAIN_WORK_MAX", "DRACONIAN_MAX_M", "Engine", "ORACLE_MAX_M", "ORACLE_MAX_N",
-    "chain_count", "chain_in_family",
+    "chain_in_family",
     "descents", "draconian_census",
     "draconian_check", "draconian_domain", "draconian_indices",
     "draconian_shape_tally", "enumerate_chains", "enumerate_draconian",
     "missing_ranks", "oracle_domain", "r_set", "r_set_and_order",
-    "CutResult", "HRep", "KERNEL_NAME", "PP_COUNT_WORK_MAX", "VRep",
-    "antiblocking_vertices_edges",
+    "CutResult", "HRep", "KERNEL_NAME", "PP_COUNT_WORK_MAX", "VERTEX_LIST_MAX",
+    "VRep", "antiblocking_vertices_edges",
     "bounding_box", "contains_point", "count_lattice_points", "count_points",
-    "cut", "hull_convert", "pp_box", "pp_count", "pp_facets", "pp_vertices",
-    "verify_antiblocking_identity",
+    "cut", "hull_convert", "pp_box", "pp_count", "pp_facets", "pp_vertex_count",
+    "pp_vertices", "verify_antiblocking_identity",
     "FaceSystem", "H_POLY_ENGINES", "VertexStats", "comb_equiv_check", "f_polynomial",
     "f_vector", "face_from_chain", "face_vertices", "h_poly",
     "is_palindromic", "vertex_stats",

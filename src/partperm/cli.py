@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Dict, Iterator, List, Optional
 
 from . import ehrhart as EH
@@ -38,6 +39,7 @@ from .polytope import (
     pp_count,
     pp_facets,
     pp_vertices,
+    vertex_box,
     antiblocking_vertices_edges,
     verify_antiblocking_identity,
 )
@@ -351,6 +353,13 @@ def _suite_faces(max_m: int, max_n: int) -> Iterator[dict]:
                  FA.f_vector(2, 2) == (5, 5, 1))
     yield _check("f-vector-3-3", {"m": 3, "n": 3},
                  FA.f_vector(3, 3) == (16, 24, 10, 1))
+    for m in range(1, min(max_m, 4) + 1):
+        for n in range(1, max_n + 1):
+            census = FA.f_vector(m, n)
+            ranks = Counter(FA.missing_ranks(c) for c in enumerate_chains(m, n))
+            tally = tuple(ranks[d] for d in range(m + 1))
+            yield _check("f-vector-census-matches-enumeration", {"m": m, "n": n},
+                         census == tally, repr({"census": census, "enumeration": tally}))
     c1 = ({1, 2, 3}, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5, 6, 7})
     c2 = (frozenset(),) + c1
     yield _check("face-vertices-census-40", {"m": 10, "n": 6},
@@ -438,9 +447,7 @@ def _suite_appendix(max_m: int, max_n: int) -> Iterator[dict]:
     for n in (4, 5):
         qpts, fpts = EH.aux3_points(n)
         hq = hull_convert(VRep(qpts, 4))
-        lows = [min(p[j] for p in qpts) for j in range(4)]
-        highs = [max(p[j] for p in qpts) for j in range(4)]
-        box = tuple(zip(lows, highs))
+        box = vertex_box(qpts)
         aa = (1, 1, 0, 0)
         bb = 2 * n - 1
         hf = hq.with_rows([(aa, bb), (tuple(-x for x in aa), -bb)])

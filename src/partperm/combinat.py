@@ -37,7 +37,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 Chain = Tuple[frozenset, ...]
 Shape = Tuple[int, int, int]
@@ -52,9 +52,9 @@ DRACONIAN_MAX_M = 12
 # to every such call in the new range.
 ORACLE_MAX_M, ORACLE_MAX_N = 5, 6
 
-# Chain enumeration scans all 2^m subsets at each chain it visits; it refuses
-# shapes whose (chains + 1) * 2^m exceeds this many steps (about 2 s).
-CHAIN_WORK_MAX = 2**25
+# enumerate_chains lists at most this many chains (at most about 2.5 s with
+# the sort); every shape the earlier subset search admitted stays inside.
+CHAIN_WORK_MAX = 2**18
 
 
 def _validate_chain_shape(chain: Sequence, m: int) -> Chain:
@@ -81,70 +81,51 @@ def chain_in_family(chain: Sequence, m: int, n: int) -> bool:
     return True  # the chain (emptyset)
 
 
-def chain_count(m: int, n: int) -> int:
-    """Number of chains in the family on [m] with width bound n, by formula.
-
-    A chain with nonempty bottom A_1 is A_1 plus an ordered set partition
-    of the w = |A_l \\ A_1| <= n-1 elements added above it; the chains with
-    A_1 empty are the same count again (one per choice of A_2 onwards),
-    plus the chain (emptyset) itself.
-    """
-    fubini = [1]  # ordered set partitions of a w-set
-    for w in range(1, min(n - 1, m) + 1):
-        fubini.append(sum(comb(w, i) * fubini[w - i] for i in range(1, w + 1)))
-    above = sum(
-        comb(m, a) * comb(m - a, w) * fubini[w]
-        for a in range(1, m + 1)
-        for w in range(min(n - 1, m - a) + 1)
-    )
-    return 1 + 2 * above
-
-
 def enumerate_chains(m: int, n: int, include_empty: bool = False) -> List[Chain]:
     """All chains of the family on [m] with width bound n, deterministic order.
 
-    With ``include_empty`` the empty chain () is appended as a final extra
-    element (it indexes the empty face but is not itself a family member).
-    Chains are ordered by (length, sorted member tuples) for determinism.
-    Shapes beyond ``CHAIN_WORK_MAX`` search steps are refused up front.
+    Built from the decomposition of a chain with nonempty bottom: A_1 plus
+    an ordered set partition of the at most n-1 elements added above it.
+    With C those chains, the family is (emptyset), C, and (emptyset) + c
+    for each c in C.  With ``include_empty`` the empty chain () is appended
+    as a final extra element (it indexes the empty face but is not itself a
+    family member).  Chains are ordered by (length, sorted member tuples).
+    Shapes with more than ``CHAIN_WORK_MAX`` chains are refused up front.
     """
     if m < 1 or n < 1:
         raise ValueError("enumerate_chains requires m >= 1 and n >= 1")
-    work = (chain_count(m, n) + 1) << m
-    if work > CHAIN_WORK_MAX:
+    from .faces import f_vector  # faces imports this module
+
+    total = sum(f_vector(m, n))
+    if total > CHAIN_WORK_MAX:
         raise ValueError(
-            f"chain enumeration for (m,n)=({m},{n}) needs {work} subset tests, "
-            f"above the work bound CHAIN_WORK_MAX = {CHAIN_WORK_MAX}"
+            f"chain enumeration for (m,n)=({m},{n}) lists {total} chains, "
+            f"above the listing bound CHAIN_WORK_MAX = {CHAIN_WORK_MAX}"
         )
-    ground = list(range(1, m + 1))
-    subsets = []
-    for r in range(m + 1):
-        for combo in combinations(ground, r):
-            subsets.append(frozenset(combo))
-    out: List[Chain] = []
+    ground = frozenset(range(1, m + 1))
+    empty = frozenset()
+    members = {empty: ()}  # each member -> its sorted tuple, for the sort key
+    above: List[Chain] = []  # chains with a nonempty bottom
 
-    def extend(chain: List[frozenset]):
-        if chain and chain_in_family(chain, m, n):
-            out.append(tuple(chain))
-        last = chain[-1] if chain else None
-        for s in subsets:
-            if last is None or last < s:
-                # Prune: adding supersets only grows |A_l \ A_1|; stop once
-                # even the current tail violates the bound beyond repair.
-                chain.append(s)
-                if _tail_viable(chain, n):
-                    extend(chain)
-                chain.pop()
+    def extend(chain: Chain, budget: int) -> None:
+        above.append(chain)
+        if not budget:
+            return
+        top = chain[-1]
+        rest = sorted(ground - top)
+        for size in range(1, min(budget, len(rest)) + 1):
+            for block in combinations(rest, size):
+                grown = top | frozenset(block)
+                if grown not in members:
+                    members[grown] = tuple(sorted(grown))
+                extend(chain + (grown,), budget - size)
 
-    def _tail_viable(chain: List[frozenset], n: int) -> bool:
-        if chain[0]:
-            return len(chain[-1] - chain[0]) <= n - 1
-        if len(chain) >= 2:
-            return len(chain[-1] - chain[1]) <= n - 1
-        return True
-
-    extend([])
-    out.sort(key=lambda c: (len(c), [tuple(sorted(a)) for a in c]))
+    for size in range(1, m + 1):
+        for bottom in combinations(range(1, m + 1), size):
+            members[frozenset(bottom)] = bottom
+            extend((frozenset(bottom),), n - 1)
+    out = [(empty,)] + above + [(empty,) + c for c in above]
+    out.sort(key=lambda c: (len(c), [members[a] for a in c]))
     if include_empty:
         out.append(())
     return out

@@ -50,7 +50,6 @@ from .exactmath import (
     interpolate,
     series_coeff,
     series_exp,
-    series_mul,
     solve_linear,
     sqrt_one_minus,
 )
@@ -266,7 +265,7 @@ def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:
         ],
         m,
     )
-    coeff = series_coeff(series_mul(root, series_exp(expo)), m)
+    coeff = series_coeff(root * series_exp(expo), m)
     if not isinstance(coeff, Polynomial):
         coeff = Polynomial([coeff])
     p2 = coeff * factorial(m)

@@ -56,10 +56,6 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([c])
-
-    @classmethod
     def x(cls) -> "Polynomial":
         return cls([0, 1])
 
@@ -236,8 +232,6 @@ def stirling2(m: int, k: int) -> int:
         raise ValueError("stirling2 requires nonnegative arguments")
     if k > m:
         return 0
-    if m == 0:
-        return 1 if k == 0 else 0
     row = [1]  # S(0, 0..0)
     for n in range(1, m + 1):
         new = [0] * (n + 1)
@@ -265,10 +259,6 @@ class Series:
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self.coeffs = cs
         self.order = order
-
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls([], order)
 
     @classmethod
     def one(cls, order: int) -> "Series":
@@ -315,11 +305,6 @@ class Series:
 
     def __repr__(self):
         return f"Series({self.coeffs!r}, order={self.order})"
-
-
-def series_mul(f: Series, g: Series) -> Series:
-    """Truncated product of two series of matching order."""
-    return f * g
 
 
 def series_exp(f: Series) -> Series:

@@ -43,8 +43,8 @@ from .combinat import (
     permutation_inverse,
     r_set,
 )
-from .exactmath import EngineDisagreement, Polynomial, eulerian
-from .polytope import _facet_rhs, pp_vertices
+from .exactmath import EngineDisagreement, Polynomial, eulerian, stirling2
+from .polytope import VERTEX_LIST_MAX, _facet_rhs, pp_vertex_count, pp_vertices
 
 # Above this vertex count, face_from_chain verifies its two equality systems
 # on the face's own constructed vertices instead of filtering all of V(P).
@@ -113,10 +113,7 @@ def _on_rows(point, rows) -> bool:
 
 
 def _verify_forms(face: FaceSystem, m: int, n: int) -> None:
-    nverts = sum(
-        factorial(m) // factorial(m - k) for k in range(min(m, n) + 1)
-    )
-    if nverts <= _FULL_VERIFY_LIMIT:
+    if pp_vertex_count(m, n) <= _FULL_VERIFY_LIMIT:
         sel_case = set()
         sel_compact = set()
         for p in pp_vertices(m, n).points:
@@ -198,10 +195,30 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
 
 
 def f_vector(m: int, n: int) -> Tuple[int, ...]:
-    """(f_0, ..., f_m): face counts of P(m,n) by dimension, with f_m = 1."""
+    """(f_0, ..., f_m): face counts of P(m,n) by dimension, with f_m = 1.
+
+    A census of the chain family, with no chain listed.  A chain with
+    nonempty bottom is A_1 (a = |A_1|) plus an ordered set partition of
+    w <= n-1 added elements into k blocks: C(m,a) C(m-a,w) k! S(w,k)
+    chains of dimension a + w - k.  Prefixing each with (emptyset) gives
+    the same number of dimension a + w - k - 1, and the chain (emptyset)
+    is the origin.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("f_vector requires m >= 1 and n >= 1")
+    widest = min(n - 1, m - 1)
+    # ordered[w][k]: ordered set partitions of a w-set into k blocks
+    ordered = [[factorial(k) * stirling2(w, k) for k in range(w + 1)]
+               for w in range(widest + 1)]
     counts = [0] * (m + 1)
-    for c in enumerate_chains(m, n):
-        counts[missing_ranks(c)] += 1
+    counts[0] = 1
+    for a in range(1, m + 1):
+        for w in range(min(widest, m - a) + 1):
+            ways = comb(m, a) * comb(m - a, w)
+            for k in range(w + 1):
+                chains = ways * ordered[w][k]
+                counts[a + w - k] += chains
+                counts[a + w - k - 1] += chains
     return tuple(counts)
 
 
@@ -262,13 +279,18 @@ def vertex_stats(m: int, n: int) -> List[VertexStats]:
 
 
 def h_domain(m: int, n: int) -> bool:
-    """The domain of the from_f, closed and orientation routes."""
+    """The domain of the from_f and closed routes."""
     return m >= 1 and n >= 1
 
 
 def stellohedron_domain(m: int, n: int) -> bool:
     """The domain of the stellohedron route, n >= m >= 1."""
     return h_domain(m, n) and n >= m
+
+
+def orientation_domain(m: int, n: int) -> bool:
+    """The domain of the orientation route: at most VERTEX_LIST_MAX vertices."""
+    return h_domain(m, n) and pp_vertex_count(m, n) <= VERTEX_LIST_MAX
 
 
 def _require_h(m: int, n: int) -> None:
@@ -309,7 +331,7 @@ def _h_stellohedron(m: int, n: int) -> Polynomial:
 
 
 def _h_orientation(m: int, n: int) -> Polynomial:
-    _require_h(m, n)
+    _require_h(m, n)  # pp_vertices refuses shapes above VERTEX_LIST_MAX
     coeffs = {0: 1}
     for st in vertex_stats(m, n):
         if st.category == "zero":
@@ -325,7 +347,7 @@ H_POLY_ENGINES: Dict[str, Engine] = {
     "from_f": Engine(h_domain, _h_from_f),
     "closed": Engine(h_domain, _h_closed),
     "stellohedron": Engine(stellohedron_domain, _h_stellohedron),
-    "orientation": Engine(h_domain, _h_orientation),
+    "orientation": Engine(orientation_domain, _h_orientation),
 }
 
 

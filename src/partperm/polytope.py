@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, floor, ceil, gcd, lcm
+from math import comb, factorial, floor, ceil, gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._counting_py import count_lattice_points
@@ -75,17 +75,34 @@ def _coord_json(c):
     return c if isinstance(c, int) else str(c)
 
 
+# pp_vertices lists at most this many vertices (about 2 s); P(8,8) has
+# 109,601 and P(9,9) 986,410.
+VERTEX_LIST_MAX = 2**19
+
+
+def pp_vertex_count(m: int, n: int) -> int:
+    """Number of vertices of P(m,n): sum_{k <= min(m,n)} m!/(m-k)!."""
+    return sum(factorial(m) // factorial(m - k) for k in range(min(m, n) + 1))
+
+
 @lru_cache(maxsize=8)
 def pp_vertices(m: int, n: int) -> VRep:
     """All vertices of P(m,n), lexicographically sorted.
 
     For each k = 0..min(m,n), place the values n, n-1, ..., n-k+1 injectively
-    into k of the m positions; the total count is sum_k m!/(m-k)!.
+    into k of the m positions; the total count is ``pp_vertex_count``.
     P(m,0) is the single point at the origin.  The VRep is frozen, so the
-    few most recent ones are memoised and shared between callers.
+    few most recent ones are memoised and shared between callers.  Shapes
+    with more than ``VERTEX_LIST_MAX`` vertices are refused up front.
     """
     if m < 1 or n < 0:
         raise ValueError("pp_vertices requires m >= 1 and n >= 0")
+    count = pp_vertex_count(m, n)
+    if count > VERTEX_LIST_MAX:
+        raise ValueError(
+            f"P({m},{n}) has {count} vertices, above the listing bound "
+            f"VERTEX_LIST_MAX = {VERTEX_LIST_MAX}"
+        )
     pts = []
     values = list(range(n, 0, -1))
     for k in range(min(m, n) + 1):
@@ -222,14 +239,17 @@ def pp_count(m: int, n: int, t: int) -> int:
     return sum(map(sum, layers))
 
 
+def vertex_box(points: Sequence[Sequence]) -> Tuple[Tuple[int, int], ...]:
+    """Integer coordinate box enclosing a nonempty point set."""
+    return tuple((floor(min(xs)), ceil(max(xs))) for xs in zip(*points))
+
+
 def bounding_box(h: HRep) -> Tuple[Tuple[int, int], ...]:
     """Integer coordinate box enclosing the polytope, via vertex enumeration."""
     v = hull_convert(h)
     if not v.points:
         raise ValueError("empty polytope has no bounding box")
-    lows = [min(p[j] for p in v.points) for j in range(h.dim)]
-    highs = [max(p[j] for p in v.points) for j in range(h.dim)]
-    return tuple((floor(lo), ceil(hi)) for lo, hi in zip(lows, highs))
+    return vertex_box(v.points)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +352,7 @@ def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
     return rays
 
 
-def hull_convert(rep, m: Optional[int] = None):
+def hull_convert(rep):
     """Exact hull conversion: VRep -> HRep (facets) or HRep -> VRep (vertices).
 
     Both directions compute the extreme rays of a homogenised cone with
@@ -346,9 +366,9 @@ def hull_convert(rep, m: Optional[int] = None):
     gives the empty VRep.
     """
     if isinstance(rep, VRep):
-        return _hull_v_to_h(rep, m if m is not None else rep.dim)
+        return _hull_v_to_h(rep)
     if isinstance(rep, HRep):
-        return _hull_h_to_v(rep, m if m is not None else rep.dim)
+        return _hull_h_to_v(rep)
     raise TypeError("hull_convert expects a VRep or an HRep")
 
 
@@ -356,8 +376,8 @@ def _exact(num: int, den: int):
     return num // den if num % den == 0 else Fraction(num, den)
 
 
-def _hull_v_to_h(v: VRep, m: int) -> HRep:
-    if len(v.points) < m + 1:
+def _hull_v_to_h(v: VRep) -> HRep:
+    if len(v.points) < v.dim + 1:
         raise ValueError("point set is degenerate (too few points)")
     rays = _extreme_rays([(1,) + tuple(-x for x in p) for p in v.points])
     if rays is None:
@@ -367,14 +387,14 @@ def _hull_v_to_h(v: VRep, m: int) -> HRep:
         g = gcd(*a)
         if g:
             rows.append((tuple(x // g for x in a), _exact(c, g)))
-    return HRep(tuple(sorted(rows)), m)
+    return HRep(tuple(sorted(rows)), v.dim)
 
 
-def _hull_h_to_v(h: HRep, m: int) -> VRep:
-    gens = [(1,) + (0,) * m] + [(b,) + tuple(-x for x in a) for a, b in h.rows]
+def _hull_h_to_v(h: HRep) -> VRep:
+    gens = [(1,) + (0,) * h.dim] + [(b,) + tuple(-x for x in a) for a, b in h.rows]
     rays = _extreme_rays(gens) or []
     pts = [tuple(_exact(x, w) for x in xs) for w, *xs in rays if w > 0]
-    return VRep(tuple(sorted(pts)), m)
+    return VRep(tuple(sorted(pts)), h.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,10 @@ from .exactmath import (
     double_factorial,
     series_coeff,
     series_exp,
-    series_mul,
     solve_linear,
     sqrt_one_minus,
 )
-from .polytope import VRep, count_points, hull_convert
+from .polytope import VRep, count_points, hull_convert, vertex_box
 from . import ehrhart as _ehrhart
 
 
@@ -120,9 +119,7 @@ def nvol_of_vrep(v: VRep) -> int:
     """
     m = v.dim
     h = hull_convert(v)
-    lows = [min(p[j] for p in v.points) for j in range(m)]
-    highs = [max(p[j] for p in v.points) for j in range(m)]
-    box = tuple(zip(lows, highs))
+    box = vertex_box(v.points)
     poly = _ehrhart.interpolate_counts(
         lambda t: count_points(h, t, box=box), m,
         f"the hull of {len(v.points)} points in dimension {m}",
@@ -180,7 +177,7 @@ def nvol_closed(m: int, n: int) -> Tuple[int, int, int]:
     z = Series([0, 1], m)
     root = sqrt_one_minus(z)
     expo = Series([Fraction(0), Fraction(2 * n + 1, 2)], m)
-    v3 = series_coeff(series_mul(root, series_exp(expo)), m) * factorial(m) ** 2
+    v3 = series_coeff(root * series_exp(expo), m) * factorial(m) ** 2
     if not (v1 == v2 == v3 and v1.denominator == 1):
         raise EngineDisagreement(f"closed volume forms disagree at ({m},{n})")
     return int(v1), int(v2), int(v3)
@@ -204,35 +201,17 @@ def _draconian_terms(m: int):
         yield count, factorial(m) // 2**p2, s
 
 
-def nvol_draconian(m: int, n: int, mode: str = "general") -> int:
+def nvol_draconian(m: int, n: int) -> int:
     """Draconian-sequence sum for v(m,n), n >= m-1 (m <= DRACONIAN_MAX_M).
 
-    general        sum over volume-mode sequences of the multinomial
-                   coefficient times (n-m+1)^{total on singletons};
-    parking_count  the same sum restricted to pairs-only sequences, which
-                   requires n = m-1 (all singleton terms vanish there) and
-                   is verified against the general sum before returning.
-    Both sums run over the shape census, not over the sequences.
+    The sum over volume-mode sequences of the multinomial coefficient times
+    (n-m+1)^{total on singletons}, taken over the shape census, not over
+    the sequences.
     """
     require_draconian("nvol_draconian", m, n)
-    if mode not in ("general", "parking_count"):
-        raise ValueError(f"unknown draconian volume mode {mode!r}")
     base = n - m + 1
-    total = 0
-    pairs_only_total = 0
-    for count, multinomial, s in _draconian_terms(m):
-        total += count * multinomial * base**s
-        if s == 0:
-            pairs_only_total += count * multinomial
-    if mode == "parking_count":
-        _require(n == m - 1, "parking_count mode requires n = m-1")
-        if pairs_only_total != total:
-            raise EngineDisagreement(
-                f"pairs-only draconian sum {pairs_only_total} differs from the "
-                f"general sum {total} at n = m-1"
-            )
-        return pairs_only_total
-    return total
+    return sum(count * multinomial * base**s
+               for count, multinomial, s in _draconian_terms(m))
 
 
 def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:

@@ -87,6 +87,29 @@ def test_fvector_json(capsys):
     assert data["euler"] == 1
 
 
+def test_fvector_and_hpoly_need_no_chain_listing(capsys):
+    code, out, _ = run_cli(capsys, "fvector", "--m", "11", "--n", "2")
+    assert code == 0
+    assert sum(json.loads(out)["f_vector"]) == 26601
+    code, out, _ = run_cli(capsys, "hpoly", "--m", "30", "--n", "2")
+    assert code == 0
+    assert json.loads(out)["h_at_1"] == 1 + 30 + 30 * 29
+
+
+def test_vertex_bound_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "vertices", "--m", "12", "--n", "12")
+    assert code == 1
+    assert out == ""
+    assert "VERTEX_LIST_MAX" in err
+    # --all-methods skips the orientation route where the vertices are refused
+    code, out, _ = run_cli(capsys, "hpoly", "--m", "12", "--n", "12",
+                           "--all-methods")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data["results"]) == {"from_f", "closed", "stellohedron"}
+    assert data["agree"] is True
+
+
 # --------------------------------------------------------------------------
 # hpoly
 
@@ -489,7 +512,7 @@ def test_method_choices_are_the_engine_table(command, table):
 
 
 def test_chain_work_bound_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "hpoly", "--m", "30", "--n", "2")
+    code, out, err = run_cli(capsys, "faces", "--m", "30", "--n", "2")
     assert code == 1
     assert out == ""
     assert "CHAIN_WORK_MAX" in err
@@ -513,6 +536,14 @@ def test_verify_conjectures_suite(capsys):
                            "--max-m", "3", "--max-n", "3")
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["summary"] == "PASS"
+
+
+def test_verify_faces_census_records():
+    recs = [r for r in verify_suite("faces", max_m=6, max_n=3)
+            if r["check"] == "f-vector-census-matches-enumeration"]
+    assert [(r["params"]["m"], r["params"]["n"]) for r in recs] == [
+        (m, n) for m in range(1, 5) for n in range(1, 4)]
+    assert all(r["status"] == "pass" for r in recs)
 
 
 def test_verify_engines_census_records():

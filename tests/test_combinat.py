@@ -1,7 +1,8 @@
 """Tests for chain families, R-sets, and draconian sequences.
 
 Oracle strategy: chain enumeration is cross-checked against a filtered
-brute-force walk over all chains of subsets; the Hall-style feasibility test
+brute-force walk over all chains of subsets, and the f-vector census
+against the enumeration's missing-rank tally; the Hall-style feasibility test
 behind draconian sequences is checked against a direct subset scan; frozen
 census numbers (51 chains for m = n = 3; 4 / 8 / 51 / 455 draconian
 sequences) pin the semantics; the shape census from the component formula
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from partperm import (
     CHAIN_WORK_MAX,
     DRACONIAN_MAX_M,
-    chain_count,
     chain_in_family,
     descents,
     draconian_census,
@@ -27,6 +27,7 @@ from partperm import (
     draconian_shape_tally,
     enumerate_chains,
     enumerate_draconian,
+    f_vector,
     missing_ranks,
     r_set,
     r_set_and_order,
@@ -65,7 +66,7 @@ def _in_family_oracle(c, n):
     return len(al - c[1]) <= n - 1
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumerate_chains_matches_brute_force(m, n):
     brute = {c for c in _all_subset_chains(m) if _in_family_oracle(c, n)}
@@ -84,6 +85,8 @@ def test_enumerate_chains_matches_brute_force(m, n):
         (2, 3, 11),
         (2, 6, 11),
         (3, 3, 51),
+        (4, 4, 299),  # every chain of subsets of [4]
+        (4, 9, 299),
     ],
 )
 def test_enumerate_chains_frozen_counts(m, n, count):
@@ -91,21 +94,26 @@ def test_enumerate_chains_frozen_counts(m, n, count):
     assert len(enumerate_chains(m, n, include_empty=True)) == count + 1
 
 
-@pytest.mark.parametrize("m", range(1, 6))
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_chain_count_matches_enumeration(m, n):
-    assert chain_count(m, n) == len(enumerate_chains(m, n))
+    # the f-vector census, graded by dimension, against the listing's tally
+    counts = [0] * (m + 1)
+    for c in enumerate_chains(m, n):
+        counts[missing_ranks(c)] += 1
+    assert f_vector(m, n) == tuple(counts)
 
 
 def test_chain_work_bound_refuses_up_front():
-    # hpoly --m 30 --n 2 used to scan 2^30 subsets per chain with no bound
-    with pytest.raises(ValueError, match="CHAIN_WORK_MAX"):
-        enumerate_chains(30, 2)
-    with pytest.raises(ValueError, match="CHAIN_WORK_MAX"):
-        enumerate_chains(11, 2)
-    # the largest shapes in use stay inside the bound
-    for m, n in [(9, 2), (10, 2), (7, 3), (6, 4), (5, 6), (4, 8), (7, 7)]:
-        assert (chain_count(m, n) + 1) << m <= CHAIN_WORK_MAX
+    # P(30,2) has 34,359,738,307 chains and P(8,8) 2,183,339
+    for m, n in [(30, 2), (8, 8), (18, 1)]:
+        with pytest.raises(ValueError, match="CHAIN_WORK_MAX"):
+            enumerate_chains(m, n)
+    # the largest shapes in use stay inside the bound, as does every shape
+    # the earlier subset search admitted: at most 2^25 / 2^m chains
+    for m, n in [(9, 2), (10, 2), (11, 2), (7, 3), (6, 4), (5, 6), (4, 8),
+                 (7, 7), (17, 1)]:
+        assert sum(f_vector(m, n)) <= CHAIN_WORK_MAX
 
 
 def test_enumerate_chains_33_census_by_missing_ranks():

@@ -30,7 +30,6 @@ from partperm import (
 from partperm.exactmath import (
     series_coeff,
     series_exp,
-    series_mul,
     sqrt_one_minus,
     tree_function,
 )
@@ -198,7 +197,7 @@ def _z(order):
 def test_series_sqrt_squares_back():
     order = 10
     s = sqrt_one_minus(_z(order))
-    sq = series_mul(s, s)
+    sq = s * s
     assert series_coeff(sq, 0) == 1
     assert series_coeff(sq, 1) == -1
     for i in range(2, order + 1):
@@ -210,7 +209,7 @@ def test_series_exp_inverse():
     z = _z(order)
     e = series_exp(z)
     e_minus = series_exp(Series([-c for c in z.coeffs], order))
-    prod = series_mul(e, e_minus)
+    prod = e * e_minus
     assert series_coeff(prod, 0) == 1
     for i in range(1, order + 1):
         assert series_coeff(prod, i) == 0
@@ -236,7 +235,7 @@ def test_tree_function_satisfies_functional_equation():
     t = tree_function(order)
     for i in range(1, order + 1):
         assert series_coeff(t, i) == Fraction(i ** (i - 1), math.factorial(i))
-    rhs = series_mul(_z(order), series_exp(t))
+    rhs = _z(order) * series_exp(t)
     for i in range(order + 1):
         assert series_coeff(rhs, i) == series_coeff(t, i)
 

@@ -18,6 +18,7 @@ from partperm import (
     ORACLE_MAX_M,
     ORACLE_MAX_N,
     PP_COUNT_WORK_MAX,
+    VERTEX_LIST_MAX,
     HRep,
     VRep,
     antiblocking_vertices_edges,
@@ -31,6 +32,7 @@ from partperm import (
     pp_box,
     pp_count,
     pp_facets,
+    pp_vertex_count,
     pp_vertices,
     solve_linear,
     verify_antiblocking_identity,
@@ -50,9 +52,16 @@ def _vertex_count_formula(m, n):
 @pytest.mark.parametrize("n", range(0, 6))
 def test_pp_vertices_count_formula(m, n):
     v = pp_vertices(m, n)
-    assert len(v.points) == _vertex_count_formula(m, n)
+    assert len(v.points) == _vertex_count_formula(m, n) == pp_vertex_count(m, n)
     assert len(set(v.points)) == len(v.points)
     assert v.dim == m
+
+
+def test_pp_vertices_refuses_above_the_listing_bound():
+    # P(8,8) is listed (109,601 vertices); P(9,9) (986,410) is refused up front
+    assert pp_vertex_count(8, 8) <= VERTEX_LIST_MAX < pp_vertex_count(9, 9)
+    with pytest.raises(ValueError, match="VERTEX_LIST_MAX"):
+        pp_vertices(9, 9)
 
 
 def test_pp_vertices_pentagon():

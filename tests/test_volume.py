@@ -4,8 +4,8 @@ Oracle strategy: the counting-based oracle (leading Ehrhart coefficient
 times m!) arbitrates every formula engine on a grid; the two published
 coefficient tables (polynomials in n and in N = n - m + 1) are frozen
 digit-for-digit; the lambda-sum engine is checked for invariance across
-substitution points; the draconian engine's parking specialization must
-reproduce the general sum at n = m - 1.
+substitution points; the draconian sum must match the closed forms,
+on the n = m - 1 diagonal too.
 """
 
 import math
@@ -233,32 +233,15 @@ def test_small_n0_is_a_point(m):
 # Draconian engine
 
 
-def test_draconian_parking_equals_general():
-    for m in (2, 3, 4, 5):
-        n = m - 1
-        assert nvol_draconian(m, n, mode="parking_count") == nvol_draconian(m, n)
-
-
-def test_draconian_parking_requires_critical_n():
-    with pytest.raises(ValueError):
-        nvol_draconian(3, 3, mode="parking_count")
-
-
 def test_draconian_rejects_low_n():
     with pytest.raises(ValueError):
         nvol_draconian(4, 2)
-
-
-def test_draconian_bad_mode():
-    with pytest.raises(ValueError):
-        nvol_draconian(2, 1, mode="bogus")
 
 
 @pytest.mark.parametrize("m", range(7, DRACONIAN_MAX_M + 1))
 def test_draconian_beyond_enumeration_matches_closed(m):
     for n in (m - 1, m, m + 1, m + 4):
         assert nvol_draconian(m, n) == nvol_closed(m, n)[0], (m, n)
-    assert nvol_draconian(m, m - 1, mode="parking_count") == nvol_closed(m, m - 1)[0]
 
 
 @pytest.mark.parametrize("m", range(7, DRACONIAN_MAX_M + 1))
