@@ -46,6 +46,11 @@ from .combinat import (
 from .exactmath import EngineDisagreement, Polynomial, eulerian, stirling2
 from .polytope import VERTEX_LIST_MAX, _facet_rhs, pp_vertex_count, pp_vertices
 
+# comb_equiv_check compares at most this many pairs of chains, about 2 s:
+# the largest shape admitted, (m,n1) = (8,2) with 2,544^2 pairs, takes 2.0 s
+# and (5,5) with 2,164^2 takes 1.0-1.4 s (2-core VM).
+COMB_EQUIV_WORK_MAX = 2**23
+
 # Above this vertex count, face_from_chain verifies its two equality systems
 # on the face's own constructed vertices instead of filtering all of V(P).
 _FULL_VERIFY_LIMIT = 20000
@@ -372,15 +377,24 @@ def h_poly(m: int, n: int, method: str = "from_f") -> Polynomial:
 def comb_equiv_check(m: int, n1: int, n2: int) -> bool:
     """Are P(m,n1) and P(m,n2) combinatorially equivalent?
 
-    Tests equality of the indexing chain families, of the f-vectors, and of
+    Tests equality of the f-vectors, of the indexing chain families, and of
     the full face-order comparability matrices (computed from marker sets
-    under each n separately, empty face included).
+    under each n separately, empty face included).  The matrices compare
+    every pair of chains, so shapes whose chain count squared exceeds
+    ``COMB_EQUIV_WORK_MAX`` are refused up front with a ValueError.
     """
+    f1 = f_vector(m, n1)
+    total = sum(f1) + 1  # the empty face included
+    if total * total > COMB_EQUIV_WORK_MAX:
+        raise ValueError(
+            f"comb_equiv_check for (m,n1)=({m},{n1}) compares {total}^2 chain "
+            f"pairs, above the work bound COMB_EQUIV_WORK_MAX = {COMB_EQUIV_WORK_MAX}"
+        )
+    if f1 != f_vector(m, n2):
+        return False
     chains1 = enumerate_chains(m, n1, include_empty=True)
     chains2 = enumerate_chains(m, n2, include_empty=True)
     if set(chains1) != set(chains2):
-        return False
-    if f_vector(m, n1) != f_vector(m, n2):
         return False
     chains = chains1
     r1 = [r_set(c, m, n1) for c in chains]

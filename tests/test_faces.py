@@ -14,6 +14,7 @@ from itertools import permutations
 import pytest
 
 from partperm import (
+    COMB_EQUIV_WORK_MAX,
     EngineDisagreement,
     Polynomial,
     comb_equiv_check,
@@ -306,3 +307,14 @@ def test_comb_equiv_distinguishes():
 
 def test_comb_equiv_same_n():
     assert comb_equiv_check(3, 2, 2) is True
+
+
+def test_comb_equiv_refuses_quadratic_work_up_front():
+    # P(6,6) has 18,732 chains with the empty face: 3.5e8 pairs, 140 s of
+    # comparisons, refused from the f-vector before any chain is listed
+    with pytest.raises(ValueError, match="COMB_EQUIV_WORK_MAX"):
+        comb_equiv_check(6, 6, 8)
+    assert (sum(f_vector(6, 6)) + 1) ** 2 > COMB_EQUIV_WORK_MAX
+    # 2,164 chains: admitted, and still the full comparison
+    assert (sum(f_vector(5, 5)) + 1) ** 2 <= COMB_EQUIV_WORK_MAX
+    assert comb_equiv_check(5, 5, 7) is True

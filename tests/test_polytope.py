@@ -195,10 +195,16 @@ def test_pp_count_matches_box_brute_force(m, n):
 @pytest.mark.parametrize("m", range(1, ORACLE_MAX_M + 1))
 @pytest.mark.parametrize("n", range(0, ORACLE_MAX_N + 1))
 def test_pp_count_matches_generic_counter_on_oracle_domain(m, n):
+    # t = 1..m+1: every count the oracle interpolates from or verifies with
     assert oracle_domain(m, n)
     h, box = pp_facets(m, n), pp_box(m, n)
-    for t in (1, 2):
-        assert pp_count(m, n, t) == count_points(h, t, box=box)
+    for t in range(1, m + 2):
+        assert pp_count(m, n, t) == count_points(h, t, box=box), t
+
+
+@pytest.mark.parametrize("m,n,t", [(5, 6, 6), (6, 6, 2), (6, 5, 3), (7, 7, 1)])
+def test_pp_count_matches_generic_counter_beyond_oracle_domain(m, n, t):
+    assert count_points(pp_facets(m, n), t, box=pp_box(m, n)) == pp_count(m, n, t)
 
 
 def test_pp_count_known_values():
