@@ -64,12 +64,14 @@ from .polytope import (
 )
 from .faces import (
     COMB_EQUIV_WORK_MAX,
+    F_VECTOR_WORK_MAX,
     FaceSystem,
     H_POLY_ENGINES,
     VertexStats,
     comb_equiv_check,
     f_polynomial,
     f_vector,
+    f_vector_work,
     face_from_chain,
     face_vertices,
     h_poly,
@@ -125,9 +127,9 @@ __all__ = [
     "bounding_box", "contains_point", "count_lattice_points", "count_points",
     "cut", "hull_convert", "pp_box", "pp_count", "pp_facets", "pp_vertex_count",
     "pp_vertices", "verify_antiblocking_identity",
-    "COMB_EQUIV_WORK_MAX", "FaceSystem", "H_POLY_ENGINES", "VertexStats",
-    "comb_equiv_check", "f_polynomial",
-    "f_vector", "face_from_chain", "face_vertices", "h_poly",
+    "COMB_EQUIV_WORK_MAX", "F_VECTOR_WORK_MAX", "FaceSystem", "H_POLY_ENGINES",
+    "VertexStats", "comb_equiv_check", "f_polynomial", "f_vector", "f_vector_work",
+    "face_from_chain", "face_vertices", "h_poly",
     "is_palindromic", "vertex_stats",
     "VOLUME_ENGINES", "aux1_nvol", "aux1_vertices", "aux2_nvol",
     "aux2_vertices", "conj_vmn_fit",

@@ -178,9 +178,9 @@ def _cmd_fvector(args) -> int:
 
 def _cmd_hpoly(args) -> int:
     m, n = args.m, args.n
+    methods = _methods(FA.H_POLY_ENGINES, m, n)
     if args.all_methods:
-        results = {meth: FA.h_poly(m, n, meth)
-                   for meth in _methods(FA.H_POLY_ENGINES, m, n)}
+        results = {meth: FA.h_poly(m, n, meth) for meth in methods}
         polys = list(results.values())
         agree = all(p == polys[0] for p in polys)
         out = {
@@ -195,11 +195,13 @@ def _cmd_hpoly(args) -> int:
             raise _disagreement("h-polynomial methods", m, n,
                                 {k: p.render() for k, p in results.items()})
         return 0
-    p = FA.h_poly(m, n, args.method or "from_f")
+    method = args.method or ("from_f" if "from_f" in methods else methods[0])
+    _require_applicable(method, methods, m, n)
+    p = FA.h_poly(m, n, method)
     out = {
         "m": m,
         "n": n,
-        "method": args.method or "from_f",
+        "method": method,
         "coefficients": _poly_json(p),
         "rendered": p.render(),
         "palindromic": FA.is_palindromic(p, m),

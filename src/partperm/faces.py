@@ -18,6 +18,13 @@ out the face:
 The two forms can span different affine subspaces (e.g. for the chain
 (emptyset), whose face is the origin) yet always cut the same face out of
 P(m,n); equivalence is therefore verified on vertex sets, never on spans.
+``face_from_chain`` lists the vertices of P(m,n) on which each form is
+tight and requires both lists to equal the blockwise construction
+``face_vertices``, so a form that misses a vertex or selects an extra one
+raises ``EngineDisagreement``.  The listing never scans V(P): it places
+the values n, n-1, ... one at a time into free coordinates (every
+placement so far is a vertex) and cuts a branch once a row's sum passes
+its right-hand side or the values left can no longer reach it.
 
 The h-polynomial h(t) = f(t-1) is computed independently from the face
 census, from a closed Eulerian-polynomial sum, from the stellohedron
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combinat import (
@@ -51,9 +58,10 @@ from .polytope import VERTEX_LIST_MAX, _facet_rhs, pp_vertex_count, pp_vertices
 # and (5,5) with 2,164^2 takes 1.0-1.4 s (2-core VM).
 COMB_EQUIV_WORK_MAX = 2**23
 
-# Above this vertex count, face_from_chain verifies its two equality systems
-# on the face's own constructed vertices instead of filtering all of V(P).
-_FULL_VERIFY_LIMIT = 20000
+# f_vector refuses shapes whose census terms times m (the integers grow
+# with m) exceed this, about 2 s: (99,99) takes 1.9 s and (4096,1) 1.3 s,
+# against 2.5 s for (100,100) and 2.5 s for (5000,1) (2-core VM).
+F_VECTOR_WORK_MAX = 2**24
 
 
 @dataclass(frozen=True)
@@ -76,9 +84,11 @@ def _indicator(members, m: int) -> Tuple[int, ...]:
 def face_from_chain(chain: Sequence, m: int, n: int) -> FaceSystem:
     """Equality systems (case and compact form) of the face indexed by a chain.
 
-    Raises ValueError for chains outside the family.  The two systems are
-    verified to select the same vertex set (on all of V(P) when that is
-    small enough, else on the face's own vertex list).
+    Raises ValueError for chains outside the family, and for faces with
+    more than ``VERTEX_LIST_MAX`` vertices (see ``face_vertices``).  Each
+    system is verified to select, among all vertices of P(m,n), exactly
+    the face's constructed vertices; a mismatch raises EngineDisagreement
+    naming the chain, the form and the vertices missing or extra.
     """
     c = tuple(frozenset(a) for a in chain)
     if not chain_in_family(c, m, n):
@@ -113,29 +123,33 @@ def face_from_chain(chain: Sequence, m: int, n: int) -> FaceSystem:
     return face
 
 
-def _on_rows(point, rows) -> bool:
-    return all(sum(a * x for a, x in zip(coeffs, point)) == rhs for coeffs, rhs in rows)
+def _vertices_on(rows, m: int, n: int) -> List[Tuple[int, ...]]:
+    """The vertices of P(m,n) on which every 0/1 row (coeffs, rhs) is tight."""
+    if any(a not in (0, 1) for coeffs, _ in rows for a in coeffs):
+        raise ValueError(f"_vertices_on takes 0/1 rows, got {rows}")
+    column = [[coeffs[i] for coeffs, _ in rows] for i in range(m)]
+    reach = [[_facet_rhs(k, v) for k in range(m + 1)] for v in range(n + 1)]
+
+    def place(point, v, lack):  # lack: (what each row still needs, its free coordinates)
+        found = [] if any(need for need, _ in lack) else [point]
+        if v and all(need <= reach[v][k] for need, k in lack):
+            for i, hit in enumerate(column):
+                if not point[i] and all(need >= v * h for (need, _), h in zip(lack, hit)):
+                    found += place(point[:i] + (v,) + point[i + 1:], v - 1,
+                                   [(need - v * h, k - h) for (need, k), h in zip(lack, hit)])
+        return found
+
+    return place((0,) * m, n, [(rhs, sum(coeffs)) for coeffs, rhs in rows])
 
 
 def _verify_forms(face: FaceSystem, m: int, n: int) -> None:
-    if pp_vertex_count(m, n) <= _FULL_VERIFY_LIMIT:
-        sel_case = set()
-        sel_compact = set()
-        for p in pp_vertices(m, n).points:
-            if _on_rows(p, face.case_rows):
-                sel_case.add(p)
-            if _on_rows(p, face.compact_rows):
-                sel_compact.add(p)
-        if sel_case != sel_compact:
+    want = set(face_vertices(face.chain, m, n))
+    for form, rows in (("case", face.case_rows), ("compact", face.compact_rows)):
+        got = set(_vertices_on(rows, m, n))
+        if got != want:
             raise EngineDisagreement(
-                f"face forms select different vertex sets for chain {face.chain}"
-            )
-    else:
-        for p in face_vertices(face.chain, m, n):
-            if not (_on_rows(p, face.case_rows) and _on_rows(p, face.compact_rows)):
-                raise EngineDisagreement(
-                    f"face vertex violates a face equality system for chain {face.chain}"
-                )
+                f"the {form} form of chain {[sorted(a) for a in face.chain]} at (m,n)="
+                f"({m},{n}) misses {sorted(want - got)} and adds {sorted(got - want)}")
 
 
 def _check_block(vals, positions, chain) -> None:
@@ -152,7 +166,10 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
     A_{j+1} \\ A_j carries a fixed interval of values in every order; the
     bottom block carries a sliding top interval padded with zeros (when
     A_1 is nonempty) or the full interval down to 1 padded with exactly
-    |A_l| - n zeros (when A_1 is empty and |A_l| >= n).
+    |A_l| - n zeros (when A_1 is empty and |A_l| >= n).  The vertex count,
+    a product over the blocks, is read before any vertex is built: faces
+    with more than ``VERTEX_LIST_MAX`` vertices are refused with a
+    ValueError.
     """
     c = tuple(frozenset(a) for a in chain)
     if not chain_in_family(c, m, n):
@@ -161,6 +178,7 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
     ell = len(c)
     special = (not c[0]) and len(top) >= n
 
+    # (positions, the value runs placed injectively into them, zeros elsewhere)
     blocks: List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]] = []
     for j in range(1, ell):  # block A_{j+1} \ A_j, values fixed
         if j == 1 and special:
@@ -170,33 +188,37 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
         lo = n - len(top - c[j - 1]) + 1
         vals = tuple(range(hi, lo - 1, -1))
         _check_block(vals, positions, c)
-        blocks.append((positions, sorted(set(permutations(vals)))))
+        blocks.append((positions, [vals]))
     if c[0]:
         positions = tuple(sorted(c[0]))
         topval = n - len(top - c[0])
-        arrangements = set()
-        for k in range(min(len(positions), topval) + 1):
-            vals = tuple(range(topval, topval - k, -1)) + (0,) * (len(positions) - k)
-            arrangements.update(permutations(vals))
-        blocks.append((positions, sorted(arrangements)))
+        blocks.append((positions, [tuple(range(topval, topval - k, -1))
+                                   for k in range(min(len(positions), topval) + 1)]))
     elif special and ell >= 2:
         positions = tuple(sorted(c[1]))
-        hi = n - len(top - c[1])
-        vals = tuple(range(hi, 0, -1)) + (0,) * (len(top) - n)
-        _check_block(vals, positions, c)
-        blocks.append((positions, sorted(set(permutations(vals)))))
+        vals = tuple(range(n - len(top - c[1]), 0, -1))
+        _check_block(vals + (0,) * (len(top) - n), positions, c)
+        blocks.append((positions, [vals]))
 
-    verts = [[0] * m]
-    for positions, choices in blocks:
+    count = prod(sum(perm(len(positions), len(vals)) for vals in runs)
+                 for positions, runs in blocks)
+    if count > VERTEX_LIST_MAX:
+        raise ValueError(
+            f"the face of chain {[sorted(a) for a in c]} in P({m},{n}) has {count} "
+            f"vertices, above the listing bound VERTEX_LIST_MAX = {VERTEX_LIST_MAX}"
+        )
+    verts = [(0,) * m]
+    for positions, runs in blocks:
         grown = []
-        for base in verts:
-            for choice in choices:
-                w = list(base)
-                for p, val in zip(positions, choice):
-                    w[p - 1] = val
-                grown.append(w)
+        for vals in runs:
+            for pos in permutations(positions, len(vals)):
+                for base in verts:
+                    w = list(base)
+                    for p, val in zip(pos, vals):
+                        w[p - 1] = val
+                    grown.append(tuple(w))
         verts = grown
-    return sorted(tuple(v) for v in verts)
+    return sorted(verts)
 
 
 def f_vector(m: int, n: int) -> Tuple[int, ...]:
@@ -207,10 +229,17 @@ def f_vector(m: int, n: int) -> Tuple[int, ...]:
     w <= n-1 added elements into k blocks: C(m,a) C(m-a,w) k! S(w,k)
     chains of dimension a + w - k.  Prefixing each with (emptyset) gives
     the same number of dimension a + w - k - 1, and the chain (emptyset)
-    is the origin.
+    is the origin.  Shapes whose ``f_vector_work`` exceeds
+    ``F_VECTOR_WORK_MAX`` are refused up front with a ValueError.
     """
     if m < 1 or n < 1:
         raise ValueError("f_vector requires m >= 1 and n >= 1")
+    work = f_vector_work(m, n)
+    if work > F_VECTOR_WORK_MAX:
+        raise ValueError(
+            f"f_vector({m}, {n}) has work {work} ({work // m} census terms times "
+            f"m = {m}), above the work bound F_VECTOR_WORK_MAX = {F_VECTOR_WORK_MAX}"
+        )
     widest = min(n - 1, m - 1)
     # ordered[w][k]: ordered set partitions of a w-set into k blocks
     ordered = [[factorial(k) * stirling2(w, k) for k in range(w + 1)]
@@ -225,6 +254,15 @@ def f_vector(m: int, n: int) -> Tuple[int, ...]:
                 counts[a + w - k] += chains
                 counts[a + w - k - 1] += chains
     return tuple(counts)
+
+
+def f_vector_work(m: int, n: int) -> int:
+    """The work of f_vector(m, n): its (a, w, k) census terms times m.
+
+    With W = min(n-1, m-1) there are (m-W) C(W+2,2) + C(W+2,3) terms.
+    """
+    widest = min(n - 1, m - 1)
+    return m * ((m - widest) * comb(widest + 2, 2) + comb(widest + 2, 3))
 
 
 def f_polynomial(m: int, n: int) -> Polynomial:
@@ -284,8 +322,13 @@ def vertex_stats(m: int, n: int) -> List[VertexStats]:
 
 
 def h_domain(m: int, n: int) -> bool:
-    """The domain of the from_f and closed routes."""
+    """The domain of the closed route, m >= 1 and n >= 1."""
     return m >= 1 and n >= 1
+
+
+def from_f_domain(m: int, n: int) -> bool:
+    """The domain of the from_f route: f_vector's work bound included."""
+    return h_domain(m, n) and f_vector_work(m, n) <= F_VECTOR_WORK_MAX
 
 
 def stellohedron_domain(m: int, n: int) -> bool:
@@ -304,7 +347,7 @@ def _require_h(m: int, n: int) -> None:
 
 
 def _h_from_f(m: int, n: int) -> Polynomial:
-    _require_h(m, n)
+    _require_h(m, n)  # f_vector refuses shapes above F_VECTOR_WORK_MAX
     return f_polynomial(m, n)(Polynomial([-1, 1]))
 
 
@@ -349,7 +392,7 @@ def _h_orientation(m: int, n: int) -> Polynomial:
 # Method name -> Engine, in the order the CLI offers them.  The routes are
 # private: callers go through h_poly, the entry point to patch or trace.
 H_POLY_ENGINES: Dict[str, Engine] = {
-    "from_f": Engine(h_domain, _h_from_f),
+    "from_f": Engine(from_f_domain, _h_from_f),
     "closed": Engine(h_domain, _h_closed),
     "stellohedron": Engine(stellohedron_domain, _h_stellohedron),
     "orientation": Engine(orientation_domain, _h_orientation),

@@ -110,6 +110,13 @@ def test_vertex_bound_is_usage_error(capsys):
     assert data["agree"] is True
 
 
+def test_fvector_work_bound_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "fvector", "--m", "5000", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert "F_VECTOR_WORK_MAX" in err
+
+
 # --------------------------------------------------------------------------
 # hpoly
 
@@ -131,6 +138,25 @@ def test_hpoly_all_methods(capsys):
     assert set(data["results"]) == {"from_f", "closed", "orientation",
                                     "stellohedron"}
     assert len({tuple(v) for v in data["results"].values()}) == 1
+
+
+def test_hpoly_method_reads_the_engine_table(capsys):
+    code, out, err = run_cli(capsys, "hpoly", "--m", "3", "--n", "2",
+                             "--method", "stellohedron")
+    assert code == 1
+    assert out == ""
+    assert err == ("usage error: method 'stellohedron' not applicable at "
+                   "(m,n)=(3,2); applicable: from_f, closed, orientation\n")
+    # from_f is the default wherever it applies; beyond the f-vector work
+    # bound the first covering method answers
+    code, out, _ = run_cli(capsys, "hpoly", "--m", "5000", "--n", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "closed" and data["h_at_1"] == 5001
+    code, out, err = run_cli(capsys, "hpoly", "--m", "5000", "--n", "1",
+                             "--method", "from_f")
+    assert code == 1
+    assert "usage error: method 'from_f' not applicable at (m,n)=(5000,1)" in err
 
 
 def test_hpoly_stellohedron_excluded_when_inapplicable(capsys):

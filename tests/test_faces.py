@@ -2,19 +2,26 @@
 
 Oracle strategy: every chain-indexed face system is validated by filtering
 the polytope's vertex list through both hyperplane forms (they must select
-the same set as the direct blockwise construction); f-vectors are pinned to
-frozen values and to the Euler relation; the five h-polynomial routes are
-mutually cross-checked, and the stellohedron identity is verified against
-the Eulerian-polynomial route for every m <= 8.
+the same set as the direct blockwise construction), and the search that
+face_from_chain uses for that check is compared with the same filter on
+random 0/1 systems; f-vectors are pinned to frozen values and to the Euler
+relation; the five h-polynomial routes are mutually cross-checked, and the
+stellohedron identity is verified against the Eulerian-polynomial route for
+every m <= 8.
 """
 
 import math
+import time
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import partperm.faces as FA
 from partperm import (
     COMB_EQUIV_WORK_MAX,
+    F_VECTOR_WORK_MAX,
     EngineDisagreement,
     Polynomial,
     comb_equiv_check,
@@ -22,6 +29,7 @@ from partperm import (
     eulerian,
     f_polynomial,
     f_vector,
+    f_vector_work,
     face_from_chain,
     face_vertices,
     h_poly,
@@ -71,6 +79,30 @@ def test_f_vector_f0_is_vertex_count():
 def test_f_polynomial_evaluates_to_face_count():
     m, n = 3, 3
     assert f_polynomial(m, n)(1) == sum(f_vector(m, n))
+
+
+def test_f_vector_work_counts_the_census_terms():
+    for m, n in [(1, 1), (1, 5), (4, 2), (5, 3), (6, 6), (6, 9), (30, 2), (60, 40)]:
+        widest = min(n - 1, m - 1)
+        terms = sum(w + 1 for a in range(1, m + 1) for w in range(min(widest, m - a) + 1))
+        assert f_vector_work(m, n) == terms * m
+
+
+def test_f_vector_refuses_above_the_work_bound_up_front():
+    # (100,100) took 2.5 s and (5000,1) 2.5 s; both are refused at once
+    for m, n in [(100, 100), (5000, 1), (150, 150)]:
+        assert f_vector_work(m, n) > F_VECTOR_WORK_MAX
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="F_VECTOR_WORK_MAX"):
+            f_vector(m, n)
+        assert time.perf_counter() - start < 0.1
+    assert f_vector_work(99, 99) <= F_VECTOR_WORK_MAX
+    assert f_vector_work(4096, 1) <= F_VECTOR_WORK_MAX
+    # the from_f route declares the bound; the closed route still answers
+    assert not H_POLY_ENGINES["from_f"].domain(5000, 1)
+    with pytest.raises(ValueError, match="F_VECTOR_WORK_MAX"):
+        h_poly(5000, 1)
+    assert h_poly(5000, 1, "closed") == Polynomial([1] * 5001)
 
 
 # --------------------------------------------------------------------------
@@ -137,6 +169,109 @@ def test_face_vertex_census_golden_m10():
     assert len(face_vertices(c1, 10, 6)) == 40
     c2 = (frozenset(),) + c1
     assert len(face_vertices(c2, 10, 6)) == 24
+
+
+def test_face_vertices_refuses_above_the_listing_bound(monkeypatch):
+    # the chain ([10]) is all of P(10,10): 9,864,101 vertices, refused from
+    # the block sizes before any permutation is built
+    whole = (frozenset(range(1, 11)),)
+    for build in (face_vertices, face_from_chain):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="VERTEX_LIST_MAX"):
+            build(whole, 10, 10)
+        assert time.perf_counter() - start < 0.1
+    # the count read up front is the face's exact vertex count
+    sizes = {c: len(face_vertices(c, 4, 3)) for c in enumerate_chains(4, 3)}
+    for c, size in sizes.items():
+        monkeypatch.setattr(FA, "VERTEX_LIST_MAX", size)
+        assert len(face_vertices(c, 4, 3)) == size
+        monkeypatch.setattr(FA, "VERTEX_LIST_MAX", size - 1)
+        with pytest.raises(ValueError, match="VERTEX_LIST_MAX"):
+            face_vertices(c, 4, 3)
+
+
+def test_face_vertices_work_follows_the_face_size():
+    # the facet (emptyset < [12]) of P(12,1) has 12 vertices; each block is
+    # built from injective placements of its nonzero values, never from all
+    # 12! orderings of a run padded with zeros
+    c = (frozenset(), frozenset(range(1, 13)))
+    start = time.perf_counter()
+    verts = face_vertices(c, 12, 1)
+    assert len(verts) == 12 and all(sorted(v) == [0] * 11 + [1] for v in verts)
+    assert face_from_chain(c, 12, 1).dimension == 11
+    assert time.perf_counter() - start < 0.5
+
+
+def _tight(rows, m, n):
+    """Brute force: filter all of V(P(m,n)) through the equality rows."""
+    return {p for p in pp_vertices(m, n).points
+            if all(sum(a * x for a, x in zip(coeffs, p)) == rhs for coeffs, rhs in rows)}
+
+
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(0, 6),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * m), st.integers(-1, 16)),
+             max_size=4))))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_vertices_on_matches_brute_force(case):
+    m, n, rows = case
+    found = FA._vertices_on(rows, m, n)
+    assert len(found) == len(set(found))
+    assert set(found) == _tight(rows, m, n)
+
+
+def test_vertices_on_takes_only_0_1_rows():
+    assert set(FA._vertices_on([], 2, 2)) == set(pp_vertices(2, 2).points)
+    assert set(FA._vertices_on([((1, 1), 3)], 2, 2)) == {(2, 1), (1, 2)}
+    assert FA._vertices_on([], 3, 0) == [(0, 0, 0)]
+    assert FA._vertices_on([((1, 0, 1), 1)], 3, 0) == []
+    with pytest.raises(ValueError, match="0/1 rows"):
+        FA._vertices_on([((1, 2), 3)], 2, 2)
+    with pytest.raises(ValueError, match="0/1 rows"):
+        FA._vertices_on([((1, 1), 3), ((0, -1), 0)], 2, 2)
+
+
+@pytest.mark.parametrize("m,n,step", [(3, 3, 1), (5, 5, 97)])
+@pytest.mark.parametrize("mutation", ["drop", "add"])
+def test_face_from_chain_catches_a_wrong_construction(monkeypatch, m, n, step, mutation):
+    """A face_vertices that drops a vertex, or adds one of P outside the
+    face, no longer matches what the forms select."""
+    true_face_vertices = FA.face_vertices
+    everything = pp_vertices(m, n).points
+
+    def wrong(chain, mm, nn):
+        verts = true_face_vertices(chain, mm, nn)
+        if mutation == "drop":
+            return verts[1:]
+        return verts + [next(p for p in everything if p not in verts)]
+
+    monkeypatch.setattr(FA, "face_vertices", wrong)
+    chains = [c for c in enumerate_chains(m, n)[::step]
+              if mutation == "drop" or missing_ranks(c) < m]
+    assert len(chains) >= 20
+    for c in chains:
+        with pytest.raises(EngineDisagreement, match="form of chain") as info:
+            face_from_chain(c, m, n)
+        # the forms select the true face: a dropped vertex is one they add,
+        # an added one is one they miss
+        kind = "adds" if mutation == "drop" else "misses"
+        assert f"{kind} [(" in str(info.value)
+
+
+def test_face_from_chain_never_lists_the_polytope(monkeypatch):
+    # P(9,9) has 986,410 vertices, above VERTEX_LIST_MAX: a small face is
+    # still built and checked from its own rows
+    def refuse(m, n):
+        raise AssertionError("pp_vertices called")
+
+    monkeypatch.setattr(FA, "pp_vertices", refuse)
+    c = (frozenset({1, 2, 3}), frozenset(range(1, 6)), frozenset(range(1, 8)))
+    fs = face_from_chain(c, 9, 9)
+    assert fs.dimension == missing_ranks(c)
+    direct = set(face_vertices(c, 9, 9))
+    assert len(direct) == 64
+    for rows in (fs.case_rows, fs.compact_rows):
+        assert set(FA._vertices_on(rows, 9, 9)) == direct
 
 
 def test_faces_partition_count():
