@@ -6,14 +6,16 @@ compact separators); --format csv/tex give flat rows and TeX tabulars.
 All numbers are exact: integers or 'p/q' strings, never floats.
 
 Exit codes: 0 success; 1 usage error (bad arguments or unsupported
-parameter ranges); 2 a verification suite found a counterexample;
-3 two internal engines disagreed (EngineDisagreement).
+parameter ranges), or standard output closed early by its reader (quietly,
+as in ``partperm faces ... | head``); 2 a verification suite found a
+counterexample; 3 two internal engines disagreed (EngineDisagreement).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from typing import Dict, Iterator, List, Optional
@@ -153,7 +155,7 @@ def _cmd_faces(args) -> int:
         rec = {
             "chain": [sorted(a) for a in c],
             "dimension": FA.missing_ranks(c) if c else -1,
-            "vertex_count": len(FA.face_vertices(c, args.m, args.n)),
+            "vertex_count": FA.face_vertex_count(c, args.m, args.n),
         }
         if args.format == "csv":
             chain_str = "<".join("{" + " ".join(map(str, sorted(a))) + "}" for a in c)
@@ -179,6 +181,8 @@ def _cmd_fvector(args) -> int:
 def _cmd_hpoly(args) -> int:
     m, n = args.m, args.n
     methods = _methods(FA.H_POLY_ENGINES, m, n)
+    if not methods:
+        raise UsageError(f"no exact h-polynomial engine covers (m,n)=({m},{n})")
     if args.all_methods:
         results = {meth: FA.h_poly(m, n, meth) for meth in methods}
         polys = list(results.values())
@@ -560,11 +564,31 @@ def _build_parser() -> _Parser:
     return p
 
 
+# Built by the first main call and reused by later ones; never at import.
+_parser: Optional[_Parser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser.parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # a StringIO has no descriptor
+            fd = None
+        if fd is None:
+            raise
+        # the reader has gone: later writes and the exit flush go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

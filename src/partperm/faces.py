@@ -21,10 +21,12 @@ P(m,n); equivalence is therefore verified on vertex sets, never on spans.
 ``face_from_chain`` lists the vertices of P(m,n) on which each form is
 tight and requires both lists to equal the blockwise construction
 ``face_vertices``, so a form that misses a vertex or selects an extra one
-raises ``EngineDisagreement``.  The listing never scans V(P): it places
-the values n, n-1, ... one at a time into free coordinates (every
-placement so far is a vertex) and cuts a branch once a row's sum passes
-its right-hand side or the values left can no longer reach it.
+raises ``EngineDisagreement``.  The listing never scans V(P): a
+depth-first search places the values n, n-1, ... one at a time into free
+coordinates (every placement so far is a vertex) and cuts a branch once a
+row's sum passes its right-hand side or the values left can no longer
+reach it.  ``face_vertex_count`` reads a face's vertex count from the
+blocks of ``face_vertices`` without building a vertex.
 
 The h-polynomial h(t) = f(t-1) is computed independently from the face
 census, from a closed Eulerian-polynomial sum, from the stellohedron
@@ -62,6 +64,11 @@ COMB_EQUIV_WORK_MAX = 2**23
 # with m) exceed this, about 2 s: (99,99) takes 1.9 s and (4096,1) 1.3 s,
 # against 2.5 s for (100,100) and 2.5 s for (5000,1) (2-core VM).
 F_VECTOR_WORK_MAX = 2**24
+
+# The closed h-route refuses shapes whose h_closed_work exceeds this, about
+# 1.2-2 s: (114,114) takes 1.2 s and (87381,2) 2.0 s, against 3.0 s for
+# (140,140) and 3.6 s for (170000,2) (2-core VM).
+H_CLOSED_WORK_MAX = 2**18
 
 
 @dataclass(frozen=True)
@@ -124,22 +131,49 @@ def face_from_chain(chain: Sequence, m: int, n: int) -> FaceSystem:
 
 
 def _vertices_on(rows, m: int, n: int) -> List[Tuple[int, ...]]:
-    """The vertices of P(m,n) on which every 0/1 row (coeffs, rhs) is tight."""
+    """The vertices of P(m,n) on which every 0/1 row (coeffs, rhs) is tight.
+
+    A depth-first search places the values n, n-1, ... one at a time into
+    free coordinates, so every node is a vertex, and keeps the node when
+    each row's sum has reached its right-hand side.  ``need`` holds what
+    each row still lacks and ``free`` its free coordinates; a branch is cut
+    when some row needs more than its free coordinates can still take
+    (the top values v, v-1, ... of what is left), and a coordinate is
+    skipped when the value placed there would pass a row it hits.  One
+    point list is mutated and every change is undone on return.
+    """
     if any(a not in (0, 1) for coeffs, _ in rows for a in coeffs):
         raise ValueError(f"_vertices_on takes 0/1 rows, got {rows}")
-    column = [[coeffs[i] for coeffs, _ in rows] for i in range(m)]
+    if any(rhs < 0 for _, rhs in rows):
+        return []  # a sum of nonnegative coordinates
+    need = [rhs for _, rhs in rows]
+    free = [sum(coeffs) for coeffs, _ in rows]
+    hits = [[r for r, (coeffs, _) in enumerate(rows) if coeffs[i]] for i in range(m)]
     reach = [[_facet_rhs(k, v) for k in range(m + 1)] for v in range(n + 1)]
+    rows_range = range(len(rows))
+    point = [0] * m
+    found: List[Tuple[int, ...]] = []
 
-    def place(point, v, lack):  # lack: (what each row still needs, its free coordinates)
-        found = [] if any(need for need, _ in lack) else [point]
-        if v and all(need <= reach[v][k] for need, k in lack):
-            for i, hit in enumerate(column):
-                if not point[i] and all(need >= v * h for (need, _), h in zip(lack, hit)):
-                    found += place(point[:i] + (v,) + point[i + 1:], v - 1,
-                                   [(need - v * h, k - h) for (need, k), h in zip(lack, hit)])
-        return found
+    def place(v):
+        if not any(need):
+            found.append(tuple(point))
+        if not v or any(need[r] > reach[v][free[r]] for r in rows_range):
+            return
+        for i, hit in enumerate(hits):
+            if point[i] or any(need[r] < v for r in hit):
+                continue
+            point[i] = v
+            for r in hit:
+                need[r] -= v
+                free[r] -= 1
+            place(v - 1)
+            for r in hit:
+                need[r] += v
+                free[r] += 1
+            point[i] = 0
 
-    return place((0,) * m, n, [(rhs, sum(coeffs)) for coeffs, rhs in rows])
+    place(n)
+    return found
 
 
 def _verify_forms(face: FaceSystem, m: int, n: int) -> None:
@@ -159,18 +193,9 @@ def _check_block(vals, positions, chain) -> None:
         )
 
 
-def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
-    """The vertex set of the face indexed by a chain, by direct construction.
-
-    Blockwise: coordinates outside A_l are zero; each consecutive block
-    A_{j+1} \\ A_j carries a fixed interval of values in every order; the
-    bottom block carries a sliding top interval padded with zeros (when
-    A_1 is nonempty) or the full interval down to 1 padded with exactly
-    |A_l| - n zeros (when A_1 is empty and |A_l| >= n).  The vertex count,
-    a product over the blocks, is read before any vertex is built: faces
-    with more than ``VERTEX_LIST_MAX`` vertices are refused with a
-    ValueError.
-    """
+def _face_blocks(chain: Sequence, m: int, n: int):
+    """The chain as frozensets, and its face's blocks: (positions, the value
+    runs placed injectively into them, zeros elsewhere)."""
     c = tuple(frozenset(a) for a in chain)
     if not chain_in_family(c, m, n):
         raise ValueError("chain is not in the face-indexing family")
@@ -178,7 +203,6 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
     ell = len(c)
     special = (not c[0]) and len(top) >= n
 
-    # (positions, the value runs placed injectively into them, zeros elsewhere)
     blocks: List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]] = []
     for j in range(1, ell):  # block A_{j+1} \ A_j, values fixed
         if j == 1 and special:
@@ -199,9 +223,34 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
         vals = tuple(range(n - len(top - c[1]), 0, -1))
         _check_block(vals + (0,) * (len(top) - n), positions, c)
         blocks.append((positions, [vals]))
+    return c, blocks
 
-    count = prod(sum(perm(len(positions), len(vals)) for vals in runs)
-                 for positions, runs in blocks)
+
+def _blocks_count(blocks) -> int:
+    return prod(sum(perm(len(positions), len(vals)) for vals in runs)
+                for positions, runs in blocks)
+
+
+def face_vertex_count(chain: Sequence, m: int, n: int) -> int:
+    """The number of vertices of the face indexed by a chain, read from the
+    block sizes of ``face_vertices`` without building any vertex."""
+    return _blocks_count(_face_blocks(chain, m, n)[1])
+
+
+def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
+    """The vertex set of the face indexed by a chain, by direct construction.
+
+    Blockwise: coordinates outside A_l are zero; each consecutive block
+    A_{j+1} \\ A_j carries a fixed interval of values in every order; the
+    bottom block carries a sliding top interval padded with zeros (when
+    A_1 is nonempty) or the full interval down to 1 padded with exactly
+    |A_l| - n zeros (when A_1 is empty and |A_l| >= n).  The vertex count,
+    a product over the blocks (``face_vertex_count``), is read before any
+    vertex is built: faces with more than ``VERTEX_LIST_MAX`` vertices are
+    refused with a ValueError.
+    """
+    c, blocks = _face_blocks(chain, m, n)
+    count = _blocks_count(blocks)
     if count > VERTEX_LIST_MAX:
         raise ValueError(
             f"the face of chain {[sorted(a) for a in c]} in P({m},{n}) has {count} "
@@ -322,8 +371,23 @@ def vertex_stats(m: int, n: int) -> List[VertexStats]:
 
 
 def h_domain(m: int, n: int) -> bool:
-    """The domain of the closed route, m >= 1 and n >= 1."""
+    """m >= 1 and n >= 1, where every h-route is defined."""
     return m >= 1 and n >= 1
+
+
+def h_closed_work(m: int, n: int) -> int:
+    """The work of the closed route: sum over i < min(m,n) of (i+1)(m-i+1),
+    about the coefficient products of C(m,i) A_i(t) (t + ... + t^{m-i}).
+
+    With k = min(m,n) that is k(k+1)(3m+5-2k)/6.
+    """
+    k = min(m, n)
+    return k * (k + 1) * (3 * m + 5 - 2 * k) // 6
+
+
+def closed_domain(m: int, n: int) -> bool:
+    """The domain of the closed route: its work bound included."""
+    return h_domain(m, n) and h_closed_work(m, n) <= H_CLOSED_WORK_MAX
 
 
 def from_f_domain(m: int, n: int) -> bool:
@@ -353,6 +417,11 @@ def _h_from_f(m: int, n: int) -> Polynomial:
 
 def _h_closed(m: int, n: int) -> Polynomial:
     _require_h(m, n)
+    work = h_closed_work(m, n)
+    if work > H_CLOSED_WORK_MAX:
+        raise ValueError(
+            f"h_poly({m}, {n}, 'closed') has work {work}, above the work bound "
+            f"H_CLOSED_WORK_MAX = {H_CLOSED_WORK_MAX}")
     h = Polynomial([1])
     for i in range(min(n, m)):
         ai = eulerian(i) * comb(m, i)
@@ -393,7 +462,7 @@ def _h_orientation(m: int, n: int) -> Polynomial:
 # private: callers go through h_poly, the entry point to patch or trace.
 H_POLY_ENGINES: Dict[str, Engine] = {
     "from_f": Engine(from_f_domain, _h_from_f),
-    "closed": Engine(h_domain, _h_closed),
+    "closed": Engine(closed_domain, _h_closed),
     "stellohedron": Engine(stellohedron_domain, _h_stellohedron),
     "orientation": Engine(orientation_domain, _h_orientation),
 }

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import permutations
+from math import comb, factorial, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combinat import (
@@ -227,9 +228,14 @@ def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
     A(sigma) = sum_{i<p} (n-i+1) lambda_{sigma(i)}
                + (m-p+1)(2n-m-p+2)/2 * lambda_{m+1}.
     The value is independent of the lambdas; the default is (1,...,m+1).
-    """
-    from itertools import permutations as _perms
 
+    Every term is homogeneous of degree 0 in lambda (A^m and the product
+    of m differences both have degree m), so the lambdas are first scaled
+    by the lcm of their denominators to integers.  Then 2A is an integer,
+    and all (m+1)! terms are summed as integers (2A)^m, grouped by their
+    integer product of differences; one Fraction is built per distinct
+    product at the end, and the total is divided by 2^m.
+    """
     _require(lambda_domain(m, n),
              f"nvol_lambda requires 1 <= m <= {LAMBDA_MAX_M} and n >= m-1")
     if lam is None:
@@ -239,18 +245,17 @@ def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
         raise ValueError("need exactly m+1 lambda values")
     if len(set(lam)) != m + 1:
         raise ValueError("lambda values must be pairwise distinct")
-    total = Fraction(0)
-    for sigma in _perms(range(1, m + 2)):
-        p = sigma.index(m + 1) + 1
-        acc = Fraction(0)
-        for i in range(1, p):
-            acc += (n - i + 1) * lam[sigma[i - 1] - 1]
-        acc += Fraction((m - p + 1) * (2 * n - m - p + 2), 2) * lam[m]
-        denom = Fraction(1)
-        for i in range(m):
-            denom *= lam[sigma[i] - 1] - lam[sigma[i + 1] - 1]
-        total += acc**m / denom
-    return total
+    scale = lcm(*(x.denominator for x in lam))
+    mu = [int(x * scale) for x in lam]
+    # sigma runs over orderings of the indices 0..m; index m is lambda_{m+1}
+    sums: Dict[int, int] = {}
+    for sigma in permutations(range(m + 1)):
+        p = sigma.index(m) + 1
+        twice_a = (2 * sum((n - i) * mu[sigma[i]] for i in range(p - 1))
+                   + (m - p + 1) * (2 * n - m - p + 2) * mu[m])
+        denom = prod(mu[sigma[i]] - mu[sigma[i + 1]] for i in range(m))
+        sums[denom] = sums.get(denom, 0) + twice_a**m
+    return sum((Fraction(s, denom) for denom, s in sums.items()), Fraction(0)) / 2**m
 
 
 def nvol_small_n(m: int, n: int) -> int:
@@ -366,8 +371,6 @@ def aux2_vertices(m: int) -> VRep:
     the product of the permutohedron of (4,3,2) in coordinates 1..3 with the
     simplex conv{0, e4, ..., em}; normalized volume 3m^2 - 6m + 1.
     """
-    from itertools import permutations as _perms
-
     _require(m >= 3, "aux2_vertices requires m >= 3")
     pts = []
     for apex in ((4, 3, 3), (3, 4, 3), (3, 3, 4)):
@@ -378,7 +381,7 @@ def aux2_vertices(m: int) -> VRep:
         w = [0] * (m - 3)
         w[j] = 1
         ws.append(tuple(w))
-    for perm in _perms((4, 3, 2)):
+    for perm in permutations((4, 3, 2)):
         for w in ws:
             pts.append(tuple(perm) + w)
     return VRep(tuple(sorted(set(pts))), m)

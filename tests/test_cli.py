@@ -259,6 +259,16 @@ def test_volume_lambda_check_survives_python_O():
     assert "non-integral" in proc.stderr
 
 
+def test_hpoly_no_engine_is_usage_error(capsys):
+    # (200,150): above the f-vector, closed-form and vertex-listing work
+    # bounds, and n < m rules out the stellohedron form
+    for extra in ((), ("--all-methods",)):
+        code, out, err = run_cli(capsys, "hpoly", "--m", "200", "--n", "150", *extra)
+        assert code == 1
+        assert out == ""
+        assert "no exact h-polynomial engine covers (m,n)=(200,150)" in err
+
+
 def test_volume_no_engine_is_usage_error(capsys):
     # m = 8, n = 5: n > 4 rules out small_n, n < m-1 rules out the rest,
     # m > 5 rules out the oracle
@@ -641,3 +651,83 @@ def test_installed_console_entry_point_matches_pyproject():
             if ep.group == "console_scripts" and ep.name == "partperm"]
     assert len(ours) == 1
     assert ours[0].value == declared_scripts()["partperm"]
+
+
+# --------------------------------------------------------------------------
+# One parser per process; a closed pipe
+
+
+def _run_script(script, *args, **kwargs):
+    src = str(Path(partperm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-c", textwrap.dedent(script), *args],
+                            env=env, text=True, **kwargs)
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    proc = _run_script("""
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import partperm, partperm.cli
+        assert not built and partperm.cli._parser is None, built
+        argv = ["fvector", "--m", "2", "--n", "2"]
+        assert partperm.cli.main(argv) == 0
+        first = len(built)
+        assert first > 0 and partperm.cli._parser is built[0]
+        assert partperm.cli.main(argv) == 0
+        assert partperm.cli.main(["fvector", "--m", "0", "--n", "2"]) == 1
+        assert len(built) == first, (first, len(built))
+    """, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+
+
+def test_consecutive_main_calls_share_no_state(capsys):
+    code, out, _ = run_cli(capsys, "ehrhart", "--m", "2", "--n", "2", "--eval", "3")
+    assert code == 0 and "value_at_t" in json.loads(out)
+    code, out, _ = run_cli(capsys, "ehrhart", "--m", "2", "--n", "2")
+    assert code == 0 and "value_at_t" not in json.loads(out)
+    code, out, _ = run_cli(capsys, "hpoly", "--m", "3", "--n", "3", "--method", "closed")
+    assert code == 0 and json.loads(out)["method"] == "closed"
+    code, _, err = run_cli(capsys, "hpoly", "--m", "3", "--n", "3", "--method", "nope")
+    assert code == 1 and "usage error" in err
+    code, out, _ = run_cli(capsys, "hpoly", "--m", "3", "--n", "3")
+    assert code == 0 and json.loads(out)["method"] == "from_f"
+    code, out, _ = run_cli(capsys, "faces", "--m", "2", "--n", "2", "--format", "csv")
+    assert code == 0 and not out.startswith("{")
+    code, out, _ = run_cli(capsys, "faces", "--m", "2", "--n", "2")
+    assert code == 0 and all(line.startswith("{") for line in out.splitlines())
+
+
+def test_closed_pipe_exits_quietly():
+    proc = _run_script(
+        "import sys; from partperm.cli import main; sys.exit(main(sys.argv[1:]))",
+        "faces", "--m", "7", "--n", "3",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the reader goes away after one line, as `head -1` does
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert json.loads(first) == {"chain": [[]], "dimension": 0, "vertex_count": 1}
+    assert err == ""
+    assert proc.returncode == 1
+
+
+def test_broken_pipe_without_a_file_descriptor_propagates(monkeypatch):
+    # in-process callers capture stdout in a StringIO: nothing to redirect
+    import io
+    from contextlib import redirect_stdout
+
+    import partperm.faces as FA
+
+    def closed(m, n):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(FA, "f_vector", closed)
+    with redirect_stdout(io.StringIO()), pytest.raises(BrokenPipeError):
+        main(["fvector", "--m", "2", "--n", "2"])

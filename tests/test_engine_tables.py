@@ -47,3 +47,34 @@ def test_tables_keep_their_method_order():
                                     "draconian", "lambda", "small_n"]
     assert list(EHRHART_ENGINES) == ["interpolate", "small_n", "small_m", "draconian"]
     assert list(H_POLY_ENGINES) == ["from_f", "closed", "stellohedron", "orientation"]
+
+
+def test_closed_h_route_declares_its_work_bound(monkeypatch):
+    import time
+
+    import partperm.faces as FA
+
+    for m in range(1, 40):
+        for n in range(1, 45):
+            k = min(m, n)
+            assert FA.h_closed_work(m, n) == sum((i + 1) * (m - i + 1) for i in range(k))
+    closed = H_POLY_ENGINES["closed"]
+    # (114,114) is the largest square shape under the bound
+    assert FA.h_closed_work(114, 114) <= FA.H_CLOSED_WORK_MAX < FA.h_closed_work(115, 115)
+    assert not closed.domain(115, 115) and not closed.domain(150, 150)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="H_CLOSED_WORK_MAX"):
+        h_poly(150, 150, "closed")
+    assert time.perf_counter() - start < 0.1
+    # the value refuses exactly where the domain does, with the bound lowered
+    monkeypatch.setattr(FA, "H_CLOSED_WORK_MAX", 30)
+    refused = 0
+    for m in range(0, 7):
+        for n in range(-1, 9):
+            if closed.domain(m, n):
+                assert closed.value(m, n) == h_poly(m, n, "from_f")
+            else:
+                refused += m >= 1 and n >= 1
+                with pytest.raises(ValueError):
+                    closed.value(m, n)
+    assert refused > 0

@@ -31,11 +31,13 @@ from partperm import (
     f_vector,
     f_vector_work,
     face_from_chain,
+    face_vertex_count,
     face_vertices,
     h_poly,
     is_palindromic,
     missing_ranks,
     pp_facets,
+    pp_vertex_count,
     pp_vertices,
     vertex_stats,
 )
@@ -169,6 +171,24 @@ def test_face_vertex_census_golden_m10():
     assert len(face_vertices(c1, 10, 6)) == 40
     c2 = (frozenset(),) + c1
     assert len(face_vertices(c2, 10, 6)) == 24
+
+
+def test_face_vertex_count_is_the_listing_length():
+    for m in range(1, 6):
+        for n in range(1, 7):
+            for c in enumerate_chains(m, n):
+                assert face_vertex_count(c, m, n) == len(face_vertices(c, m, n)), (c, m, n)
+    c1 = (frozenset({1, 2, 3}), frozenset(range(1, 6)), frozenset(range(1, 8)))
+    assert face_vertex_count(c1, 10, 6) == 40
+    assert face_vertex_count((frozenset(),) + c1, 10, 6) == 24
+
+
+def test_face_vertex_count_lists_nothing():
+    # the chain ([m]) is all of P(m,n); counted above VERTEX_LIST_MAX too
+    for m, n in [(3, 2), (8, 8), (10, 10), (12, 7)]:
+        assert face_vertex_count((frozenset(range(1, m + 1)),), m, n) == pp_vertex_count(m, n)
+    with pytest.raises(ValueError):
+        face_vertex_count((frozenset({1}), frozenset({1})), 2, 2)
 
 
 def test_face_vertices_refuses_above_the_listing_bound(monkeypatch):

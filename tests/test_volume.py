@@ -175,6 +175,39 @@ def test_lambda_independence():
         assert v1 == v2 == v3
 
 
+def _lambda_sum_reference(m, n, lam):
+    """The permutation sum term by term in Fraction, as stated."""
+    from itertools import permutations
+
+    lam = [Fraction(x) for x in lam]
+    total = Fraction(0)
+    for sigma in permutations(range(1, m + 2)):
+        p = sigma.index(m + 1) + 1
+        a = sum((n - i + 1) * lam[sigma[i - 1] - 1] for i in range(1, p))
+        a += Fraction((m - p + 1) * (2 * n - m - p + 2), 2) * lam[m]
+        denom = math.prod(lam[sigma[i] - 1] - lam[sigma[i + 1] - 1] for i in range(m))
+        total += a**m / denom
+    return total
+
+
+def test_lambda_matches_the_fraction_sum_on_negative_and_mixed_lambdas():
+    lams = [
+        lambda k: [-i for i in range(1, k + 1)],                       # negative
+        lambda k: [Fraction((-1) ** i * (i + 1), i + 2) for i in range(k)],
+        lambda k: [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7),
+                   Fraction(-9, 4), 3][:k],                            # mixed denominators
+        lambda k: [Fraction(1, i) for i in range(1, k + 1)],
+    ]
+    for m in range(1, 5):
+        for n in range(m - 1, m + 3):
+            truth = nvol_recursive(m, n)
+            for make in lams:
+                lam = make(m + 1)
+                got = nvol_lambda(m, n, lam=lam)
+                assert type(got) is Fraction
+                assert got == _lambda_sum_reference(m, n, lam) == truth, (m, n, lam)
+
+
 def test_lambda_rejects_repeats():
     with pytest.raises(ValueError):
         nvol_lambda(2, 2, lam=[1, 1, 2])
