@@ -1,0 +1,68 @@
+"""Byte-identity guard: CLI stdout against committed golden files.
+
+Each file under ``tests/golden`` holds the exact stdout of one CLI call,
+recorded before a change that must not alter output.  A performance change
+is expected to leave every byte the same; a change that means to alter
+output rewrites the files on purpose with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and the diff of ``tests/golden`` shows what changed.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from partperm.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+SHAPES = (("3", "3"), ("5", "4"), ("4", "6"))
+
+GOLDEN = {
+    "verify-all": ("verify", "--suite", "all"),
+    "faces-4-3": ("faces", "--m", "4", "--n", "3"),
+    "fvector-6-4": ("fvector", "--m", "6", "--n", "4"),
+    "table-volume-n": ("table", "--which", "volume-n"),
+    "table-volume-N": ("table", "--which", "volume-N"),
+}
+for _m, _n in SHAPES:
+    for _cmd in ("hpoly", "volume", "ehrhart"):
+        GOLDEN[f"{_cmd}-{_m}-{_n}"] = (_cmd, "--m", _m, "--n", _n, "--all-methods")
+    GOLDEN[f"ehrhart-eval-{_m}-{_n}"] = (
+        "ehrhart", "--m", _m, "--n", _n, "--all-methods", "--eval", "3")
+
+
+def _stdout(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0, argv
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_matches_golden(capsys, name):
+    want = (GOLDEN_DIR / f"{name}.out").read_bytes()
+    assert _stdout(capsys, GOLDEN[name]).encode() == want
+
+
+def _write_all():
+    import io
+    from contextlib import redirect_stdout
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(GOLDEN.items()):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(list(argv))
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+        (GOLDEN_DIR / f"{name}.out").write_bytes(buf.getvalue().encode())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: python tests/test_golden.py --write")
+    _write_all()
