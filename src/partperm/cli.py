@@ -73,8 +73,11 @@ def _int_at_least(low: int):
     return parse
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _poly_json(p: Polynomial) -> List[str]:

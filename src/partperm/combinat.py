@@ -59,9 +59,9 @@ CHAIN_WORK_MAX = 2**18
 
 def _validate_chain_shape(chain: Sequence, m: int) -> Chain:
     c = tuple(frozenset(a) for a in chain)
-    ground = set(range(1, m + 1))
+    ground = frozenset(range(1, m + 1))
     for a in c:
-        if not set(a) <= ground:
+        if not a <= ground:
             raise ValueError(f"chain member {sorted(a)} not a subset of [{m}]")
     for a, b in zip(c, c[1:]):
         if not (a < b):

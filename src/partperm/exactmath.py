@@ -1,11 +1,16 @@
 """Exact rational polynomials, truncated power series, and small linear algebra.
 
-Everything here is computed over ``fractions.Fraction`` — no floating point.
-The module supplies the scalar/polynomial plumbing used by the rest of the
-package (Ehrhart, f/h and volume polynomials), the combinatorial number
-tables (Eulerian, Stirling), exact interpolation, exact Gaussian
-elimination, and truncated power-series arithmetic for the generating
-functions sqrt(1-z)*exp(...) and the tree function T(z) = sum i^{i-1} z^i/i!.
+Everything here is exact rational arithmetic — no floating point.
+``Polynomial`` keeps each coefficient as an ``int`` when it is integral and
+as a ``fractions.Fraction`` otherwise (a Fraction with denominator 1 is
+stored as its numerator), so integer polynomials never build a Fraction.
+Division always goes through a Fraction divisor, never ``int / int``;
+floats are refused with TypeError.  The module supplies the
+scalar/polynomial plumbing used by the rest of the package (Ehrhart, f/h
+and volume polynomials), the combinatorial number tables (Eulerian,
+Stirling), exact interpolation, exact Gaussian elimination, and truncated
+power-series arithmetic for the generating functions sqrt(1-z)*exp(...)
+and the tree function T(z) = sum i^{i-1} z^i/i!.
 
 Sign convention: ``double_factorial(i)`` returns the value of (2i-3)!! under
 the convention (-3)!! = -1, (-1)!! = 1, i.e. -prod_{j=1}^{i}(2j-3).  Note
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 
 class EngineDisagreement(RuntimeError):
@@ -38,11 +43,26 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class Polynomial:
-    """Dense univariate polynomial over Fraction, coefficients low-to-high.
+def _coef(x):
+    """x as a Polynomial coefficient: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    Arithmetic is exact; scalars (int/Fraction) mix freely on either side.
+
+class Polynomial:
+    """Dense univariate polynomial with exact rational coefficients, low-to-high.
+
+    Each coefficient is an ``int`` when integral and a ``Fraction``
+    otherwise; equality and hashing do not see the difference, since
+    ``2 == Fraction(2)`` and both hash alike.  Division by a scalar divides
+    by it as a Fraction, so it never yields a float.  The zero polynomial
+    has an empty coefficient tuple and degree -1.  Arithmetic is exact;
+    scalars (int/Fraction) mix freely on either side; floats raise TypeError.
     Calling a Polynomial evaluates it (Horner), and the point may itself be
     a Polynomial, which composes: f(Polynomial([-1, 1])) is f(t-1).
     """
@@ -50,7 +70,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_coef(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -66,18 +86,21 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coefficient(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        longer, shorter = self.coeffs, other.coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        out = list(longer)
+        for i, c in enumerate(shorter):
+            out[i] += c
+        return Polynomial(out)
 
     __radd__ = __add__
 
@@ -85,7 +108,7 @@ class Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else Polynomial([-_frac(other)]))
+        return self + (-other if isinstance(other, Polynomial) else Polynomial([-_coef(other)]))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -97,7 +120,7 @@ class Polynomial:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -125,7 +148,7 @@ class Polynomial:
     def __call__(self, x):
         """Evaluate at x (int/Fraction) or compose with x (Polynomial)."""
         if not self.coeffs:
-            return Polynomial() if isinstance(x, Polynomial) else Fraction(0)
+            return Polynomial() if isinstance(x, Polynomial) else 0
         acc = self.coeffs[-1] if not isinstance(x, Polynomial) else Polynomial([self.coeffs[-1]])
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -215,15 +238,21 @@ def eulerian(m: int) -> Polynomial:
     """
     if m < 0:
         raise ValueError("eulerian requires m >= 0")
-    row = [1]  # A(0, .)
-    for n in range(1, m + 1):
-        new = [0] * n
-        for k in range(n):
-            a = (k + 1) * row[k] if k < len(row) else 0
-            b = (n - k) * row[k - 1] if k - 1 >= 0 else 0
-            new[k] = a + b
-        row = new
+    for row in eulerian_rows(m + 1):
+        pass
     return Polynomial(row)
+
+
+def eulerian_rows(count: int) -> Iterator[List[int]]:
+    """The coefficient lists of A_0(t), ..., A_{count-1}(t), each row built
+    from the one before by the triangle recurrence of ``eulerian``."""
+    row = [1]  # A(0, .)
+    for n in range(count):
+        if n:
+            last = len(row)
+            row = [(k + 1) * (row[k] if k < last else 0)
+                   + (n - k) * (row[k - 1] if k else 0) for k in range(n)]
+        yield row
 
 
 def stirling2(m: int, k: int) -> int:

@@ -25,8 +25,9 @@ raises ``EngineDisagreement``.  The listing never scans V(P): a
 depth-first search places the values n, n-1, ... one at a time into free
 coordinates (every placement so far is a vertex) and cuts a branch once a
 row's sum passes its right-hand side or the values left can no longer
-reach it.  ``face_vertex_count`` reads a face's vertex count from the
-blocks of ``face_vertices`` without building a vertex.
+reach it.  The blocks of ``face_vertices`` and the face's vertex count
+depend only on the chain's member sizes and n, and are held once per such
+key; ``face_vertex_count`` reads the count without building a vertex.
 
 The h-polynomial h(t) = f(t-1) is computed independently from the face
 census, from a closed Eulerian-polynomial sum, from the stellohedron
@@ -39,7 +40,8 @@ suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import accumulate, permutations
 from math import comb, factorial, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +54,7 @@ from .combinat import (
     permutation_inverse,
     r_set,
 )
-from .exactmath import EngineDisagreement, Polynomial, eulerian, stirling2
+from .exactmath import EngineDisagreement, Polynomial, eulerian_rows, stirling2
 from .polytope import VERTEX_LIST_MAX, _facet_rhs, pp_vertex_count, pp_vertices
 
 # comb_equiv_check compares at most this many pairs of chains, about 2 s:
@@ -65,10 +67,14 @@ COMB_EQUIV_WORK_MAX = 2**23
 # against 2.5 s for (100,100) and 2.5 s for (5000,1) (2-core VM).
 F_VECTOR_WORK_MAX = 2**24
 
-# The closed h-route refuses shapes whose h_closed_work exceeds this, about
-# 1.2-2 s: (114,114) takes 1.2 s and (87381,2) 2.0 s, against 3.0 s for
-# (140,140) and 3.6 s for (170000,2) (2-core VM).
+# The closed h-route refuses shapes whose h_closed_work exceeds this.  Since
+# the route adds integer runs by prefix sums the bound is generous: (114,114)
+# takes 5 ms and (87381,2) 16-18 ms (2-core VM).
 H_CLOSED_WORK_MAX = 2**18
+
+# The stellohedron h-route refuses m above this, about 2 s: (800,800) takes
+# 1.6-2.1 s and (900,900) 3.3 s (2-core VM).
+H_STELLOHEDRON_MAX_M = 800
 
 
 @dataclass(frozen=True)
@@ -98,8 +104,7 @@ def face_from_chain(chain: Sequence, m: int, n: int) -> FaceSystem:
     naming the chain, the form and the vertices missing or extra.
     """
     c = tuple(frozenset(a) for a in chain)
-    if not chain_in_family(c, m, n):
-        raise ValueError("chain is not in the face-indexing family")
+    want = set(face_vertices(c, m, n))  # checks the chain is in the family
     top = c[-1]
     ell = len(c)
     ground = frozenset(range(1, m + 1))
@@ -126,7 +131,7 @@ def face_from_chain(chain: Sequence, m: int, n: int) -> FaceSystem:
 
     dim = missing_ranks(c)
     face = FaceSystem(c, dim, tuple(case_rows), tuple(compact_rows))
-    _verify_forms(face, m, n)
+    _verify_forms(face, want, m, n)
     return face
 
 
@@ -148,36 +153,54 @@ def _vertices_on(rows, m: int, n: int) -> List[Tuple[int, ...]]:
         return []  # a sum of nonnegative coordinates
     need = [rhs for _, rhs in rows]
     free = [sum(coeffs) for coeffs, _ in rows]
-    hits = [[r for r, (coeffs, _) in enumerate(rows) if coeffs[i]] for i in range(m)]
-    reach = [[_facet_rhs(k, v) for k in range(m + 1)] for v in range(n + 1)]
+    columns = zip(*(coeffs for coeffs, _ in rows)) if rows else [()] * m
+    hits = [[r for r, a in enumerate(col) if a] for col in columns]
+    reach = _reach(m, n)
     rows_range = range(len(rows))
     point = [0] * m
     found: List[Tuple[int, ...]] = []
 
     def place(v):
-        if not any(need):
+        for r in rows_range:
+            if need[r]:
+                break
+        else:
             found.append(tuple(point))
-        if not v or any(need[r] > reach[v][free[r]] for r in rows_range):
+        if not v:
             return
+        reach_v = reach[v]
+        for r in rows_range:
+            if need[r] > reach_v[free[r]]:
+                return
         for i, hit in enumerate(hits):
-            if point[i] or any(need[r] < v for r in hit):
+            if point[i]:
                 continue
-            point[i] = v
             for r in hit:
-                need[r] -= v
-                free[r] -= 1
-            place(v - 1)
-            for r in hit:
-                need[r] += v
-                free[r] += 1
-            point[i] = 0
+                if need[r] < v:
+                    break
+            else:
+                point[i] = v
+                for r in hit:
+                    need[r] -= v
+                    free[r] -= 1
+                place(v - 1)
+                for r in hit:
+                    need[r] += v
+                    free[r] += 1
+                point[i] = 0
 
     place(n)
     return found
 
 
-def _verify_forms(face: FaceSystem, m: int, n: int) -> None:
-    want = set(face_vertices(face.chain, m, n))
+@lru_cache(maxsize=None)
+def _reach(m: int, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """reach[v][k]: the most k free coordinates can still take when the
+    values v, v-1, ... are left to place, ``_facet_rhs(k, v)``."""
+    return tuple(tuple(_facet_rhs(k, v) for k in range(m + 1)) for v in range(n + 1))
+
+
+def _verify_forms(face: FaceSystem, want: set, m: int, n: int) -> None:
     for form, rows in (("case", face.case_rows), ("compact", face.compact_rows)):
         got = set(_vertices_on(rows, m, n))
         if got != want:
@@ -186,55 +209,61 @@ def _verify_forms(face: FaceSystem, m: int, n: int) -> None:
                 f"({m},{n}) misses {sorted(want - got)} and adds {sorted(got - want)}")
 
 
-def _check_block(vals, positions, chain) -> None:
-    if len(vals) != len(positions):
-        raise EngineDisagreement(
-            f"chain {chain}: {len(vals)} values for {len(positions)} positions"
-        )
-
-
-def _face_blocks(chain: Sequence, m: int, n: int):
-    """The chain as frozensets, and its face's blocks: (positions, the value
-    runs placed injectively into them, zeros elsewhere)."""
+def _family_chain(chain: Sequence, m: int, n: int):
+    """The chain as frozensets; ValueError outside the chain family."""
     c = tuple(frozenset(a) for a in chain)
     if not chain_in_family(c, m, n):
         raise ValueError("chain is not in the face-indexing family")
-    top = c[-1]
-    ell = len(c)
-    special = (not c[0]) and len(top) >= n
+    return c
 
-    blocks: List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]] = []
-    for j in range(1, ell):  # block A_{j+1} \ A_j, values fixed
+
+def _check_block(vals, width: int, sizes) -> None:
+    if len(vals) != width:
+        raise EngineDisagreement(
+            f"member sizes {sizes}: {len(vals)} values for {width} positions"
+        )
+
+
+@lru_cache(maxsize=None)
+def _face_blocks(sizes: Tuple[int, ...], n: int):
+    """The blocks of the face of every family chain with these member sizes,
+    and the face's vertex count.
+
+    A block is (j, runs): the coordinates of A_{j+1} \\ A_j (A_0 the empty
+    set, so block 0 is A_1) take the values of one run of ``runs``, placed
+    injectively.  Both depend on the chain only through its sizes.
+    """
+    top = sizes[-1]
+    special = sizes[0] == 0 and top >= n
+
+    blocks = []
+    for j in range(1, len(sizes)):  # block A_{j+1} \ A_j, values fixed
         if j == 1 and special:
             continue
-        positions = tuple(sorted(c[j] - c[j - 1]))
-        hi = n - len(top - c[j])
-        lo = n - len(top - c[j - 1]) + 1
+        hi = n - (top - sizes[j])
+        lo = n - (top - sizes[j - 1]) + 1
         vals = tuple(range(hi, lo - 1, -1))
-        _check_block(vals, positions, c)
-        blocks.append((positions, [vals]))
-    if c[0]:
-        positions = tuple(sorted(c[0]))
-        topval = n - len(top - c[0])
-        blocks.append((positions, [tuple(range(topval, topval - k, -1))
-                                   for k in range(min(len(positions), topval) + 1)]))
-    elif special and ell >= 2:
-        positions = tuple(sorted(c[1]))
-        vals = tuple(range(n - len(top - c[1]), 0, -1))
-        _check_block(vals + (0,) * (len(top) - n), positions, c)
-        blocks.append((positions, [vals]))
-    return c, blocks
-
-
-def _blocks_count(blocks) -> int:
-    return prod(sum(perm(len(positions), len(vals)) for vals in runs)
-                for positions, runs in blocks)
+        _check_block(vals, sizes[j] - sizes[j - 1], sizes)
+        blocks.append((j, (vals,)))
+    if sizes[0]:
+        topval = n - (top - sizes[0])
+        blocks.append((0, tuple(tuple(range(topval, topval - k, -1))
+                                for k in range(min(sizes[0], topval) + 1))))
+    elif special and len(sizes) >= 2:
+        vals = tuple(range(n - (top - sizes[1]), 0, -1))
+        _check_block(vals + (0,) * (top - n), sizes[1], sizes)
+        blocks.append((1, (vals,)))
+    count = prod(sum(perm(sizes[j] - (sizes[j - 1] if j else 0), len(vals))
+                     for vals in runs)
+                 for j, runs in blocks)
+    return tuple(blocks), count
 
 
 def face_vertex_count(chain: Sequence, m: int, n: int) -> int:
     """The number of vertices of the face indexed by a chain, read from the
-    block sizes of ``face_vertices`` without building any vertex."""
-    return _blocks_count(_face_blocks(chain, m, n)[1])
+    member sizes without building any vertex."""
+    c = _family_chain(chain, m, n)
+    return _face_blocks(tuple(map(len, c)), n)[1]
 
 
 def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
@@ -249,15 +278,16 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
     vertex is built: faces with more than ``VERTEX_LIST_MAX`` vertices are
     refused with a ValueError.
     """
-    c, blocks = _face_blocks(chain, m, n)
-    count = _blocks_count(blocks)
+    c = _family_chain(chain, m, n)
+    blocks, count = _face_blocks(tuple(map(len, c)), n)
     if count > VERTEX_LIST_MAX:
         raise ValueError(
             f"the face of chain {[sorted(a) for a in c]} in P({m},{n}) has {count} "
             f"vertices, above the listing bound VERTEX_LIST_MAX = {VERTEX_LIST_MAX}"
         )
     verts = [(0,) * m]
-    for positions, runs in blocks:
+    for j, runs in blocks:
+        positions = sorted(c[j] - c[j - 1]) if j else sorted(c[0])
         grown = []
         for vals in runs:
             for pos in permutations(positions, len(vals)):
@@ -377,7 +407,8 @@ def h_domain(m: int, n: int) -> bool:
 
 def h_closed_work(m: int, n: int) -> int:
     """The work of the closed route: sum over i < min(m,n) of (i+1)(m-i+1),
-    about the coefficient products of C(m,i) A_i(t) (t + ... + t^{m-i}).
+    the coefficient products of C(m,i) A_i(t) (t + ... + t^{m-i}) written
+    as dense products (the route adds each run by a prefix sum instead).
 
     With k = min(m,n) that is k(k+1)(3m+5-2k)/6.
     """
@@ -396,8 +427,9 @@ def from_f_domain(m: int, n: int) -> bool:
 
 
 def stellohedron_domain(m: int, n: int) -> bool:
-    """The domain of the stellohedron route, n >= m >= 1."""
-    return h_domain(m, n) and n >= m
+    """The domain of the stellohedron route, n >= m >= 1, its bound
+    m <= H_STELLOHEDRON_MAX_M included."""
+    return h_domain(m, n) and n >= m and m <= H_STELLOHEDRON_MAX_M
 
 
 def orientation_domain(m: int, n: int) -> bool:
@@ -422,29 +454,40 @@ def _h_closed(m: int, n: int) -> Polynomial:
         raise ValueError(
             f"h_poly({m}, {n}, 'closed') has work {work}, above the work bound "
             f"H_CLOSED_WORK_MAX = {H_CLOSED_WORK_MAX}")
-    h = Polynomial([1])
-    for i in range(min(n, m)):
-        ai = eulerian(i) * comb(m, i)
-        geom = Polynomial([0] + [1] * (m - i))  # t + ... + t^{m-i}
-        h = h + ai * geom
-    return h
+    # Times t + ... + t^{m-i}, a coefficient at degree d adds to degrees
+    # d+1..d+m-i: a difference list marks each run, one prefix sum adds them.
+    diff = [0] * (m + 2)
+    for i, row in enumerate(eulerian_rows(min(n, m))):
+        scale = comb(m, i)
+        for d, a in enumerate(row):
+            a *= scale
+            diff[d + 1] += a
+            diff[d + m - i + 1] -= a
+    h = list(accumulate(diff))
+    h[0] = 1
+    return Polynomial(h)
 
 
 def _h_stellohedron(m: int, n: int) -> Polynomial:
     _require_h(m, n)
-    if not stellohedron_domain(m, n):
+    if n < m:
         raise ValueError("stellohedron form requires n >= m")
-    h1 = Polynomial([1])
-    h2 = Polynomial()
-    t = Polynomial.x()
-    for i in range(m + 1):
-        term = eulerian(i) * comb(m, i)
-        h2 = h2 + term * t ** (m - i)
-        if i >= 1:
-            h1 = h1 + term * t
+    if m > H_STELLOHEDRON_MAX_M:
+        raise ValueError(
+            f"h_poly({m}, {n}, 'stellohedron') is refused above the bound "
+            f"H_STELLOHEDRON_MAX_M = {H_STELLOHEDRON_MAX_M}")
+    h1 = [1] + [0] * m  # 1 + t sum_{i>=1} C(m,i) A_i(t)
+    h2 = [0] * (m + 1)  # sum_i C(m,i) A_i(t) t^{m-i}
+    for i, row in enumerate(eulerian_rows(m + 1)):
+        scale = comb(m, i)
+        for d, a in enumerate(row):
+            a *= scale
+            h2[d + m - i] += a
+            if i:
+                h1[d + 1] += a
     if h1 != h2:
         raise EngineDisagreement("the two stellohedron h-forms disagree")
-    return h2
+    return Polynomial(h2)
 
 
 def _h_orientation(m: int, n: int) -> Polynomial:
@@ -508,11 +551,9 @@ def comb_equiv_check(m: int, n1: int, n2: int) -> bool:
     chains2 = enumerate_chains(m, n2, include_empty=True)
     if set(chains1) != set(chains2):
         return False
-    chains = chains1
-    r1 = [r_set(c, m, n1) for c in chains]
-    r2 = [r_set(c, m, n2) for c in chains]
-    for i in range(len(chains)):
-        for j in range(len(chains)):
-            if (r1[j] <= r1[i]) != (r2[j] <= r2[i]):
-                return False
+    r1 = [r_set(c, m, n1) for c in chains1]
+    r2 = [r_set(c, m, n2) for c in chains1]
+    for a1, a2 in zip(r1, r2):
+        if [b <= a1 for b in r1] != [b <= a2 for b in r2]:
+            return False
     return True

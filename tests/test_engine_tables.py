@@ -8,9 +8,12 @@ domain would break ``--all-methods``, and answering outside it would mean
 the engine skips its own validation.
 """
 
+import time
+from fractions import Fraction
+
 import pytest
 
-from partperm import EHRHART_ENGINES, H_POLY_ENGINES, VOLUME_ENGINES, h_poly
+from partperm import EHRHART_ENGINES, H_POLY_ENGINES, VOLUME_ENGINES, Polynomial, h_poly
 
 TABLES = {"volume": VOLUME_ENGINES, "ehrhart": EHRHART_ENGINES,
           "h_poly": H_POLY_ENGINES}
@@ -50,8 +53,6 @@ def test_tables_keep_their_method_order():
 
 
 def test_closed_h_route_declares_its_work_bound(monkeypatch):
-    import time
-
     import partperm.faces as FA
 
     for m in range(1, 40):
@@ -78,3 +79,43 @@ def test_closed_h_route_declares_its_work_bound(monkeypatch):
                 with pytest.raises(ValueError):
                     closed.value(m, n)
     assert refused > 0
+
+
+def test_stellohedron_h_route_declares_its_bound(monkeypatch):
+    import partperm.faces as FA
+
+    stellohedron = H_POLY_ENGINES["stellohedron"]
+    top = FA.H_STELLOHEDRON_MAX_M
+    assert stellohedron.domain(top, top) and stellohedron.domain(top, top + 7)
+    assert not stellohedron.domain(top + 1, top + 1)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="H_STELLOHEDRON_MAX_M"):
+        h_poly(top + 1, top + 1, "stellohedron")
+    assert time.perf_counter() - start < 0.1
+    # the value refuses exactly where the domain does, with the bound lowered
+    monkeypatch.setattr(FA, "H_STELLOHEDRON_MAX_M", 3)
+    refused = 0
+    for m in range(0, 7):
+        for n in range(-1, 9):
+            if stellohedron.domain(m, n):
+                assert stellohedron.value(m, n) == h_poly(m, n, "from_f")
+            else:
+                refused += 4 <= m <= n
+                with pytest.raises(ValueError):
+                    stellohedron.value(m, n)
+    assert refused > 0
+
+
+def test_engine_values_hold_no_float():
+    # every value is exact: an int, or a Fraction that is not integral
+    # (Polynomial keeps integral coefficients as int)
+    for table in TABLES.values():
+        for method, engine in table.items():
+            for m in range(1, 6):
+                for n in range(0, 7):
+                    if not engine.domain(m, n):
+                        continue
+                    value = engine.value(m, n)
+                    parts = value.coeffs if isinstance(value, Polynomial) else (value,)
+                    assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                               for x in parts), (method, m, n, value)

@@ -62,6 +62,36 @@ def test_polynomial_scalar_mixing():
     assert (Fraction(3, 2) * p)(2) == 3
 
 
+def test_polynomial_keeps_integral_coefficients_as_int():
+    p = Polynomial([Fraction(4, 2)])
+    assert p.coeffs == (2,) and type(p.coeffs[0]) is int
+    half = Polynomial([1]) / 2
+    assert half.coeffs == (Fraction(1, 2),) and type(half.coeffs[0]) is Fraction
+    # sums and products that come out integral are stored as int again
+    q = (half + half) * Polynomial([3, Fraction(1, 3)])
+    assert q.coeffs == (3, Fraction(1, 3))
+    assert [type(c) for c in q.coeffs] == [int, Fraction]
+    assert (Polynomial([1, 2]) / 2 * 2).coeffs == (1, 2)
+    assert Polynomial([1]).coefficient(5) == 0
+    # equality and hashing do not see the int/Fraction difference
+    assert Polynomial([Fraction(3)]) == Polynomial([3]) == 3
+    assert hash(Polynomial([Fraction(3), 1])) == hash(Polynomial([3, 1]))
+    assert Polynomial([2, Fraction(1, 2)]).to_strings() == ["2", "1/2"]
+
+
+def test_polynomial_refuses_floats():
+    with pytest.raises(TypeError):
+        Polynomial([0.5])
+    with pytest.raises(TypeError):
+        Polynomial([1]) / 0.5
+    with pytest.raises(TypeError):
+        Polynomial([1]) - 0.5
+    with pytest.raises(TypeError):
+        Polynomial([1]) * 0.5
+    with pytest.raises(TypeError):
+        Polynomial([1]) + 0.5
+
+
 def test_polynomial_product_and_power():
     t = Polynomial.x()
     assert ((t + 1) * (t - 1)) == t * t - 1

@@ -240,6 +240,22 @@ def test_vertices_on_matches_brute_force(case):
     assert set(found) == _tight(rows, m, n)
 
 
+def test_vertices_on_reach_table_is_per_shape():
+    # the reach table is cached per (m,n): interleaving shapes that share m
+    # or n must still match the brute-force filter on every system
+    import random
+
+    FA._reach.cache_clear()
+    rng = random.Random(12)
+    shapes = [(2, 2), (3, 4), (2, 5), (3, 1), (4, 3), (3, 0), (4, 4)]
+    for _ in range(4):
+        for m, n in shapes:
+            for _ in range(5):
+                rows = [(tuple(rng.randint(0, 1) for _ in range(m)), rng.randint(-1, 12))
+                        for _ in range(rng.randint(0, 3))]
+                assert set(FA._vertices_on(rows, m, n)) == _tight(rows, m, n), (m, n, rows)
+
+
 def test_vertices_on_takes_only_0_1_rows():
     assert set(FA._vertices_on([], 2, 2)) == set(pp_vertices(2, 2).points)
     assert set(FA._vertices_on([((1, 1), 3)], 2, 2)) == {(2, 1), (1, 2)}
@@ -369,6 +385,24 @@ def test_h_poly_stellohedron_eulerian_form():
         assert h_poly(m, n, "stellohedron") == expected
 
 
+def test_integer_h_routes_match_polynomial_sums():
+    # the closed and stellohedron routes sum integer Eulerian rows; the
+    # same sums written with Polynomial products must agree for m <= 30
+    t = Polynomial.x()
+    for m in range(1, 31):
+        terms = [math.comb(m, i) * eulerian(i) for i in range(m + 1)]
+        stellohedron = Polynomial()
+        for i, term in enumerate(terms):
+            stellohedron = stellohedron + term * t ** (m - i)
+        for n in sorted({1, 2, m // 2 + 1, m - 1, m, m + 3} - {0}):
+            closed = Polynomial([1])
+            for i in range(min(m, n)):
+                closed = closed + terms[i] * Polynomial([0] + [1] * (m - i))
+            assert h_poly(m, n, "closed") == closed, (m, n)
+            if n >= m:
+                assert h_poly(m, n, "stellohedron") == stellohedron, (m, n)
+
+
 def test_h_poly_stellohedron_rejects_small_n():
     with pytest.raises(ValueError):
         h_poly(3, 2, "stellohedron")
@@ -462,6 +496,22 @@ def test_comb_equiv_distinguishes():
 
 def test_comb_equiv_same_n():
     assert comb_equiv_check(3, 2, 2) is True
+
+
+def test_comb_equiv_compares_every_row(monkeypatch):
+    # one extra marker on the top face under n2 changes one row of the
+    # comparability matrix: the check must see it
+    m, n1, n2 = 3, 3, 5
+    assert comb_equiv_check(m, n1, n2) is True
+    true_r_set = FA.r_set
+    top = (frozenset(range(1, m + 1)),)
+
+    def perturbed(chain, mm, nn):
+        r = true_r_set(chain, mm, nn)
+        return r | {("pt", 0)} if nn == n2 and tuple(chain) == top else r
+
+    monkeypatch.setattr(FA, "r_set", perturbed)
+    assert comb_equiv_check(m, n1, n2) is False
 
 
 def test_comb_equiv_refuses_quadratic_work_up_front():
