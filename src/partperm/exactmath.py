@@ -239,7 +239,7 @@ def eulerian(m: int) -> Polynomial:
     if m < 0:
         raise ValueError("eulerian requires m >= 0")
     for row in eulerian_rows(m + 1):
-        pass
+        pass  # the last row is A_m
     return Polynomial(row)
 
 

@@ -209,7 +209,7 @@ def _verify_forms(face: FaceSystem, want: set, m: int, n: int) -> None:
                 f"({m},{n}) misses {sorted(want - got)} and adds {sorted(got - want)}")
 
 
-def _family_chain(chain: Sequence, m: int, n: int):
+def _family_chain(chain: Sequence, m: int, n: int) -> Tuple[frozenset, ...]:
     """The chain as frozensets; ValueError outside the chain family."""
     c = tuple(frozenset(a) for a in chain)
     if not chain_in_family(c, m, n):
