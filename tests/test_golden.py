@@ -27,6 +27,10 @@ GOLDEN = {
     "fvector-6-4": ("fvector", "--m", "6", "--n", "4"),
     "table-volume-n": ("table", "--which", "volume-n"),
     "table-volume-N": ("table", "--which", "volume-N"),
+    "verify-engines-5-6": ("verify", "--suite", "engines", "--max-m", "5", "--max-n", "6"),
+    "ehrhart-eval4-5-6": (
+        "ehrhart", "--m", "5", "--n", "6", "--all-methods", "--eval", "4"),
+    "volume-oracle-5-1": ("volume", "--m", "5", "--n", "1", "--method", "oracle"),
 }
 for _m, _n in SHAPES:
     for _cmd in ("hpoly", "volume", "ehrhart"):
