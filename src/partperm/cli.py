@@ -353,8 +353,12 @@ def _suite_engines(max_m: int, max_n: int) -> Iterator[dict]:
             h, box = pp_facets(m, n), pp_box(m, n)
             counts = {t: (pp_count(m, n, t), count_points(h, t, box=box))
                       for t in (1, 2)}
-            yield _check("pp-count-matches-generic", {"m": m, "n": n},
-                         all(a == b for a, b in counts.values()), repr(counts))
+            interior = {t: (pp_count(m, n, t, True),
+                            count_points(h, t, box=box, interior=True))
+                        for t in (1, 2)}
+            ok = all(a == b for a, b in (*counts.values(), *interior.values()))
+            yield _check("pp-count-matches-generic", {"m": m, "n": n}, ok,
+                         repr({"closed": counts, "interior": interior}))
 
 
 def _suite_faces(max_m: int, max_n: int) -> Iterator[dict]:

@@ -2,9 +2,12 @@
 
 ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
 
-* ``ehr_interpolate``   — exact counts at t = 0..m by the symmetric counter
-                          ``pp_count``, interpolated, then verified against
-                          a fresh count at t = m+1;
+* ``ehr_interpolate``   — exact counts by the symmetric counter
+                          ``pp_count``: closed counts at t = 0..a-1 and,
+                          by Ehrhart-Macdonald reciprocity, interior counts
+                          at t = 1..b for the nodes -b..-1 (a = ceil((m+1)/2),
+                          b = m+1-a), interpolated, then verified against a
+                          fresh closed count at t = a;
 * ``ehr_closed_small_n`` — closed forms for n <= 3, every m;
 * ``ehr_closed_small_m`` — closed forms for m <= 4 (n >= max(1, m-1));
 * ``ehr_draconian``     — a positive sum of products of binomials over
@@ -58,20 +61,29 @@ from .polytope import pp_count
 _INTERP_CACHE: Dict[Tuple[int, int], Polynomial] = {}
 
 
-def interpolate_counts(count: Callable[[int], int], m: int, what: str) -> Polynomial:
+def interpolate_counts(count: Callable[[int, bool], int], m: int, what: str) -> Polynomial:
     """Ehrhart polynomial of an m-dimensional lattice polytope from counts.
 
-    ``count(t)`` is the number of lattice points in its t-th dilate.  The
-    counts at t = 0..m are interpolated, and the interpolant is verified
-    against a fresh count at t = m+1; a mismatch raises EngineDisagreement
+    ``count(t, interior)`` is the number of lattice points in the t-th
+    dilate, or in its interior when ``interior`` is true; the polytope must
+    be full-dimensional.  By Ehrhart-Macdonald reciprocity the polynomial L
+    has L(-t) = (-1)^m #interior(tP) for t >= 1, so one run of m+1
+    consecutive nodes t = -b..a-1, with a = ceil((m+1)/2) and b = m+1-a,
+    needs closed counts only at t = 0..a-1 and interior counts at t = 1..b,
+    about half the dilates of t = 0..m.  The interpolant is verified against
+    a fresh closed count at t = a; a mismatch raises EngineDisagreement
     naming ``what``.
     """
-    poly = interpolate([(t, count(t)) for t in range(m + 1)])
-    fresh = count(m + 1)
-    if poly(m + 1) != fresh:
+    a = (m + 2) // 2
+    b = m + 1 - a
+    points = [(-t, (-1) ** m * count(t, True)) for t in range(b, 0, -1)]
+    points += [(t, count(t, False)) for t in range(a)]
+    poly = interpolate(points)
+    fresh = count(a, False)
+    if poly(a) != fresh:
         raise EngineDisagreement(
-            f"Ehrhart interpolation of {what} failed its t={m+1} verification: "
-            f"the interpolant gives {poly(m + 1)}, the count {fresh}"
+            f"Ehrhart interpolation of {what} failed its t={a} verification: "
+            f"the interpolant gives {poly(a)}, the count {fresh}"
         )
     return poly
 
@@ -80,16 +92,20 @@ def ehr_interpolate(m: int, n: int) -> Polynomial:
     """Ehrhart polynomial from exact counts on the oracle domain
     (m <= ORACLE_MAX_M, n <= ORACLE_MAX_N).
 
-    The counts come from ``pp_count`` at t = 0..m, and the interpolant is
-    verified against a fresh count at t = m+1; any mismatch raises
-    EngineDisagreement.  Results are cached per (m,n).  P(m,0) is the
-    origin, so n = 0 yields the constant polynomial 1.
+    ``interpolate_counts`` pairs closed and interior counts of ``pp_count``
+    by reciprocity and verifies the interpolant against a fresh closed
+    count; any mismatch raises EngineDisagreement.  Results are cached per
+    (m,n).  P(m,0) is the origin, not full-dimensional, so reciprocity does
+    not hold there: n = 0 yields the constant polynomial 1 before any
+    counting.
     """
     require_oracle("ehr_interpolate", m, n)
+    if n == 0:
+        return Polynomial([1])
     key = (m, n)
     if key not in _INTERP_CACHE:
         _INTERP_CACHE[key] = interpolate_counts(
-            lambda t: pp_count(m, n, t), m, f"P({m},{n})"
+            lambda t, interior: pp_count(m, n, t, interior), m, f"P({m},{n})"
         )
     return _INTERP_CACHE[key]
 

@@ -22,7 +22,7 @@ on by the closed volume and Ehrhart formulas.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Iterator, List, Sequence
 
 
@@ -386,27 +386,53 @@ def tree_function(order: int) -> Series:
 def interpolate(points: Sequence) -> Polynomial:
     """Unique polynomial of degree < len(points) through the given (x, y) pairs.
 
-    Exact Newton divided differences.  Duplicate x-values raise ValueError.
+    The x-values must be consecutive integers x0, x0+1, ..., in that order;
+    any other x raises ValueError.  The work is in integers: with L the lcm
+    of the y denominators and k = len(points), the forward differences
+    D_j of L*y at x0 give the Newton form
+
+        (k-1)! L p(x) = sum_j D_j (k-1)!/j! (x-x0)(x-x0-1)...(x-x0-j+1),
+
+    whose coefficients are integers.  It is checked against (k-1)! L y at
+    every node, and only then is each coefficient divided, one Fraction
+    per coefficient.
     """
     if not points:
         raise ValueError("interpolate requires at least one point")
     xs = [_frac(x) for x, _ in points]
     ys = [_frac(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolate requires pairwise distinct x-values")
-    # Divided-difference coefficients c[i] = f[x_0..x_i].
-    coef = list(ys)
-    n = len(xs)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    # Horner assembly of the Newton form.
-    poly = Polynomial([coef[-1]])
-    for i in range(n - 2, -1, -1):
-        poly = poly * Polynomial([-xs[i], 1]) + coef[i]
-    if any(poly(x) != y for x, y in zip(xs, ys)):
-        raise EngineDisagreement("interpolant misses one of its own points")
-    return poly
+    x0 = xs[0]
+    if x0.denominator != 1 or any(x != x0 + i for i, x in enumerate(xs)):
+        raise ValueError("interpolate requires consecutive integer x-values")
+    x0 = x0.numerator
+    scale = lcm(*(y.denominator for y in ys))
+    vals = [y.numerator * (scale // y.denominator) for y in ys]
+    k = len(vals)
+    diffs = list(vals)  # diffs[j] becomes the j-th forward difference at x0
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    # Horner assembly of the scaled Newton form, low-to-high integer lists:
+    # q <- q * (x - x0 - j) + D_j (k-1)!/j!, for j = k-1 down to 0.
+    weight = 1  # (k-1)!/j!
+    q = [diffs[-1]]
+    for j in range(k - 2, -1, -1):
+        weight *= j + 1
+        root = x0 + j
+        nxt = [0] + q
+        for d, c in enumerate(q):
+            nxt[d] -= root * c
+        nxt[0] += diffs[j] * weight
+        q = nxt
+    # weight is now (k-1)!
+    for i, v in enumerate(vals):
+        acc = 0
+        for c in reversed(q):
+            acc = acc * (x0 + i) + c
+        if acc != v * weight:
+            raise EngineDisagreement("interpolant misses one of its own points")
+    den = scale * weight
+    return Polynomial([Fraction(c, den) for c in q])
 
 
 def solve_linear(a_rows: Sequence[Sequence], b: Sequence):

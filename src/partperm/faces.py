@@ -67,9 +67,11 @@ COMB_EQUIV_WORK_MAX = 2**23
 # against 2.5 s for (100,100) and 2.5 s for (5000,1) (2-core VM).
 F_VECTOR_WORK_MAX = 2**24
 
-# The closed h-route refuses shapes whose h_closed_work exceeds this.  Since
-# the route adds integer runs by prefix sums the bound is generous: (114,114)
-# takes 5 ms and (87381,2) 16-18 ms (2-core VM).
+# The closed h-route refuses shapes whose h_closed_work exceeds this, about
+# 2 s: the slowest admitted shapes lie near k = 470-505 with m = 2^18 - k^2,
+# (41244,470) and (26919,485) 1.6 s, while (511,511) takes 0.5 s, (200,150)
+# 0.02 s and (262143,1) 0.03 s (2-core VM).  Every shape under the earlier
+# dense-product measure is under this one too.
 H_CLOSED_WORK_MAX = 2**18
 
 # The stellohedron h-route refuses m above this, about 2 s: (800,800) takes
@@ -406,14 +408,12 @@ def h_domain(m: int, n: int) -> bool:
 
 
 def h_closed_work(m: int, n: int) -> int:
-    """The work of the closed route: sum over i < min(m,n) of (i+1)(m-i+1),
-    the coefficient products of C(m,i) A_i(t) (t + ... + t^{m-i}) written
-    as dense products (the route adds each run by a prefix sum instead).
-
-    With k = min(m,n) that is k(k+1)(3m+5-2k)/6.
+    """The work of the closed route, k^2 + m with k = min(m,n): the
+    Eulerian rows A_0..A_{k-1} with their scaled entries, then one prefix
+    sum over the m+2 degrees.
     """
     k = min(m, n)
-    return k * (k + 1) * (3 * m + 5 - 2 * k) // 6
+    return k * k + m
 
 
 def closed_domain(m: int, n: int) -> bool:

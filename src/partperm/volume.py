@@ -97,8 +97,9 @@ def nvol_oracle(m: int, n: int) -> int:
     """Ground-truth normalized volume from exact lattice-point counts.
 
     m! times the leading coefficient of the Ehrhart polynomial that
-    ``ehr_interpolate`` builds from ``pp_count``; restricted to the oracle
-    domain m <= ORACLE_MAX_M, n <= ORACLE_MAX_N.
+    ``ehr_interpolate`` builds from closed and interior ``pp_count`` counts
+    paired by reciprocity; restricted to the oracle domain
+    m <= ORACLE_MAX_M, n <= ORACLE_MAX_N.
     """
     require_oracle("nvol_oracle", m, n)
     poly = _ehrhart.ehr_interpolate(m, n)
@@ -113,8 +114,10 @@ def nvol_oracle(m: int, n: int) -> int:
 def nvol_of_vrep(v: VRep) -> int:
     """Normalized volume of an arbitrary full-dimensional lattice polytope.
 
-    Facets by exact hull conversion, then generic lattice counts at
-    t = 0..dim, interpolation verified at t = dim+1, and m! times the
+    Facets by exact hull conversion, then generic closed and interior
+    lattice counts, paired by reciprocity in ``interpolate_counts``
+    (closed at t = 0..a-1, interior at t = 1..b, a + b = dim+1), the
+    interpolant verified against a closed count at t = a, and m! times the
     leading coefficient.  Affordable only for small vertex sets; used to
     audit auxiliary polytope formulas.
     """
@@ -122,7 +125,7 @@ def nvol_of_vrep(v: VRep) -> int:
     h = hull_convert(v)
     box = vertex_box(v.points)
     poly = _ehrhart.interpolate_counts(
-        lambda t: count_points(h, t, box=box), m,
+        lambda t, interior: count_points(h, t, box=box, interior=interior), m,
         f"the hull of {len(v.points)} points in dimension {m}",
     )
     lead = poly.coefficient(m) * factorial(m)

@@ -25,6 +25,7 @@ from partperm import (
     nvol_recursive,
     oracle_domain,
     pp_facets,
+    pp_vertex_count,
     pp_vertices,
 )
 from partperm.cli import _build_parser, main, verify_suite
@@ -260,13 +261,23 @@ def test_volume_lambda_check_survives_python_O():
 
 
 def test_hpoly_no_engine_is_usage_error(capsys):
-    # (200,150): above the f-vector, closed-form and vertex-listing work
+    # (600,599): above the f-vector, closed-form and vertex-listing work
     # bounds, and n < m rules out the stellohedron form
     for extra in ((), ("--all-methods",)):
-        code, out, err = run_cli(capsys, "hpoly", "--m", "200", "--n", "150", *extra)
+        code, out, err = run_cli(capsys, "hpoly", "--m", "600", "--n", "599", *extra)
         assert code == 1
         assert out == ""
-        assert "no exact h-polynomial engine covers (m,n)=(200,150)" in err
+        assert "no exact h-polynomial engine covers (m,n)=(600,599)" in err
+
+
+def test_hpoly_200_150_takes_the_closed_route(capsys):
+    code, out, _ = run_cli(capsys, "hpoly", "--m", "200", "--n", "150")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "closed"
+    assert data["palindromic"] is True
+    assert data["h_at_1"] == pp_vertex_count(200, 150)
+    assert sum(int(c) for c in data["coefficients"]) == pp_vertex_count(200, 150)
 
 
 def test_volume_no_engine_is_usage_error(capsys):
@@ -596,6 +607,25 @@ def test_verify_engines_pp_count_records_cover_the_oracle_domain():
     assert [(r["params"]["m"], r["params"]["n"]) for r in recs] == [
         (m, n) for m in range(1, 7) for n in range(8) if oracle_domain(m, n)]
     assert all(r["status"] == "pass" for r in recs)
+
+
+def test_verify_engines_pp_count_record_compares_interior_counts(monkeypatch):
+    import partperm.cli as CLI
+
+    true_count = CLI.pp_count
+
+    def off_inside(m, n, t, interior=False):
+        return true_count(m, n, t, interior) + (interior and (m, n, t) == (3, 2, 2))
+
+    monkeypatch.setattr(CLI, "pp_count", off_inside)
+    recs = [r for r in verify_suite("engines", max_m=3, max_n=3)
+            if r["check"] == "pp-count-matches-generic"]
+    failed = [r for r in recs if r["status"] == "fail"]
+    assert [r["params"] for r in failed] == [{"m": 3, "n": 2}]
+    inside = true_count(3, 2, 2, True)
+    assert f"2: ({inside + 1}, {inside})" in failed[0]["detail"]
+    assert "'interior'" in failed[0]["detail"]
+    assert all("detail" not in r for r in recs if r["status"] == "pass")
 
 
 def test_oracle_methods_follow_the_oracle_domain(capsys):

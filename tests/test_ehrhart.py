@@ -1,7 +1,8 @@
 """Tests for the Ehrhart engines, h*-vector helpers, and the cut polytope.
 
-Oracle strategy: the interpolation engine (exact counts by the symmetric
-counter at t = 0..m plus a verification count at t = m+1) arbitrates every
+Oracle strategy: the interpolation engine (exact closed counts by the
+symmetric counter at t = 0..a-1 and interior counts at t = 1..b, paired by
+reciprocity, a + b = m+1, plus a verification count at t = a) arbitrates every
 closed form, on the oracle domain and, in tests only, above it; the conjecture
 routes are cross-checked against each other and then against the oracle;
 h*-conversions round trip through the binomial-coefficient basis; the
@@ -102,20 +103,86 @@ def test_ehr_interpolate_counts_with_pp_count():
         assert [p(t) for t in range(m + 3)] == [pp_count(m, n, t) for t in range(m + 3)]
 
 
+def _reciprocal(f, m):
+    """count(t, interior) of a sequence f on all integers, read by reciprocity."""
+    return lambda t, interior: (-1) ** m * f(-t) if interior else f(t)
+
+
 def test_interpolate_counts_rejects_a_non_polynomial_count():
-    # 2^t agrees with a cubic at t = 0..3 but not at the check t = 4
-    with pytest.raises(EngineDisagreement, match="t=4 verification"):
-        interpolate_counts(lambda t: 2**t, 3, "a test sequence")
-    cube = interpolate_counts(lambda t: (t + 1) ** 3, 3, "a cube")
+    # 2^(t+2) agrees with a cubic at the nodes t = -2..1 but not at the
+    # check t = 2
+    with pytest.raises(EngineDisagreement, match="t=2 verification"):
+        interpolate_counts(_reciprocal(lambda t: 2 ** (t + 2), 3), 3, "a test sequence")
+    # the unit cube: (t+1)^3 points in tP, (t-1)^3 inside
+    cube = interpolate_counts(
+        lambda t, interior: (t - 1) ** 3 if interior else (t + 1) ** 3, 3, "a cube")
     assert cube == Polynomial([1, 3, 3, 1])
+    for m in range(0, 7):  # t^(m+1) is one degree too many for any m
+        with pytest.raises(EngineDisagreement, match=f"t={(m + 2) // 2} verification"):
+            interpolate_counts(_reciprocal(lambda t: t ** (m + 1), m), m, "t^(m+1)")
+
+
+def test_interpolate_counts_reads_half_the_dilates():
+    for m in range(0, 8):
+        asked = []
+
+        def f(t):
+            return (t + 1) ** m
+
+        def count(t, interior):
+            asked.append((t, interior))
+            return _reciprocal(f, m)(t, interior)
+
+        poly = interpolate_counts(count, m, "a cube")
+        a = (m + 2) // 2
+        b = m + 1 - a
+        assert sorted(asked) == sorted(
+            [(t, False) for t in range(a + 1)] + [(t, True) for t in range(1, b + 1)])
+        assert all(poly(t) == f(t) for t in range(-b - 3, a + 4))
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (3, 3), (4, 2), (5, 4)])
+def test_interpolate_counts_catches_any_count_off_by_one(m, n):
+    a = (m + 2) // 2
+    b = m + 1 - a
+    wrong = [(t, True) for t in range(1, b + 1)] + [(t, False) for t in range(a + 1)]
+    for bad in wrong:
+        def count(t, interior):
+            return pp_count(m, n, t, interior) + ((t, interior) == bad)
+
+        with pytest.raises(EngineDisagreement, match=f"P\\({m},{n}\\) failed its t={a} "):
+            interpolate_counts(count, m, f"P({m},{n})")
+
+
+@pytest.mark.parametrize("m", range(1, ORACLE_MAX_M + 1))
+def test_reciprocity_on_the_oracle_domain(m):
+    # L(-t) = (-1)^m #interior(tP) for t >= 1 (P(m,0) is not full-dimensional)
+    for n in range(1, ORACLE_MAX_N + 1):
+        p = ehr_interpolate(m, n)
+        for t in (1, 2, 3):
+            assert p(-t) == (-1) ** m * pp_count(m, n, t, interior=True), (n, t)
+            assert p(t) == pp_count(m, n, t), (n, t)
+
+
+def test_ehr_interpolate_n0_is_the_point_before_any_count(monkeypatch):
+    import partperm.ehrhart as EH
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted P(m,0)")
+
+    monkeypatch.setattr(EH, "pp_count", refuse)
+    for m in range(1, ORACLE_MAX_M + 1):
+        assert ehr_interpolate(m, 0) == Polynomial([1])
 
 
 @pytest.mark.parametrize("m,n", [(6, 5), (7, 8), (8, 7), (9, 8)])
 def test_counts_confirm_the_engines_above_the_oracle_domain(m, n):
-    # ground truth where no other check reaches: pp_count interpolated at
-    # t = 0..m and verified at t = m+1
+    # ground truth where no other check reaches: closed and interior
+    # pp_count counts paired by reciprocity, verified by a fresh count
     assert not oracle_domain(m, n)
-    truth = interpolate_counts(lambda t: pp_count(m, n, t), m, f"P({m},{n})")
+    truth = interpolate_counts(
+        lambda t, interior: pp_count(m, n, t, interior), m, f"P({m},{n})")
+    assert [truth(t) for t in range(m + 2)] == [pp_count(m, n, t) for t in range(m + 2)]
     p1, p2, _ = ehr_conjecture(m, n)
     assert p1 == p2 == truth
     assert ehr_recurrence(m, n) == truth

@@ -58,14 +58,23 @@ def test_closed_h_route_declares_its_work_bound(monkeypatch):
     for m in range(1, 40):
         for n in range(1, 45):
             k = min(m, n)
-            assert FA.h_closed_work(m, n) == sum((i + 1) * (m - i + 1) for i in range(k))
+            assert FA.h_closed_work(m, n) == k * k + m
+            # at most the earlier dense-product measure, so no shape that
+            # measure admitted under the same bound is refused now
+            assert FA.h_closed_work(m, n) <= sum(
+                (i + 1) * (m - i + 1) for i in range(k))
     closed = H_POLY_ENGINES["closed"]
-    # (114,114) is the largest square shape under the bound
-    assert FA.h_closed_work(114, 114) <= FA.H_CLOSED_WORK_MAX < FA.h_closed_work(115, 115)
-    assert not closed.domain(115, 115) and not closed.domain(150, 150)
+    top = FA.H_CLOSED_WORK_MAX
+    # (511,511) is the largest square shape under the bound, (top-1,1) the
+    # longest; (114,114), (87381,2) and (262143,1) were the dense measure's
+    # largest shapes
+    assert closed.domain(511, 511) and not closed.domain(512, 512)
+    assert closed.domain(top - 1, 1) and not closed.domain(top, 1)
+    for m, n in [(114, 114), (87381, 2), (262143, 1), (200, 150)]:
+        assert closed.domain(m, n)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="H_CLOSED_WORK_MAX"):
-        h_poly(150, 150, "closed")
+        h_poly(600, 600, "closed")
     assert time.perf_counter() - start < 0.1
     # the value refuses exactly where the domain does, with the bound lowered
     monkeypatch.setattr(FA, "H_CLOSED_WORK_MAX", 30)
@@ -79,6 +88,15 @@ def test_closed_h_route_declares_its_work_bound(monkeypatch):
                 with pytest.raises(ValueError):
                     closed.value(m, n)
     assert refused > 0
+
+
+def test_closed_h_route_covers_200_150():
+    from partperm import is_palindromic, pp_vertex_count
+
+    h = h_poly(200, 150, "closed")
+    assert h.degree == 200
+    assert sum(h.coeffs) == pp_vertex_count(200, 150)
+    assert is_palindromic(h, 200)
 
 
 def test_stellohedron_h_route_declares_its_bound(monkeypatch):

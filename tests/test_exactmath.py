@@ -300,6 +300,21 @@ def test_interpolate_duplicate_x_raises():
         interpolate([(0, 1), (0, 2)])
 
 
+@pytest.mark.parametrize("xs", [
+    (0, 2), (1, 0), (0, 1, 3), (2, 1, 0), (Fraction(1, 2), Fraction(3, 2))])
+def test_interpolate_requires_consecutive_integer_x(xs):
+    with pytest.raises(ValueError, match="consecutive integer"):
+        interpolate([(x, 1) for x in xs])
+
+
+def test_interpolate_on_a_negative_run_with_fraction_values():
+    p = Polynomial([Fraction(-3, 7), Fraction(5, 2), 0, Fraction(1, 6), -2])
+    q = interpolate([(x, p(x)) for x in range(-4, 1)])
+    assert q == p
+    assert all(type(c) is int or c.denominator != 1 for c in q.coeffs)
+    assert interpolate([(Fraction(3), 2), (4, 5)]) == Polynomial([-7, 3])
+
+
 def test_interpolate_constant():
     assert interpolate([(5, 3)]) == Polynomial([3])
 

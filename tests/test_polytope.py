@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partperm import (
     ORACLE_MAX_M,
@@ -37,6 +39,7 @@ from partperm import (
     solve_linear,
     verify_antiblocking_identity,
 )
+from partperm.polytope import vertex_box
 
 # --------------------------------------------------------------------------
 # Vertices
@@ -195,11 +198,66 @@ def test_pp_count_matches_box_brute_force(m, n):
 @pytest.mark.parametrize("m", range(1, ORACLE_MAX_M + 1))
 @pytest.mark.parametrize("n", range(0, ORACLE_MAX_N + 1))
 def test_pp_count_matches_generic_counter_on_oracle_domain(m, n):
-    # t = 1..m+1: every count the oracle interpolates from or verifies with
+    # closed counts at t = 1..m+1 and interior counts at t = 1..m//2+1:
+    # every count the oracle interpolates from or verifies with, and more
     assert oracle_domain(m, n)
     h, box = pp_facets(m, n), pp_box(m, n)
     for t in range(1, m + 2):
         assert pp_count(m, n, t) == count_points(h, t, box=box), t
+    for t in range(1, m // 2 + 2):
+        assert pp_count(m, n, t, True) == count_points(h, t, box=box, interior=True), t
+
+
+def _interior_brute(m, n, t):
+    """Points with every coordinate >= 1 and each sorted prefix sum at most
+    t*g(k) - 1, by a scan of the box [1, t*n]^m."""
+    g = [0]
+    for i in range(m):
+        g.append(g[-1] + max(n - i, 0))
+    total = 0
+    for x in product(range(1, t * n + 1), repeat=m):
+        acc, ok = 0, True
+        for k, v in enumerate(sorted(x, reverse=True), 1):
+            acc += v
+            if acc > t * g[k] - 1:
+                ok = False
+                break
+        total += ok
+    return total
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 3))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_pp_count_interior_matches_box_brute_force(m, n, t):
+    assert pp_count(m, n, t, interior=True) == _interior_brute(m, n, t)
+
+
+def _strict_scan(h, t, box):
+    """Points of the dilated box that satisfy every row of h strictly."""
+    ranges = [range(lo * t, hi * t + 1) for lo, hi in box]
+    return sum(1 for x in product(*ranges)
+               if all(sum(c * xi for c, xi in zip(a, x)) < b * t for a, b in h.rows))
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+@pytest.mark.parametrize("n", range(0, 4))
+def test_count_points_interior_matches_strict_filter_on_pp(m, n):
+    h, box = pp_facets(m, n), pp_box(m, n)
+    for t in range(0, 4):
+        assert count_points(h, t, box=box, interior=True) == _strict_scan(h, t, box), t
+
+
+@pytest.mark.parametrize("which,m", [("aux1", 3), ("aux1", 4), ("aux2", 3), ("aux2", 4)])
+def test_count_points_interior_matches_strict_filter_on_aux_hulls(which, m):
+    from partperm import aux1_vertices, aux2_vertices
+
+    v = (aux1_vertices if which == "aux1" else aux2_vertices)(m)
+    h, box = hull_convert(v), vertex_box(v.points)
+    for t in range(0, 3):
+        got = count_points(h, t, box=box, interior=True)
+        assert got == _strict_scan(h, t, box), t
+        if t:  # the interior lies inside the closed dilate
+            assert got < count_points(h, t, box=box)
 
 
 @pytest.mark.parametrize("m,n,t", [(5, 6, 6), (6, 6, 2), (6, 5, 3), (7, 7, 1)])

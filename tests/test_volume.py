@@ -335,10 +335,17 @@ def test_nvol_of_vrep_verifies_its_interpolation(monkeypatch):
 
     pts = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     true_count = VO.count_points
-    monkeypatch.setattr(VO, "count_points",
-                        lambda h, t, box=None: true_count(h, t, box) + (t == 4))
-    with pytest.raises(EngineDisagreement, match="t=4 verification"):
-        nvol_of_vrep(VRep(pts, 3))
+    # dimension 3: closed counts at t = 0, 1, interior at t = 1, 2, and the
+    # check at t = 2; a count off by one anywhere fails the check
+    for bad in [(2, False), (0, False), (1, False), (1, True), (2, True)]:
+        monkeypatch.setattr(
+            VO, "count_points",
+            lambda h, t, box=None, interior=False: true_count(h, t, box, interior)
+            + ((t, interior) == bad))
+        with pytest.raises(EngineDisagreement, match="t=2 verification"):
+            nvol_of_vrep(VRep(pts, 3))
+    monkeypatch.setattr(VO, "count_points", true_count)
+    assert nvol_of_vrep(VRep(pts, 3)) == 1
 
 
 # --------------------------------------------------------------------------
