@@ -2,7 +2,9 @@
 
 Counts integer points x with lows[j] <= x[j] <= highs[j] for all j and
 a_i . x <= b_i for every row i, by a depth-first search over coordinates
-that caches every subcount.
+that caches every subcount.  The coefficients must be integers (others
+raise ValueError); a rational b_i or box bound is rounded inward, since on
+integer points a_i . x <= b_i is a_i . x <= floor(b_i).
 
 The state.  Once x[:d] is fixed, row i asks a_i[d:] . x[d:] <= s_i with
 the slack s_i = b_i - a_i[:d] . x[:d].  Rows with the same coefficient
@@ -30,7 +32,10 @@ magnitudes of the rows and the box.
 
 from __future__ import annotations
 
+from math import ceil, floor
 from typing import Dict, List, Sequence, Tuple
+
+from .exactmath import _as_int
 
 
 def count_lattice_points(
@@ -42,19 +47,20 @@ def count_lattice_points(
     m = len(lows)
     if len(highs) != m:
         raise ValueError("lows/highs length mismatch")
+    # Rational bounds round inward: lows up, highs and right-hand sides down.
+    lows = [ceil(v) for v in lows]
+    highs = [floor(v) for v in highs]
     if any(lo > hi for lo, hi in zip(lows, highs)):
         return 0
-    lows = [int(v) for v in lows]
-    highs = [int(v) for v in highs]
     # Each distinct coefficient row that can bind, with its least right-hand
     # side; a row whose maximum over the box is within its rhs is dropped.
     # What is left of a zero row is 0 <= b < 0.
     least: Dict[Tuple[int, ...], int] = {}
     for a, b in zip(rows_a, rows_b):
-        a = tuple(map(int, a))
+        a = tuple(_as_int(c, "row coefficient") for c in a)
         if len(a) != m:
             raise ValueError("row length mismatch")
-        b = int(b)
+        b = floor(b)
         top = 0
         for c, lo, hi in zip(a, lows, highs):
             top += c * hi if c > 0 else c * lo

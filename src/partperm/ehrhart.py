@@ -53,7 +53,6 @@ from .exactmath import (
     interpolate,
     series_coeff,
     series_exp,
-    solve_linear,
     sqrt_one_minus,
 )
 from .polytope import pp_count
@@ -317,32 +316,31 @@ def ehr_recurrence(m: int, n: int) -> Polynomial:
     return e[m]
 
 
-def _binom_basis(m: int) -> List[Polynomial]:
-    """B_i(t) = C(t + m - i, m) for i = 0..m, the h*-expansion basis."""
-    return [binomial_poly(Polynomial([m - i, 1]), m) for i in range(m + 1)]
-
-
 def to_hstar(poly, m: int) -> List[Fraction]:
     """[h*_0..h*_m] with poly = sum h*_i C(t+m-i, m); ValueError when
-    deg(poly) > m."""
+    deg(poly) > m.
+
+    From sum_t L(t) z^t = h*(z) / (1-z)^(m+1), with L = poly,
+
+        h*_i = sum_{j=0}^{i} (-1)^j C(m+1, j) L(i-j),
+
+    so only the values L(0..m) are needed.
+    """
     if not isinstance(poly, Polynomial):
         poly = Polynomial(poly)
     if poly.degree > m:
         raise ValueError("polynomial degree exceeds the declared dimension")
-    basis = _binom_basis(m)
-    a_rows = [[b.coefficient(d) for b in basis] for d in range(m + 1)]
-    rhs = [poly.coefficient(d) for d in range(m + 1)]
-    sol = solve_linear(a_rows, rhs)
-    if sol is None:
-        raise EngineDisagreement(f"the degree-{m} binomial basis is not unisolvent")
-    return sol
+    values = [poly(t) for t in range(m + 1)]
+    return [Fraction(sum((-1) ** j * comb(m + 1, j) * values[i - j] for j in range(i + 1)))
+            for i in range(m + 1)]
 
 
 def from_hstar(entries: Sequence) -> Polynomial:
     """The Ehrhart polynomial sum h*_i C(t+m-i, m) of an h*-vector, m = len - 1."""
+    m = len(entries) - 1
     total = Polynomial()
-    for h, b in zip(entries, _binom_basis(len(entries) - 1)):
-        total = total + h * b
+    for i, h in enumerate(entries):
+        total = total + h * binomial_poly(Polynomial([m - i, 1]), m)
     return total
 
 

@@ -8,9 +8,11 @@ Division always goes through a Fraction divisor, never ``int / int``;
 floats are refused with TypeError.  The module supplies the
 scalar/polynomial plumbing used by the rest of the package (Ehrhart, f/h
 and volume polynomials), the combinatorial number tables (Eulerian,
-Stirling), exact interpolation, exact Gaussian elimination, and truncated
-power-series arithmetic for the generating functions sqrt(1-z)*exp(...)
-and the tree function T(z) = sum i^{i-1} z^i/i!.
+Stirling), exact interpolation, the package's one elimination routine
+``row_reduce`` (fraction-free Gauss-Jordan, which ``solve_linear``,
+``int_det`` and the hull conversion of ``polytope`` all read from), and
+truncated power-series arithmetic for the generating functions
+sqrt(1-z)*exp(...) and the tree function T(z) = sum i^{i-1} z^i/i!.
 
 Sign convention: ``double_factorial(i)`` returns the value of (2i-3)!! under
 the convention (-3)!! = -1, (-1)!! = 1, i.e. -prod_{j=1}^{i}(2j-3).  Note
@@ -435,77 +437,87 @@ def interpolate(points: Sequence) -> Polynomial:
     return Polynomial([Fraction(c, den) for c in q])
 
 
-def solve_linear(a_rows: Sequence[Sequence], b: Sequence):
-    """Exact Gaussian elimination for A x = b; None if singular/inconsistent.
+def _as_int(x, what: str) -> int:
+    """x as an int; ValueError naming x when it is not an integer."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{what} must be an integer, got {x}")
+    return n
 
-    Accepts square or overdetermined systems.  Returns the unique solution
-    as a list of Fractions, or None when the system is inconsistent or the
-    solution is not unique.
+
+def _integral(row) -> List[int]:
+    """The rational row times the least common denominator of its entries."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def row_reduce(rows: Sequence[Sequence[int]]):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
+
+    Returns ``(reduced, pivots, det)``.  Each step multiplies every other
+    row by the new pivot, subtracts, and divides exactly by the previous
+    pivot, so every entry stays an integer (a minor of the input).
+    ``pivots`` are the pivot columns, each the first column not spanned by
+    those before it.  Row i of ``reduced`` carries the common pivot value D
+    in column pivots[i] and 0 in the other pivot columns; rows past the
+    rank are zero.  So [R | I] with R invertible reduces to [D*I | D*R^-1].
+    ``det`` is the determinant of the pivot columns (of the matrix, when it
+    is square) if the rows are independent, and 0 if they are not.
     """
-    rows = [[_frac(v) for v in row] + [_frac(rhs)] for row, rhs in zip(a_rows, b)]
-    if len(rows) != len(a_rows) or len(rows) != len(b):
-        raise ValueError("matrix/vector size mismatch")
-    if not rows:
-        return []
-    ncols = len(rows[0]) - 1
-    if any(len(r) != ncols + 1 for r in rows):
+    a = [list(row) for row in rows]
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
-    pivot_cols = []
-    r = 0
+    pivots: List[int] = []
+    prev = sign = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
+        r = len(pivots)
+        if r == nrows:
             break
-    # Inconsistent: a zero row with nonzero rhs.
-    for i in range(r, len(rows)):
-        if any(rows[i][c] != 0 for c in range(ncols)):
-            # Unreached pivot rows can only occur if we ran out of rows.
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
             continue
-        if rows[i][ncols] != 0:
-            return None
-    if len(pivot_cols) < ncols:
-        return None  # not unique
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        x[c] = rows[i][ncols]
-    # Overdetermined consistency check.
-    for row, rhs in zip(a_rows, b):
-        if sum(_frac(v) * xi for v, xi in zip(row, x)) != _frac(rhs):
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        pv = top[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        pivots.append(c)
+    return a, pivots, sign * prev if len(pivots) == nrows else 0
+
+
+def solve_linear(a_rows: Sequence[Sequence], b: Sequence):
+    """Exact solution of A x = b; None if singular/inconsistent.
+
+    Accepts square or overdetermined systems of ints and Fractions.  The
+    rows of [A | b], scaled to integers, go through ``row_reduce``: the
+    solution is unique exactly when the pivots are the columns of A, and
+    then x_i is the b entry of row i over D.  Returns a list of Fractions.
+    """
+    if len(a_rows) != len(b):
+        raise ValueError("matrix/vector size mismatch")
+    if not a_rows:
+        return []
+    ncols = len(a_rows[0])
+    augmented = [[_frac(v) for v in row] + [_frac(rhs)] for row, rhs in zip(a_rows, b)]
+    reduced, pivots, _ = row_reduce([_integral(row) for row in augmented])
+    if pivots != list(range(ncols)):
+        return None
+    x = [Fraction(reduced[i][ncols], reduced[i][i]) for i in range(ncols)]
+    # Substitution check against the input.
+    for row in augmented:
+        if sum(v * xi for v, xi in zip(row, x)) != row[-1]:
             return None
     return x
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss fraction-free elimination)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in matrix):
+    """Exact determinant of an integer matrix (fraction-free, ``row_reduce``)."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("int_det requires a square matrix")
-    m = [list(map(int, row)) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return row_reduce([[_as_int(x, "matrix entry") for x in row] for row in matrix])[2]

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial, floor, ceil, gcd, lcm
+from math import comb, factorial, floor, ceil, gcd
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._counting_py import count_lattice_points
-from .exactmath import int_det
+from .exactmath import _as_int, _integral, row_reduce
 
 # The one counting kernel; kept as a name because benchmark records and the
 # ``verify`` summary report it.
@@ -282,38 +282,9 @@ def bounding_box(h: HRep) -> Tuple[Tuple[int, int], ...]:
 # Exact hull conversion by integer double description.
 
 
-def _integral(row) -> Tuple[int, ...]:
-    """The row times the least common denominator of its entries."""
-    den = lcm(*(x.denominator for x in row))
-    return tuple(int(x * den) for x in row)
-
-
 def _primitive(v) -> Tuple[int, ...]:
     g = gcd(*v)
     return tuple(x // g for x in v)
-
-
-def _row_basis(gens, d: int) -> List[int]:
-    """Indices of a greedy row basis: each row independent of the earlier
-    ones, at most d of them, so fewer than d exactly when the rank is.
-
-    Fraction-free elimination: each accepted row is reduced against the
-    earlier ones by integer cross-multiplication and kept primitive.
-    """
-    basis, echelon = [], []
-    for i, g in enumerate(gens):
-        v = g
-        for col, e in echelon:
-            if v[col]:
-                v = [e[col] * x - v[col] * y for x, y in zip(v, e)]
-        col = next((j for j, x in enumerate(v) if x), None)
-        if col is None:
-            continue
-        echelon.append((col, _primitive(v)))
-        basis.append(i)
-        if len(basis) == d:
-            break
-    return basis
 
 
 def _adjacent(common: int, zeros: List[int]) -> bool:
@@ -332,7 +303,8 @@ def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
     integer arithmetic.  It starts from the simplicial cone on d
-    independent rows, whose rays are the columns of their adjugate, and
+    independent rows R, the first d that ``row_reduce`` finds, whose rays
+    are the columns of R^-1, read from [R | I] -> [D*I | D*R^-1].  It then
     adds the other rows one at a time: rays on the violated side are
     dropped, and every adjacent pair across the new hyperplane gives one
     new ray.  Each ray keeps its zero set (the rows it lies on) as a
@@ -342,19 +314,15 @@ def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
     """
     gens = [_integral(g) for g in gens]
     d = len(gens[0])
-    basis = _row_basis(gens, d)
+    basis = row_reduce(list(zip(*gens)))[1]
     if len(basis) < d:
         return None
-    rows = [gens[i] for i in basis]
-    sign = 1 if int_det(rows) > 0 else -1
-    rays, zeros = [], []
+    reduced, _, _ = row_reduce(
+        [gens[i] + [int(j == k) for j in range(d)] for k, i in enumerate(basis)])
+    sign = 1 if reduced[0][0] > 0 else -1
+    rays = [_primitive([sign * row[d + k] for row in reduced]) for k in range(d)]
     everything = sum(1 << i for i in basis)
-    for k, i in enumerate(basis):
-        rest = rows[:k] + rows[k + 1:]
-        adj = [(-1) ** (j + k) * int_det([r[:j] + r[j + 1:] for r in rest])
-               for j in range(d)]
-        rays.append(_primitive([sign * x for x in adj]))
-        zeros.append(everything & ~(1 << i))
+    zeros = [everything & ~(1 << i) for i in basis]
     skip = set(basis)
     for i, g in enumerate(gens):
         if i in skip:
@@ -443,7 +411,7 @@ def cut(h: HRep, a: Sequence[int], b: int) -> CutResult:
     near side equals P).  Emptiness is decided exactly by evaluating a on
     the vertices of P, so this is intended for small systems.
     """
-    a = tuple(int(x) for x in a)
+    a = tuple(_as_int(x, "cut normal entry") for x in a)
     if len(a) != h.dim:
         raise ValueError("cut normal dimension mismatch")
     neg = tuple(-x for x in a)
@@ -481,7 +449,7 @@ def antiblocking_vertices_edges(z: Sequence[int]) -> Tuple[VRep, Tuple[Tuple[int
     m = len(z)
     if m < 1:
         raise ValueError("empty score vector")
-    z = [int(x) for x in z]
+    z = [_as_int(x, "score") for x in z]
     if any(x < 0 for x in z):
         raise ValueError("scores must be nonnegative")
     if any(z[i] < z[i + 1] for i in range(m - 1)):

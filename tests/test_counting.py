@@ -9,6 +9,7 @@ right-hand sides.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -186,6 +187,22 @@ def test_kernel_simplex_values(kernel_name, kernel):
 def test_kernel_negative_coefficients(kernel_name, kernel):
     # -x1 - x2 <= -2  <=>  x1 + x2 >= 2 inside [0,2]^2: 6 of 9 points
     assert kernel([(-1, -1)], [-2], (0, 0), (2, 2)) == 6
+
+
+@pytest.mark.parametrize("kernel_name,kernel", KERNELS)
+def test_kernel_rounds_rational_bounds_inward(kernel_name, kernel):
+    # x <= 3 with 3/2 <= x <= 5 holds x = 2, 3; truncating 3/2 gave 3 points.
+    assert kernel([[1]], [3], [Fraction(3, 2)], [5]) == 2
+    # -x <= -3/2 is x >= 3/2; truncating the rhs toward zero gave x >= 1.
+    assert kernel([[-1]], [Fraction(-3, 2)], [0], [3]) == 2
+    assert kernel([[1]], [Fraction(-1, 2)], [-2], [Fraction(7, 2)]) == 2
+    assert kernel([], [], [Fraction(1, 3)], [Fraction(2, 3)]) == 0
+
+
+@pytest.mark.parametrize("kernel_name,kernel", KERNELS)
+def test_kernel_refuses_fractional_coefficients(kernel_name, kernel):
+    with pytest.raises(ValueError, match="1/2"):
+        kernel([[Fraction(1, 2), 1]], [3], [0, 0], [4, 4])
 
 
 def test_active_kernel_name_is_consistent():

@@ -11,6 +11,7 @@ explicit vertex data.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -423,6 +424,17 @@ def test_hstar_round_trip():
         p = ehr_interpolate(m, n)
         h = to_hstar(p, m)
         assert from_hstar(h) == p
+    # Random integer h*-vectors, among them ones whose polynomial has degree
+    # below m (entries summing to 0) or whose last entries are 0.
+    rng = random.Random(5)
+    for m in range(6):
+        for _ in range(20):
+            h = [rng.randrange(-4, 5) for _ in range(m + 1)]
+            for vec in (h, h[:-1] + [-sum(h[:-1])], h[: m // 2 + 1] + [0] * (m - m // 2)):
+                p = from_hstar(vec)
+                assert to_hstar(p, m) == vec
+                assert p.degree <= m
+    assert from_hstar([1, -1]).degree == 0
 
 
 def test_hstar_entries_nonnegative_integers():

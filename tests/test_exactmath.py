@@ -8,8 +8,9 @@ indexing slips (sqrt(1-z)^2 = 1-z, exp(f)exp(-f) = 1, T = z e^T).
 """
 
 import math
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from partperm import (
     stirling2,
 )
 from partperm.exactmath import (
+    row_reduce,
     series_coeff,
     series_exp,
     sqrt_one_minus,
@@ -335,6 +337,9 @@ def test_interpolate_hits_all_nodes(values):
 def test_solve_linear_unique():
     sol = solve_linear([[1, 1], [1, -1]], [3, 1])
     assert sol == [Fraction(2), Fraction(1)]
+    # Fraction coefficients and right-hand sides: x = (2, -3/4).
+    a = [[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(-2, 3)]]
+    assert solve_linear(a, [Fraction(3, 4), Fraction(5, 2)]) == [2, Fraction(-3, 4)]
 
 
 def test_solve_linear_overdetermined_consistent():
@@ -397,6 +402,90 @@ def test_int_det_matches_permutation_expansion():
 def test_int_det_identity_and_swap():
     assert int_det([[1, 0], [0, 1]]) == 1
     assert int_det([[0, 1], [1, 0]]) == -1
+    assert int_det([]) == 1
+    with pytest.raises(ValueError):
+        int_det([[1, 2]])
+    with pytest.raises(ValueError, match="1/2"):
+        int_det([[Fraction(1, 2)]])
+
+
+def _cramer(a, b):
+    """Cramer's rule on permutation-expansion determinants; None if singular."""
+    det = _det_by_permutation_expansion(a)
+    if det == 0:
+        return None
+    return [
+        Fraction(_det_by_permutation_expansion(
+            [row[:j] + [rhs] + row[j + 1:] for row, rhs in zip(a, b)]), det)
+        for j in range(len(a))
+    ]
+
+
+def test_solve_linear_matches_cramer():
+    rng = random.Random(14)
+
+    def entry():
+        return Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+
+    for n in (1, 2, 3, 4):
+        for _ in range(25):
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+            b = [entry() for _ in range(n)]
+            x = _cramer(a, b)
+            assert solve_linear(a, b) == x
+            # Rank-deficient: the last column is the sum of the others.
+            deficient = [row[:-1] + [sum(row[:-1])] for row in a]
+            assert _det_by_permutation_expansion(deficient) == 0
+            assert solve_linear(deficient, b) is None
+            assert solve_linear(deficient + deficient, b + b) is None
+            if x is None:
+                continue
+            # Overdetermined: two more rows that x satisfies, then one it misses.
+            extra = [[entry() for _ in range(n)] for _ in range(2)]
+            rhs = [sum(c * v for c, v in zip(row, x)) for row in extra]
+            assert solve_linear(a + extra, b + rhs) == x
+            assert solve_linear(extra + a, rhs + b) == x
+            assert solve_linear(a + extra, b + [rhs[0] + 1, rhs[1]]) is None
+
+
+def _rank(mat):
+    """Largest k with a nonzero k x k minor, by brute force."""
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                if _det_by_permutation_expansion([[mat[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def test_row_reduce_pivots_are_greedy_independent_columns():
+    rng = random.Random(1968)
+    for _ in range(150):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 6)
+        r = rng.randrange(0, min(nrows, ncols) + 1)
+        left = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(nrows)]
+        right = [[rng.randrange(-2, 3) for _ in range(ncols)] for _ in range(r)]
+        mat = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(ncols)]
+               for i in range(nrows)]
+        reduced, pivots, det = row_reduce(mat)
+        cols = [[row[j] for row in mat] for j in range(ncols)]
+        assert pivots == [j for j in range(ncols) if _rank(cols[:j + 1]) > _rank(cols[:j])]
+        big_d = reduced[0][pivots[0]] if pivots else 1
+        for i, row in enumerate(reduced):
+            if i < len(pivots):
+                assert [row[p] for p in pivots] == [big_d * (k == i) for k in range(len(pivots))]
+            else:
+                assert not any(row)
+        # D times each column is the combination of pivot columns the rows give.
+        for i in range(nrows):
+            for j in range(ncols):
+                assert big_d * mat[i][j] == sum(
+                    reduced[k][j] * mat[i][p] for k, p in enumerate(pivots))
+        if len(pivots) == nrows:
+            assert det == _det_by_permutation_expansion([[row[p] for p in pivots] for row in mat])
+        else:
+            assert det == 0
 
 
 def test_engine_disagreement_is_runtime_error():

@@ -158,6 +158,12 @@ def test_count_points_pentagon_dilates():
     assert [count_points(h, t) for t in range(4)] == [1, 8, 22, 43]
 
 
+def test_count_points_floors_rational_rhs():
+    # x >= 3/2 and x <= 3: the points 2 and 3.
+    h = HRep((((-1,), Fraction(-3, 2)), ((1,), 3)), 1)
+    assert count_points(h, 1, box=((0, 3),)) == 2
+
+
 def test_count_points_t0_is_one():
     assert count_points(pp_facets(3, 3), 0) == 1
 
@@ -544,6 +550,11 @@ def test_cut_dimension_mismatch():
         cut(_square(2), (1, 0, 0), 1)
 
 
+def test_cut_refuses_fractional_normal():
+    with pytest.raises(ValueError, match="1/2"):
+        cut(pp_facets(2, 2), (Fraction(1, 2), 1), 1)
+
+
 # --------------------------------------------------------------------------
 # Anti-blocking polytopes
 
@@ -559,6 +570,8 @@ def test_antiblocking_rejects_bad_z():
         antiblocking_vertices_edges((1, 2))  # not weakly decreasing
     with pytest.raises(ValueError):
         antiblocking_vertices_edges((2, -1))  # negative entry
+    with pytest.raises(ValueError, match="5/2"):
+        antiblocking_vertices_edges((Fraction(5, 2), 1))  # not an integer
 
 
 def test_antiblocking_1100_neighborhood():
