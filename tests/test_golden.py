@@ -24,6 +24,9 @@ SHAPES = (("3", "3"), ("5", "4"), ("4", "6"))
 GOLDEN = {
     "verify-all": ("verify", "--suite", "all"),
     "faces-4-3": ("faces", "--m", "4", "--n", "3"),
+    "faces-5-4": ("faces", "--m", "5", "--n", "4"),
+    "faces-csv-5-3": ("faces", "--m", "5", "--n", "3", "--format", "csv"),
+    "verify-faces": ("verify", "--suite", "faces"),
     "fvector-6-4": ("fvector", "--m", "6", "--n", "4"),
     "table-volume-n": ("table", "--which", "volume-n"),
     "table-volume-N": ("table", "--which", "volume-N"),
