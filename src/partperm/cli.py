@@ -2,7 +2,8 @@
 
 Subcommands: vertices, facets, faces, fvector, hpoly, volume, ehrhart,
 verify, table.  Output is deterministic JSON by default (sorted keys,
-compact separators); --format csv/tex give flat rows and TeX tabulars.
+compact separators); --format csv/tex give flat rows and TeX tabulars
+where a subcommand writes them, and --all-methods writes JSON only.
 All numbers are exact: integers or 'p/q' strings, never floats.
 
 Exit codes: 0 success; 1 usage error (bad arguments or unsupported
@@ -153,18 +154,13 @@ def _cmd_facets(args) -> int:
 
 
 def _cmd_faces(args) -> int:
-    chains = enumerate_chains(args.m, args.n, include_empty=False)
-    for c in chains:
-        rec = {
-            "chain": [sorted(a) for a in c],
-            "dimension": FA.missing_ranks(c) if c else -1,
-            "vertex_count": FA.face_vertex_count(c, args.m, args.n),
-        }
+    for c, dim, count in FA.face_records(args.m, args.n):
         if args.format == "csv":
             chain_str = "<".join("{" + " ".join(map(str, sorted(a))) + "}" for a in c)
-            print(f"{rec['dimension']},{rec['vertex_count']},{chain_str}")
+            print(f"{dim},{count},{chain_str}")
         else:
-            print(_dump(rec))
+            print(_dump({"chain": [sorted(a) for a in c], "dimension": dim,
+                         "vertex_count": count}))
     return 0
 
 
@@ -512,12 +508,12 @@ def _build_parser() -> _Parser:
                 description="Exact invariants of partial permutohedra P(m,n).")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_mn(sp, n_min=0):
+    def add_mn(sp, n_min=0, formats=("json", "csv", "tex")):
         sp.add_argument("--m", type=_int_at_least(1), required=True,
                         help="dimension m >= 1")
         sp.add_argument("--n", type=_int_at_least(n_min), required=True,
                         help=f"value bound n >= {n_min}")
-        sp.add_argument("--format", choices=("json", "csv", "tex"), default="json")
+        sp.add_argument("--format", choices=formats, default="json")
 
     sp = sub.add_parser("vertices", help="vertex list of P(m,n)")
     add_mn(sp)
@@ -528,7 +524,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_facets)
 
     sp = sub.add_parser("faces", help="all faces as chain records (JSON lines)")
-    add_mn(sp, n_min=1)
+    add_mn(sp, n_min=1, formats=("json", "csv"))
     sp.set_defaults(func=_cmd_faces)
 
     sp = sub.add_parser("fvector", help="f-vector of P(m,n)")
@@ -542,7 +538,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_hpoly)
 
     sp = sub.add_parser("volume", help="normalized volume of P(m,n)")
-    add_mn(sp)
+    add_mn(sp, formats=("json", "csv"))
     sp.add_argument("--method", choices=tuple(VO.VOLUME_ENGINES))
     sp.add_argument("--all-methods", action="store_true")
     sp.set_defaults(func=_cmd_volume)
@@ -581,6 +577,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         _parser = _build_parser()
     try:
         args = _parser.parse_args(argv)
+        if getattr(args, "all_methods", False) and args.format != "json":
+            raise UsageError(f"--all-methods writes JSON only, not --format {args.format}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -136,10 +136,10 @@ def missing_ranks(chain: Sequence) -> int:
 
     The empty chain has no well-defined missing-rank count and raises.
     """
-    c = tuple(frozenset(a) for a in chain)
+    c = tuple(chain)
     if not c:
         raise ValueError("missing_ranks is undefined for the empty chain")
-    return len(c[-1]) - len(c) + 1
+    return len(frozenset(c[-1])) - len(c) + 1
 
 
 def r_set(chain: Sequence, m: int, n: int) -> frozenset:

@@ -80,6 +80,38 @@ def test_faces_json_lines(capsys):
     assert top[0]["vertex_count"] == 5
 
 
+def test_faces_records_are_the_library_records(capsys):
+    from partperm import face_records
+
+    code, out, _ = run_cli(capsys, "faces", "--m", "3", "--n", "3")
+    assert code == 0
+    got = [json.loads(line) for line in out.splitlines()]
+    assert got == [{"chain": [sorted(a) for a in c], "dimension": dim,
+                    "vertex_count": count} for c, dim, count in face_records(3, 3)]
+
+
+@pytest.mark.parametrize("cmd", ["faces", "volume"])
+def test_format_offers_only_what_the_subcommand_writes(capsys, cmd):
+    code, out, err = run_cli(capsys, cmd, "--m", "2", "--n", "1", "--format", "tex")
+    assert code == 1 and out == ""
+    assert "--format" in err and "'tex'" in err
+    code, out, _ = run_cli(capsys, cmd, "--m", "2", "--n", "1", "--format", "csv")
+    assert code == 0 and not out.startswith("{")
+
+
+@pytest.mark.parametrize("cmd,fmt", [("hpoly", "csv"), ("hpoly", "tex"),
+                                     ("volume", "csv"), ("ehrhart", "csv"),
+                                     ("ehrhart", "tex")])
+def test_all_methods_refuses_a_non_json_format(capsys, cmd, fmt):
+    code, out, err = run_cli(capsys, cmd, "--m", "2", "--n", "2",
+                             "--all-methods", "--format", fmt)
+    assert code == 1 and out == ""
+    assert "usage error" in err and "--all-methods" in err and f"--format {fmt}" in err
+    code, out, _ = run_cli(capsys, cmd, "--m", "2", "--n", "2",
+                           "--all-methods", "--format", "json")
+    assert code == 0 and json.loads(out)["agree"] is True
+
+
 def test_fvector_json(capsys):
     code, out, _ = run_cli(capsys, "fvector", "--m", "3", "--n", "3")
     assert code == 0

@@ -175,6 +175,11 @@ def test_missing_ranks_values(c, expected):
     assert missing_ranks(c) == expected
 
 
+def test_missing_ranks_takes_any_member_type():
+    assert missing_ranks(([1], [1, 2, 3])) == 2
+    assert missing_ranks([(), {1, 2}, range(1, 5)]) == 2
+
+
 def test_missing_ranks_of_empty_chain_raises():
     with pytest.raises(ValueError):
         missing_ranks(())

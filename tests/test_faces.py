@@ -31,6 +31,8 @@ from partperm import (
     f_vector,
     f_vector_work,
     face_from_chain,
+    face_order_rows,
+    face_records,
     face_vertex_count,
     face_vertices,
     h_poly,
@@ -39,6 +41,7 @@ from partperm import (
     pp_facets,
     pp_vertex_count,
     pp_vertices,
+    r_set,
     vertex_stats,
 )
 from partperm.faces import H_POLY_ENGINES
@@ -515,11 +518,56 @@ def test_comb_equiv_compares_every_row(monkeypatch):
 
 
 def test_comb_equiv_refuses_quadratic_work_up_front():
-    # P(6,6) has 18,732 chains with the empty face: 3.5e8 pairs, 140 s of
-    # comparisons, refused from the f-vector before any chain is listed
+    # P(6,6) has 18,732 chains with the empty face: 3.5e8 pairs in each
+    # comparability matrix, refused from the f-vector before any chain is listed
     with pytest.raises(ValueError, match="COMB_EQUIV_WORK_MAX"):
         comb_equiv_check(6, 6, 8)
     assert (sum(f_vector(6, 6)) + 1) ** 2 > COMB_EQUIV_WORK_MAX
     # 2,164 chains: admitted, and still the full comparison
     assert (sum(f_vector(5, 5)) + 1) ** 2 <= COMB_EQUIV_WORK_MAX
     assert comb_equiv_check(5, 5, 7) is True
+
+
+def _pairwise_rows(r_sets):
+    return [sum(1 << j for j, b in enumerate(r_sets) if b <= a) for a in r_sets]
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in range(1, 6)]
+                         + [(4, 4)])
+def test_face_order_rows_equal_the_pairwise_matrix(m, n):
+    r_sets = [r_set(c, m, n) for c in enumerate_chains(m, n, include_empty=True)]
+    assert face_order_rows(r_sets) == _pairwise_rows(r_sets)
+
+
+def _comb_equiv_pairwise(m, n1, n2):
+    """The face-order check by N^2 subset tests, the reference for the bitmasks."""
+    if f_vector(m, n1) != f_vector(m, n2):
+        return False
+    chains = enumerate_chains(m, n1, include_empty=True)
+    if set(chains) != set(enumerate_chains(m, n2, include_empty=True)):
+        return False
+    r1 = [r_set(c, m, n1) for c in chains]
+    r2 = [r_set(c, m, n2) for c in chains]
+    return all([b <= a1 for b in r1] == [b <= a2 for b in r2]
+               for a1, a2 in zip(r1, r2))
+
+
+def test_comb_equiv_matches_a_pairwise_reference():
+    verdicts = set()
+    for m in (1, 2, 3):
+        for n1 in range(1, 6):
+            for n2 in range(1, 6):
+                want = _comb_equiv_pairwise(m, n1, n2)
+                assert comb_equiv_check(m, n1, n2) is want, (m, n1, n2)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_face_records_read_dimension_and_count_from_sizes():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            records = list(face_records(m, n))
+            assert [c for c, _, _ in records] == enumerate_chains(m, n)
+            for c, dim, count in records:
+                assert dim == missing_ranks(c), (c, m, n)
+                assert count == face_vertex_count(c, m, n), (c, m, n)
