@@ -27,7 +27,9 @@ coordinates (every placement so far is a vertex) and cuts a branch once a
 row's sum passes its right-hand side or the values left can no longer
 reach it.  The blocks of ``face_vertices`` and the face's vertex count
 depend only on the chain's member sizes and n, and are held once per such
-key; ``face_vertex_count`` reads the count without building a vertex.
+key; ``face_vertex_count`` reads the count without building a vertex,
+and ``face_records`` reads it, with the dimension, for every listed chain
+without validating the chains again.
 
 The h-polynomial h(t) = f(t-1) is computed independently from the face
 census, from a closed Eulerian-polynomial sum, from the stellohedron
@@ -59,7 +61,7 @@ from .exactmath import EngineDisagreement, Polynomial, eulerian_rows, stirling2
 from .polytope import VERTEX_LIST_MAX, _facet_rhs, pp_vertex_count, pp_vertices
 
 # comb_equiv_check builds comparability matrices of at most this many chain
-# pairs.  Its rows are bitmasks (face_order_rows), so the largest shapes
+# pairs.  Its rows are bitmasks (_face_order_rows), so the largest shapes
 # admitted take about 0.1 s: (m,n1) = (8,2) with 2,544^2 pairs 0.11 s and
 # (5,5) with 2,164^2 0.09-0.10 s (2-core VM).
 COMB_EQUIV_WORK_MAX = 2**23
@@ -275,13 +277,12 @@ def face_records(m: int, n: int) -> Iterator[Tuple[Chain, int, int]]:
     in ``enumerate_chains`` order.
 
     Both numbers are read from the member sizes: the dimension is
-    |A_l| - l + 1 and the count comes from the size-keyed face blocks.
+    ``missing_ranks`` and the count comes from the size-keyed face blocks.
     The chains are the family as ``enumerate_chains`` builds it, so none is
     validated again.
     """
     for c in enumerate_chains(m, n):
-        sizes = tuple(map(len, c))
-        yield c, sizes[-1] - len(sizes) + 1, _face_blocks(sizes, n)[1]
+        yield c, missing_ranks(c), _face_blocks(tuple(map(len, c)), n)[1]
 
 
 def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
@@ -545,7 +546,7 @@ def h_poly(m: int, n: int, method: str = "from_f") -> Polynomial:
     return H_POLY_ENGINES[method].value(m, n)
 
 
-def face_order_rows(r_sets: Sequence[frozenset]) -> List[int]:
+def _face_order_rows(r_sets: Sequence[frozenset]) -> List[int]:
     """The face-order comparability matrix of chains given by their R-sets,
     one bitmask per row: bit j of row i is set exactly when
     R(c_j) is a subset of R(c_i).
@@ -575,7 +576,7 @@ def comb_equiv_check(m: int, n1: int, n2: int) -> bool:
     """Are P(m,n1) and P(m,n2) combinatorially equivalent?
 
     Tests equality of the f-vectors, of the indexing chain families, and of
-    the full face-order comparability matrices (``face_order_rows`` of the
+    the full face-order comparability matrices (``_face_order_rows`` of the
     marker sets under each n separately, empty face included).  The work
     is measured in chain pairs, the size of each matrix, and shapes whose
     chain count squared exceeds ``COMB_EQUIV_WORK_MAX`` are refused up
@@ -594,6 +595,6 @@ def comb_equiv_check(m: int, n1: int, n2: int) -> bool:
     chains2 = enumerate_chains(m, n2, include_empty=True)
     if set(chains1) != set(chains2):
         return False
-    rows1 = face_order_rows([r_set(c, m, n1) for c in chains1])
-    rows2 = face_order_rows([r_set(c, m, n2) for c in chains1])
+    rows1 = _face_order_rows([r_set(c, m, n1) for c in chains1])
+    rows2 = _face_order_rows([r_set(c, m, n2) for c in chains1])
     return rows1 == rows2

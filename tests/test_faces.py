@@ -31,7 +31,6 @@ from partperm import (
     f_vector,
     f_vector_work,
     face_from_chain,
-    face_order_rows,
     face_records,
     face_vertex_count,
     face_vertices,
@@ -536,7 +535,7 @@ def _pairwise_rows(r_sets):
                          + [(4, 4)])
 def test_face_order_rows_equal_the_pairwise_matrix(m, n):
     r_sets = [r_set(c, m, n) for c in enumerate_chains(m, n, include_empty=True)]
-    assert face_order_rows(r_sets) == _pairwise_rows(r_sets)
+    assert FA._face_order_rows(r_sets) == _pairwise_rows(r_sets)
 
 
 def _comb_equiv_pairwise(m, n1, n2):
