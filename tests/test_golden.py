@@ -26,6 +26,9 @@ GOLDEN = {
     "faces-4-3": ("faces", "--m", "4", "--n", "3"),
     "faces-5-4": ("faces", "--m", "5", "--n", "4"),
     "faces-csv-5-3": ("faces", "--m", "5", "--n", "3", "--format", "csv"),
+    "faces-6-2": ("faces", "--m", "6", "--n", "2"),
+    "faces-3-6": ("faces", "--m", "3", "--n", "6"),
+    "faces-csv-4-4": ("faces", "--m", "4", "--n", "4", "--format", "csv"),
     "verify-faces": ("verify", "--suite", "faces"),
     "fvector-6-4": ("fvector", "--m", "6", "--n", "4"),
     "table-volume-n": ("table", "--which", "volume-n"),
