@@ -154,13 +154,20 @@ def _cmd_facets(args) -> int:
 
 
 def _cmd_faces(args) -> int:
+    # Each member's text is built once and shared by every chain holding it;
+    # the JSON record is written in _dump's key order and separators.
+    csv = args.format == "csv"
+    text: Dict[frozenset, str] = {}
     for c, dim, count in FA.face_records(args.m, args.n):
-        if args.format == "csv":
-            chain_str = "<".join("{" + " ".join(map(str, sorted(a))) + "}" for a in c)
-            print(f"{dim},{count},{chain_str}")
+        for a in c:
+            if a not in text:
+                elems = sorted(a)
+                text[a] = "{" + " ".join(map(str, elems)) + "}" if csv else _dump(elems)
+        if csv:
+            print(f"{dim},{count},{'<'.join([text[a] for a in c])}")
         else:
-            print(_dump({"chain": [sorted(a) for a in c], "dimension": dim,
-                         "vertex_count": count}))
+            print(f'{{"chain":[{",".join([text[a] for a in c])}],'
+                  f'"dimension":{dim},"vertex_count":{count}}}')
     return 0
 
 

@@ -19,7 +19,7 @@ ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
 * ``ehr_conjecture``    — two conjectural closed forms (a finite double
                           sum and m! [z^m] sqrt(1-tz)e^{(nt+t/2+1)z-tz^2/4}),
                           cross-checked against each other;
-* ``ehr_recurrence``    — a conjectural three-term recurrence in m.
+* ``ehr_recurrence``    — a conjectural three-term recurrence in m (n >= m-1).
 
 ``EHRHART_ENGINES`` is the ordered table of the four proved routes, method
 name -> (domain, value); each validates its arguments with the same domain
@@ -296,11 +296,18 @@ def ehr_recurrence(m: int, n: int) -> Polynomial:
         E_k = (kt + nt - t + 1) E_{k-1}
               - (k-1) t (nt + t/2 + 3/2) E_{k-2}
               + (k-1)(k-2)/2 t^2 E_{k-3},      E_0 = 1.
+
+    Domain: m >= 0 and n >= max(0, m-1); m = 0 gives the constant 1.
+    Below n = m-1 the recurrence is not the Ehrhart polynomial (at (5,2)
+    its value at t = 1 is -119, where P(5,2) has 51 lattice points), so
+    those shapes are refused.
     """
     if m < 0:
         raise ValueError("ehr_recurrence requires m >= 0")
     if n < 0:
         raise ValueError("ehr_recurrence requires n >= 0")
+    if n < m - 1:
+        raise ValueError("ehr_recurrence requires n >= m-1")
     e: List[Polynomial] = [Polynomial([1])]
     for k in range(1, m + 1):
         term = Polynomial([1, k + n - 1]) * e[k - 1]

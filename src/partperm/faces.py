@@ -276,13 +276,14 @@ def face_records(m: int, n: int) -> Iterator[Tuple[Chain, int, int]]:
     """(chain, dimension, vertex count) for every nonempty face of P(m,n),
     in ``enumerate_chains`` order.
 
-    Both numbers are read from the member sizes: the dimension is
-    ``missing_ranks`` and the count comes from the size-keyed face blocks.
-    The chains are the family as ``enumerate_chains`` builds it, so none is
-    validated again.
+    Both numbers are read from the member sizes: the dimension is the
+    missing-rank count |A_l| - l + 1 and the count comes from the size-keyed
+    face blocks.  The chains are the family as ``enumerate_chains`` builds
+    it, so none is validated again.
     """
     for c in enumerate_chains(m, n):
-        yield c, missing_ranks(c), _face_blocks(tuple(map(len, c)), n)[1]
+        sizes = tuple(map(len, c))
+        yield c, sizes[-1] - len(c) + 1, _face_blocks(sizes, n)[1]
 
 
 def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:

@@ -90,6 +90,27 @@ def test_faces_records_are_the_library_records(capsys):
                     "vertex_count": count} for c, dim, count in face_records(3, 3)]
 
 
+@pytest.mark.parametrize("m,n", [(5, 5), (6, 2), (3, 6)])
+def test_faces_writer_lines_are_the_encoded_records(capsys, m, n):
+    # the writer assembles each line from cached member text; every line
+    # must equal the record encoded whole, in both formats
+    from partperm import face_records
+
+    records = list(face_records(m, n))
+    code, out, _ = run_cli(capsys, "faces", "--m", str(m), "--n", str(n))
+    assert code == 0
+    assert out.splitlines() == [
+        json.dumps({"chain": [sorted(a) for a in c], "dimension": dim,
+                    "vertex_count": count}, sort_keys=True, separators=(",", ":"))
+        for c, dim, count in records]
+    code, out, _ = run_cli(capsys, "faces", "--m", str(m), "--n", str(n),
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        f"{dim},{count}," + "<".join("{" + " ".join(map(str, sorted(a))) + "}" for a in c)
+        for c, dim, count in records]
+
+
 @pytest.mark.parametrize("cmd", ["faces", "volume"])
 def test_format_offers_only_what_the_subcommand_writes(capsys, cmd):
     code, out, err = run_cli(capsys, cmd, "--m", "2", "--n", "1", "--format", "tex")

@@ -66,13 +66,16 @@ def _in_family_oracle(c, n):
     return len(al - c[1]) <= n - 1
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_enumerate_chains_matches_brute_force(m, n):
-    brute = {c for c in _all_subset_chains(m) if _in_family_oracle(c, n)}
+    # the listing is built in order, with no sort: it must equal the
+    # brute-force family sorted by (length, sorted member tuples)
+    brute = sorted((c for c in _all_subset_chains(m) if _in_family_oracle(c, n)),
+                   key=lambda c: (len(c), [tuple(sorted(a)) for a in c]))
     got = enumerate_chains(m, n)
-    assert len(got) == len(set(got)) == len(brute)
-    assert set(got) == brute
+    assert got == brute
+    assert enumerate_chains(m, n, include_empty=True) == brute + [()]
     assert all(chain_in_family(c, m, n) for c in got)
 
 

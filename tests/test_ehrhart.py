@@ -394,6 +394,14 @@ def test_recurrence_matches_oracle(m, n):
         assert p == ehr_interpolate(m, n)
 
 
+@pytest.mark.parametrize("m,n", [(5, 2), (3, 0)])
+def test_recurrence_refuses_below_n_m_minus_1(m, n):
+    # the recurrence is wrong there: it once gave L(1) = -119 at (5,2) and
+    # -3 at (3,0), where P(5,2) has 51 lattice points and P(3,0) has 1
+    with pytest.raises(ValueError, match="n >= m-1"):
+        ehr_recurrence(m, n)
+
+
 def test_recurrence_equals_conjecture():
     for m, n in [(2, 3), (3, 3), (4, 5)]:
         assert ehr_recurrence(m, n) == ehr_conjecture(m, n)[0]
