@@ -47,13 +47,9 @@ from .combinat import (
 from .exactmath import (
     EngineDisagreement,
     Polynomial,
-    Series,
     binomial_poly,
     double_factorial,
     interpolate,
-    series_coeff,
-    series_exp,
-    sqrt_one_minus,
 )
 from .polytope import pp_count
 
@@ -251,7 +247,13 @@ def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:
         m!/((m-j)!(j-2i)!i!) (2(j-2i)-3)!! t^{j-i} (2nt+t+2)^{m-j};
     (2) m! [z^m] sqrt(1-tz) exp((nt+t/2+1)z - (t/4)z^2).
     Both are conjectural; they are verified equal to each other here and
-    against interpolation in the test suite.
+    against interpolation in the test suite.  Form (1) reads (2i-3)!! from
+    double_factorial.  Form (2) does not: it is the Cauchy product
+    sum_a r_a g_{m-a} of the two factors' coefficients in z, each from a
+    recurrence.  With b = (n+1/2)t + 1, r_0 = 1 and
+    r_a = r_{a-1} t (2a-3)/(2a) for sqrt(1-tz); g_0 = 1, g_1 = b and
+    (k+1) g_{k+1} = b g_k - (t/2) g_{k-1}, the ODE g' = (b - (t/2)z) g of
+    exp(bz - tz^2/4).
     """
     if m < 1:
         raise ValueError("ehr_conjecture requires m >= 1")
@@ -271,19 +273,14 @@ def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:
             )
     p1 = total / Fraction(2**m)
 
-    root = sqrt_one_minus(Series([Polynomial(), t], m))
-    expo = Series(
-        [
-            Polynomial(),
-            Polynomial([1, n + Fraction(1, 2)]),
-            Polynomial([0, -Fraction(1, 4)]),
-        ],
-        m,
-    )
-    coeff = series_coeff(root * series_exp(expo), m)
-    if not isinstance(coeff, Polynomial):
-        coeff = Polynomial([coeff])
-    p2 = coeff * factorial(m)
+    b = Polynomial([1, n + Fraction(1, 2)])
+    half_t = Polynomial([0, Fraction(1, 2)])
+    root, expo = [Polynomial([1])], [Polynomial([1]), b]
+    for k in range(1, m + 1):
+        root.append(root[-1] * t * Fraction(2 * k - 3, 2 * k))
+    for k in range(1, m):
+        expo.append((b * expo[k] - half_t * expo[k - 1]) / (k + 1))
+    p2 = factorial(m) * sum(r * g for r, g in zip(root, reversed(expo)))
     if p1 != p2:
         raise EngineDisagreement(f"conjectural Ehrhart forms disagree at ({m},{n})")
     return p1, p2, True

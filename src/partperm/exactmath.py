@@ -1,4 +1,4 @@
-"""Exact rational polynomials, truncated power series, and small linear algebra.
+"""Exact rational polynomials, number tables, and small linear algebra.
 
 Everything here is exact rational arithmetic — no floating point.
 ``Polynomial`` keeps each coefficient as an ``int`` when it is integral and
@@ -8,11 +8,9 @@ Division always goes through a Fraction divisor, never ``int / int``;
 floats are refused with TypeError.  The module supplies the
 scalar/polynomial plumbing used by the rest of the package (Ehrhart, f/h
 and volume polynomials), the combinatorial number tables (Eulerian,
-Stirling), exact interpolation, the package's one elimination routine
+Stirling), exact interpolation, and the package's one elimination routine
 ``row_reduce`` (fraction-free Gauss-Jordan, which ``solve_linear``,
-``int_det`` and the hull conversion of ``polytope`` all read from), and
-truncated power-series arithmetic for the generating functions
-sqrt(1-z)*exp(...) and the tree function T(z) = sum i^{i-1} z^i/i!.
+``int_det`` and the hull conversion of ``polytope`` all read from).
 
 Sign convention: ``double_factorial(i)`` returns the value of (2i-3)!! under
 the convention (-3)!! = -1, (-1)!! = 1, i.e. -prod_{j=1}^{i}(2j-3).  Note
@@ -270,119 +268,6 @@ def stirling2(m: int, k: int) -> int:
             new[j] = j * (row[j] if j < len(row) else 0) + row[j - 1]
         row = new
     return row[k]
-
-
-class Series:
-    """Truncated power series in z, exact, with explicit truncation order.
-
-    ``coeffs[i]`` is the coefficient of z^i for i = 0..order.  Coefficients
-    may be Fractions or Polynomials (in some other variable such as t);
-    operations never read beyond the truncation order, and binary
-    operations require matching orders.
-    """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Sequence, order: int):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        cs = list(coeffs[: order + 1])
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = cs
-        self.order = order
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls([Fraction(1)], order)
-
-    def __add__(self, other: "Series") -> "Series":
-        self._check(other)
-        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._check(other)
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return Series([c * other for c in self.coeffs], self.order)
-        self._check(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] = out[i + j] + a * b
-        return Series(out, self.order)
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "Series"):
-        if not isinstance(other, Series):
-            raise TypeError("expected a Series operand")
-        if self.order != other.order:
-            raise ValueError(
-                f"truncation orders differ: {self.order} vs {other.order}"
-            )
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __repr__(self):
-        return f"Series({self.coeffs!r}, order={self.order})"
-
-
-def series_exp(f: Series) -> Series:
-    """exp(f) for a series with zero constant term, to f's order."""
-    if f.coeffs[0] != 0:
-        raise ValueError("series_exp requires zero constant term")
-    acc = Series.one(f.order)
-    power = Series.one(f.order)
-    for k in range(1, f.order + 1):
-        power = power * f
-        acc = acc + power * Fraction(1, factorial(k))
-    return acc
-
-
-def sqrt_one_minus(f: Series) -> Series:
-    """sqrt(1 - f) for a series f with zero constant term, to f's order.
-
-    Binomial series: sum_k C(1/2, k) (-f)^k.  For f = z the coefficient of
-    z^i is -double_factorial(i) / (2^i i!), which tests cross-check.
-    """
-    if f.coeffs[0] != 0:
-        raise ValueError("sqrt_one_minus requires zero constant term")
-    acc = Series.one(f.order)
-    power = Series.one(f.order)
-    for k in range(1, f.order + 1):
-        power = power * f
-        c = binomial_poly(Fraction(1, 2), k) * (-1) ** k
-        acc = acc + power * c
-    return acc
-
-
-def series_coeff(f: Series, i: int):
-    """Coefficient of z^i; i must not exceed the truncation order."""
-    if not 0 <= i <= f.order:
-        raise ValueError(f"coefficient index {i} outside order {f.order}")
-    return f.coeffs[i]
-
-
-def tree_function(order: int) -> Series:
-    """The tree function T(z) = sum_{i>=1} i^{i-1} z^i / i!, truncated.
-
-    Satisfies the functional equation T = z e^T (tested coefficientwise).
-    """
-    coeffs = [Fraction(0)] + [
-        Fraction(i ** (i - 1), factorial(i)) for i in range(1, order + 1)
-    ]
-    return Series(coeffs, order)
 
 
 def interpolate(points: Sequence) -> Polynomial:

@@ -47,16 +47,7 @@ from .combinat import (
     require_draconian,
     require_oracle,
 )
-from .exactmath import (
-    EngineDisagreement,
-    Polynomial,
-    Series,
-    double_factorial,
-    series_coeff,
-    series_exp,
-    solve_linear,
-    sqrt_one_minus,
-)
+from .exactmath import EngineDisagreement, Polynomial, double_factorial, solve_linear
 from .polytope import VRep, count_points, hull_convert, vertex_box
 from . import ehrhart as _ehrhart
 
@@ -165,7 +156,11 @@ def nvol_closed(m: int, n: int) -> Tuple[int, int, int]:
     (1) -(m!/2^m) sum_{0<=i<=j<=m} C(m,j) C(j,i) (2i-3)!! (2n)^{m-j};
     (2) -(m!/2^m) sum_{i=0}^{m} C(m,i) (2i-3)!! (2n+1)^{m-i};
     (3) (m!)^2 [z^m] sqrt(1-z) e^{(n+1/2)z}.
-    All use the convention (-3)!! = -1 baked into double_factorial.
+    Forms (1) and (2) use the convention (-3)!! = -1 baked into
+    double_factorial.  Form (3) does not read it: it is the Cauchy product
+    sum_i r_i e_{m-i} of the coefficient lists of the two factors, each
+    from its first-order recurrence, r_0 = e_0 = 1,
+    r_k = r_{k-1} (2k-3)/(2k) and e_k = e_{k-1} (n+1/2)/k.
     """
     _require(polynomial_domain(m, n), "nvol_closed requires m >= 1 and n >= m-1")
     scale = -Fraction(factorial(m), 2**m)
@@ -178,10 +173,11 @@ def nvol_closed(m: int, n: int) -> Tuple[int, int, int]:
     for i in range(m + 1):
         s2 += comb(m, i) * double_factorial(i) * (2 * n + 1) ** (m - i)
     v2 = scale * s2
-    z = Series([0, 1], m)
-    root = sqrt_one_minus(z)
-    expo = Series([Fraction(0), Fraction(2 * n + 1, 2)], m)
-    v3 = series_coeff(root * series_exp(expo), m) * factorial(m) ** 2
+    root, expo = [Fraction(1)], [Fraction(1)]
+    for k in range(1, m + 1):
+        root.append(root[-1] * (2 * k - 3) / (2 * k))
+        expo.append(expo[-1] * (2 * n + 1) / (2 * k))
+    v3 = factorial(m) ** 2 * sum(r * e for r, e in zip(root, reversed(expo)))
     if not (v1 == v2 == v3 and v1.denominator == 1):
         raise EngineDisagreement(f"closed volume forms disagree at ({m},{n})")
     return int(v1), int(v2), int(v3)

@@ -1,10 +1,10 @@
-"""Tests for the exact-arithmetic toolkit: polynomials, series, linear algebra.
+"""Tests for the exact-arithmetic toolkit: polynomials, number tables, linear algebra.
 
 Oracle strategy: every nontrivial routine is checked against an independent
 brute-force computation (descent statistics for Eulerian numbers, set
 partitions for Stirling numbers, permutation expansion for determinants,
 math.comb for binomials) plus algebraic identities that would catch sign or
-indexing slips (sqrt(1-z)^2 = 1-z, exp(f)exp(-f) = 1, T = z e^T).
+indexing slips.
 """
 
 import math
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from partperm import (
     EngineDisagreement,
     Polynomial,
-    Series,
     binomial_poly,
     double_factorial,
     eulerian,
@@ -28,13 +27,7 @@ from partperm import (
     solve_linear,
     stirling2,
 )
-from partperm.exactmath import (
-    row_reduce,
-    series_coeff,
-    series_exp,
-    sqrt_one_minus,
-    tree_function,
-)
+from partperm.exactmath import row_reduce
 
 # --------------------------------------------------------------------------
 # Polynomial arithmetic
@@ -216,69 +209,6 @@ def test_stirling2_recurrence():
     for m in range(1, 9):
         for k in range(1, m + 1):
             assert stirling2(m, k) == k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
-
-
-# --------------------------------------------------------------------------
-# Truncated power series
-
-
-def _z(order):
-    return Series([Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1), order)
-
-
-def test_series_sqrt_squares_back():
-    order = 10
-    s = sqrt_one_minus(_z(order))
-    sq = s * s
-    assert series_coeff(sq, 0) == 1
-    assert series_coeff(sq, 1) == -1
-    for i in range(2, order + 1):
-        assert series_coeff(sq, i) == 0
-
-
-def test_series_exp_inverse():
-    order = 9
-    z = _z(order)
-    e = series_exp(z)
-    e_minus = series_exp(Series([-c for c in z.coeffs], order))
-    prod = e * e_minus
-    assert series_coeff(prod, 0) == 1
-    for i in range(1, order + 1):
-        assert series_coeff(prod, i) == 0
-
-
-def test_series_exp_requires_zero_constant_term():
-    with pytest.raises(ValueError):
-        series_exp(Series([Fraction(1), Fraction(1)], 1))
-
-
-def test_sqrt_one_minus_coefficients_vs_double_factorial():
-    # [z^i] sqrt(1-z) = -(2i-3)!! / (2^i i!), the signed double factorial
-    order = 9
-    s = sqrt_one_minus(_z(order))
-    for i in range(order + 1):
-        expected = Fraction(-double_factorial(i), 2 ** i * math.factorial(i))
-        assert series_coeff(s, i) == expected
-
-
-def test_tree_function_satisfies_functional_equation():
-    # T(z) = sum i^{i-1} z^i / i!  must satisfy T = z e^T
-    order = 8
-    t = tree_function(order)
-    for i in range(1, order + 1):
-        assert series_coeff(t, i) == Fraction(i ** (i - 1), math.factorial(i))
-    rhs = _z(order) * series_exp(t)
-    for i in range(order + 1):
-        assert series_coeff(rhs, i) == series_coeff(t, i)
-
-
-def test_series_polynomial_coefficients():
-    # series arithmetic must also work with Polynomial coefficients
-    order = 4
-    t = Polynomial.x()
-    f = Series([Polynomial()] + [t] + [Polynomial()] * (order - 1), order)  # t*z
-    e = series_exp(f)
-    assert series_coeff(e, 2) == t * t / 2
 
 
 # --------------------------------------------------------------------------

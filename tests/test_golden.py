@@ -37,6 +37,9 @@ GOLDEN = {
     "ehrhart-eval4-5-6": (
         "ehrhart", "--m", "5", "--n", "6", "--all-methods", "--eval", "4"),
     "volume-oracle-5-1": ("volume", "--m", "5", "--n", "1", "--method", "oracle"),
+    "volume-7-8": ("volume", "--m", "7", "--n", "8", "--all-methods"),
+    "volume-13-20": ("volume", "--m", "13", "--n", "20", "--all-methods"),
+    "table-volume-n-8": ("table", "--which", "volume-n", "--max-m", "8"),
 }
 for _m, _n in SHAPES:
     for _cmd in ("hpoly", "volume", "ehrhart"):

@@ -15,6 +15,7 @@ import pytest
 
 from partperm import (
     DRACONIAN_MAX_M,
+    EngineDisagreement,
     Polynomial,
     aux1_vertices,
     aux2_vertices,
@@ -215,6 +216,18 @@ def test_lambda_rejects_repeats():
         nvol_lambda(2, 2, lam=[1, 2])  # wrong length
 
 
+def test_nvol_closed_series_form_is_independent_of_double_factorial(monkeypatch):
+    # forms (1) and (2) read (2i-3)!! from double_factorial and agree with
+    # each other for any table of it, so only a form (3) computed by another
+    # route catches a wrong entry
+    import partperm.volume as VO
+
+    true_df = VO.double_factorial
+    monkeypatch.setattr(VO, "double_factorial", lambda i: true_df(i) + (i == 3))
+    with pytest.raises(EngineDisagreement, match="closed volume forms disagree"):
+        nvol_closed(5, 5)
+
+
 # --------------------------------------------------------------------------
 # Small-n closed volumes (valid for every m, including n < m-1)
 
@@ -330,7 +343,7 @@ def test_nvol_of_vrep_matches_pp(m=3, n=2):
 
 
 def test_nvol_of_vrep_verifies_its_interpolation(monkeypatch):
-    from partperm import EngineDisagreement, VRep
+    from partperm import VRep
     import partperm.volume as VO
 
     pts = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
