@@ -3,7 +3,7 @@
 Subcommands: vertices, facets, faces, fvector, hpoly, volume, ehrhart,
 verify, table.  Output is deterministic JSON by default (sorted keys,
 compact separators); --format csv/tex give flat rows and TeX tabulars
-where a subcommand writes them, and --all-methods writes JSON only.
+where a subcommand writes them; --all-methods and --eval write JSON only.
 All numbers are exact: integers or 'p/q' strings, never floats.
 
 Exit codes: 0 success; 1 usage error (bad arguments or unsupported
@@ -555,7 +555,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--method", choices=tuple(EH.EHRHART_ENGINES))
     sp.add_argument("--all-methods", action="store_true")
     sp.add_argument("--eval", type=int, default=None, metavar="T",
-                    help="also evaluate at t=T")
+                    help="also evaluate at t=T (JSON only)")
     sp.set_defaults(func=_cmd_ehrhart)
 
     sp = sub.add_parser("verify", help="run a cross-validation suite")
@@ -584,8 +584,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         _parser = _build_parser()
     try:
         args = _parser.parse_args(argv)
-        if getattr(args, "all_methods", False) and args.format != "json":
-            raise UsageError(f"--all-methods writes JSON only, not --format {args.format}")
+        for flag, given in (("--all-methods", getattr(args, "all_methods", False)),
+                            ("--eval", getattr(args, "eval", None) is not None)):
+            if given and args.format != "json":
+                raise UsageError(f"{flag} writes JSON only, not --format {args.format}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -21,14 +21,13 @@ subset S, with total sum exactly m (volume mode) or at most m (ehrhart
 mode).  Hall's condition is tested by a bipartite matching between unit
 tokens of a and the ground set, which is exact and fast at these sizes.
 
-The draconian engines need only the shape census: how many sequences have
-each shape (s, p1, p2), with s singletons used and p1, p2 pairs at value 1
-and 2.  Read as a multigraph on [m] (a pair at 1 is an edge, a pair at 2 a
-double edge, a singleton a token on its vertex), Hall's condition says
-that no connected component has more edges plus tokens than vertices.  So
-every component is a tree, a tree with one token, a tree with one doubled
-edge, or a unicyclic graph with a cycle of length >= 3, and the census
-follows from the exponential formula without enumerating any sequence.
+The draconian engines list no sequence.  As a multigraph on [m] (a pair at 1
+is an edge, at 2 a double edge, a singleton a token), a sequence meets Hall's
+condition iff each component is a tree, a tree with one token, a tree with one
+doubled edge, or a unicyclic graph with a cycle of length >= 3; its shape
+(s, p1, p2) counts tokens and pairs at 1 and 2.  Summands are products over
+components, so ``draconian_sum`` runs the exponential formula on each engine's
+per-component weight, and so does the shape census.
 """
 
 from __future__ import annotations
@@ -412,35 +411,46 @@ def _component_kinds(v: int, mode: str) -> List[Tuple[int, Shape]]:
     return kinds
 
 
-@lru_cache(maxsize=None)
-def _census_cached(m: int, mode: str) -> Tuple[Tuple[Shape, int], ...]:
-    tables: List[Dict[Shape, int]] = [{(0, 0, 0): 1}]
-    for k in range(1, m + 1):
-        table: Dict[Shape, int] = {}
-        # Exponential formula: the component holding element 1 has v
-        # vertices, C(k-1, v-1) ways to pick the others.
-        for v in range(1, k + 1):
-            ways = comb(k - 1, v - 1)
-            for count, (s, p1, p2) in _component_kinds(v, mode):
-                for (s2, q1, q2), rest in tables[k - v].items():
-                    key = (s + s2, p1 + q1, p2 + q2)
-                    table[key] = table.get(key, 0) + ways * count * rest
-        tables.append(table)
-    return tuple(sorted(tables[m].items()))
+def draconian_sum(m: int, mode: str, weight: Callable[[int, Shape], int]) -> int:
+    """Sum over draconian sequences on [m] of the product of their components'
+    weights weight(v, shape), v the vertex count (see the module docstring).
 
-
-def draconian_census(m: int, mode: str = "volume") -> Dict[Shape, int]:
-    """Number of draconian sequences on [m] of each shape (s, p1, p2).
-
-    Computed from the component structure, so its cost grows polynomially
-    in m instead of with the number of sequences; it equals
-    draconian_shape_tally(m, mode).
+    By the exponential formula, E_0 = 1 and E_k = sum_{v=1}^{k} C(k-1, v-1)
+    w_v E_{k-v}: the component holding element 1 has v vertices, chosen in
+    C(k-1, v-1) ways, and w_v sums count * weight(v, shape) over
+    ``_component_kinds(v, mode)``.  Returns E_m.
     """
     if mode not in ("volume", "ehrhart"):
         raise ValueError(f"unknown draconian mode {mode!r}")
+    w, e = [0], [1]
+    for k in range(1, m + 1):
+        w.append(sum(count * weight(k, shape) for count, shape in _component_kinds(k, mode)))
+        e.append(sum(comb(k - 1, v - 1) * w[v] * e[k - v] for v in range(1, k + 1)))
+    return e[m]
+
+
+def draconian_coefficients(m: int, mode: str, weight: Callable[..., int]) -> List[int]:
+    """Coefficients, low to high, of ``draconian_sum`` for a weight(x, v, shape)
+    polynomial in x with nonnegative integer coefficients.  By Kronecker
+    substitution: the sum at x = 1 bounds each coefficient, so at x = 2^k
+    above it the base-2^k digits of the sum are the coefficients."""
+    k = draconian_sum(m, mode, lambda v, shape: weight(1, v, shape)).bit_length()
+    total = draconian_sum(m, mode, lambda v, shape: weight(1 << k, v, shape))
+    return [total >> (k * d) & ((1 << k) - 1) for d in range(-(-total.bit_length() // k))]
+
+
+def draconian_census(m: int, mode: str = "volume") -> Dict[Shape, int]:
+    """Number of draconian sequences on [m] of each shape (s, p1, p2): the
+    coefficients of ``draconian_coefficients`` with weight x^(s + B p1 + B^2 p2),
+    B = m+1 (s, p1, p2 <= m, so the exponent fixes the shape).  So checking it
+    against draconian_shape_tally(m, mode) checks the engines' own routine."""
     if m < 1:
         raise ValueError("draconian_census requires m >= 1")
-    return dict(_census_cached(m, mode))
+    b = m + 1
+    coeffs = draconian_coefficients(
+        m, mode, lambda x, v, shape: x ** (shape[0] + b * shape[1] + b * b * shape[2]))
+    return dict(sorted(((e % b, e // b % b, e // (b * b)), c)
+                       for e, c in enumerate(coeffs) if c))
 
 
 def descents(seq: Sequence[int]) -> int:

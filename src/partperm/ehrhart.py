@@ -11,8 +11,8 @@ ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
 * ``ehr_closed_small_n`` — closed forms for n <= 3, every m;
 * ``ehr_closed_small_m`` — closed forms for m <= 4 (n >= max(1, m-1));
 * ``ehr_draconian``     — a positive sum of products of binomials over
-                          draconian sequences, taken shape by shape from
-                          the census (n >= m-1, m <= DRACONIAN_MAX_M);
+                          draconian sequences by ``draconian_sum``
+                          (n >= m-1, m <= DRACONIAN_MAX_M);
 * ``ehr_parking``       — the pairs-only specialization at n = m-1, whose
                           summand count equals the lattice-point count of
                           P(m, m-1) itself;
@@ -38,8 +38,9 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .combinat import (
     Engine,
-    draconian_census,
+    draconian_coefficients,
     draconian_domain,
+    draconian_sum,
     oracle_domain,
     require_draconian,
     require_oracle,
@@ -183,18 +184,14 @@ def ehr_closed_small_m(m: int, n: int) -> Polynomial:
     )
 
 
-def _draconian_sum(census, base: int) -> Polynomial:
-    """Sum over shapes of census * (base t)^s t^p1 C(t+1,2)^p2.
-
-    Each term is base^s t^(s+p1+p2) (t+1)^p2 / 2^p2, expanded directly.
-    """
-    coeffs: Dict[int, Fraction] = {}
-    for (s, p1, p2), count in census.items():
-        weight = Fraction(count * base**s, 2**p2)
-        low = s + p1 + p2
-        for j in range(p2 + 1):
-            coeffs[low + j] = coeffs.get(low + j, 0) + weight * comb(p2, j)
-    return Polynomial([coeffs.get(d, 0) for d in range(max(coeffs) + 1)])
+def _ehrhart_poly(m: int, base: int) -> Polynomial:
+    """The draconian Ehrhart sum at base = n-m+1.  A component's weight is
+    2^v times its share (base t)^s t^p1 C(t+1,2)^p2 of a summand, that is
+    base^s 2^(v-p2) t^(s+p1+p2) (1+t)^p2, integral as p2 <= 1."""
+    def weight(t: int, v: int, shape) -> int:
+        s, p1, p2 = shape
+        return base**s * 2 ** (v - p2) * t ** (s + p1 + p2) * (1 + t) ** p2
+    return Polynomial(draconian_coefficients(m, "ehrhart", weight)) / 2**m
 
 
 def ehr_draconian(m: int, n: int) -> Polynomial:
@@ -205,10 +202,11 @@ def ehr_draconian(m: int, n: int) -> Polynomial:
           * prod_{pairs k}      C(t + a_k - 1, a_k).
 
     A summand depends only on the shape (s, p1, p2) of a, where it is
-    ((n-m+1)t)^s t^p1 C(t+1,2)^p2, so the sum runs over the shape census.
+    ((n-m+1)t)^s t^p1 C(t+1,2)^p2, a product over the components of a; so
+    the sum is ``draconian_coefficients`` with the weight of ``_ehrhart_poly``.
     """
     require_draconian("ehr_draconian", m, n)
-    return _draconian_sum(draconian_census(m, "ehrhart"), n - m + 1)
+    return _ehrhart_poly(m, n - m + 1)
 
 
 # Method name -> Engine, in the order the CLI offers them.  Each value looks
@@ -226,18 +224,13 @@ def ehr_parking(m: int) -> Tuple[Polynomial, int]:
     """Ehrhart polynomial of P(m, m-1) as a pairs-only draconian sum
     (m <= DRACONIAN_MAX_M).
 
-    Returns (polynomial, number of summands).  Evaluating each binomial
-    product at t = 1 gives 1, so the summand count equals the polynomial's
-    value at 1, i.e. the lattice-point count of P(m, m-1) itself
-    (1, 3, 17, 144, ... for m = 1, 2, 3, 4, ...).
+    Returns (polynomial, number of summands): ``_ehrhart_poly`` at base 0, which
+    drops every sequence with a singleton unit, and draconian_sum with weight
+    [s == 0].  Each binomial product is 1 at t = 1, so the count is the value at
+    1, the lattice-point count of P(m, m-1) (1, 3, 17, 144, ... for m = 1..4).
     """
     require_draconian("ehr_parking", m, m - 1)
-    pairs_only = {
-        shape: count
-        for shape, count in draconian_census(m, "ehrhart").items()
-        if shape[0] == 0
-    }
-    return _draconian_sum(pairs_only, 0), sum(pairs_only.values())
+    return _ehrhart_poly(m, 0), draconian_sum(m, "ehrhart", lambda v, shape: int(shape[0] == 0))
 
 
 def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:

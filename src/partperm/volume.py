@@ -12,8 +12,8 @@ an integer for lattice polytopes.  Engines implemented here:
                          cross-checked against each other;
 * ``nvol_three_term``  — a three-term recurrence in k for W = v/m!;
 * ``nvol_draconian``   — a sum of multinomial coefficients times powers of
-                         (n-m+1) over draconian sequences, taken shape by
-                         shape from the census, n >= m-1;
+                         (n-m+1) over draconian sequences, by the weighted
+                         exponential formula ``draconian_sum``, n >= m-1;
 * ``nvol_lambda``      — a permutation sum with free distinct parameters
                          lambda_1..lambda_{m+1} whose value is independent
                          of the lambdas, n >= m-1;
@@ -41,8 +41,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .combinat import (
     DRACONIAN_MAX_M,
     Engine,
-    draconian_census,
+    draconian_coefficients,
     draconian_domain,
+    draconian_sum,
     oracle_domain,
     require_draconian,
     require_oracle,
@@ -194,24 +195,17 @@ def nvol_three_term(m: int, n: int) -> int:
     return _integral(w * factorial(m), f"nvol_three_term({m},{n})")
 
 
-def _draconian_terms(m: int):
-    """(census, multinomial, s) per volume-mode shape; the multinomial
-    m!/prod a_k! of a sequence of shape (s, p1, p2) is m!/2^p2."""
-    for (s, _, p2), count in draconian_census(m, "volume").items():
-        yield count, factorial(m) // 2**p2, s
-
-
 def nvol_draconian(m: int, n: int) -> int:
     """Draconian-sequence sum for v(m,n), n >= m-1 (m <= DRACONIAN_MAX_M).
 
-    The sum over volume-mode sequences of the multinomial coefficient times
-    (n-m+1)^{total on singletons}, taken over the shape census, not over
-    the sequences.
+    The sum over volume-mode sequences of m!/prod a_k! times (n-m+1)^{total on
+    singletons}; a sequence of shape (s, p1, p2) has m!/prod a_k! = m!/2^p2,
+    so it is m!/2^m times ``draconian_sum`` with weight (n-m+1)^s 2^(v-p2).
     """
     require_draconian("nvol_draconian", m, n)
     base = n - m + 1
-    return sum(count * multinomial * base**s
-               for count, multinomial, s in _draconian_terms(m))
+    total = draconian_sum(m, "volume", lambda v, shape: base ** shape[0] * 2 ** (v - shape[2]))
+    return _integral(Fraction(factorial(m) * total, 2**m), f"nvol_draconian({m},{n})")
 
 
 def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
@@ -303,9 +297,9 @@ def nvol_poly(m: int, variable: str = "n") -> Polynomial:
     variable 'n' (m <= 8): expansion of the closed forms in n, with the two
     independent closed forms cross-checked; leading coefficient m!, all
     lower coefficients nonpositive integers.
-    variable 'N' (m <= DRACONIAN_MAX_M): expansion of the draconian sum in
-    N = n-m+1;
-    all coefficients positive integers, leading coefficient m!.
+    variable 'N' (m <= DRACONIAN_MAX_M): the draconian sum in N = n-m+1,
+    component weight N^s 2^(v-p2); all coefficients positive integers,
+    leading coefficient m!.
     """
     if variable == "n":
         _require(1 <= m <= 8, "nvol_poly in n is limited to m <= 8")
@@ -332,10 +326,10 @@ def nvol_poly(m: int, variable: str = "n") -> Polynomial:
             1 <= m <= DRACONIAN_MAX_M,
             f"nvol_poly in N is limited to 1 <= m <= {DRACONIAN_MAX_M}",
         )
-        coef = [0] * (m + 1)
-        for count, multinomial, s in _draconian_terms(m):
-            coef[s] += count * multinomial
-        return Polynomial(coef)
+        coeffs = draconian_coefficients(
+            m, "volume", lambda x, v, shape: x ** shape[0] * 2 ** (v - shape[2]))
+        return Polynomial([_integral(Fraction(factorial(m) * c, 2**m), f"v({m}, N)")
+                           for c in coeffs])
     raise ValueError(f"unknown nvol_poly variable {variable!r}")
 
 

@@ -133,6 +133,17 @@ def test_all_methods_refuses_a_non_json_format(capsys, cmd, fmt):
     assert code == 0 and json.loads(out)["agree"] is True
 
 
+@pytest.mark.parametrize("fmt", ["csv", "tex"])
+def test_eval_refuses_a_non_json_format(capsys, fmt):
+    # csv and tex have no place for the value, so it is refused, not dropped
+    code, out, err = run_cli(capsys, "ehrhart", "--m", "3", "--n", "3",
+                             "--eval", "2", "--format", fmt)
+    assert code == 1 and out == ""
+    assert "usage error" in err and "--eval" in err and f"--format {fmt}" in err
+    code, out, _ = run_cli(capsys, "ehrhart", "--m", "3", "--n", "3", "--eval", "2")
+    assert code == 0 and json.loads(out)["value_at_t"] == "272"
+
+
 def test_fvector_json(capsys):
     code, out, _ = run_cli(capsys, "fvector", "--m", "3", "--n", "3")
     assert code == 0

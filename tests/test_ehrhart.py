@@ -25,6 +25,7 @@ from partperm import (
     VRep,
     aux3_points,
     aux_lemma3,
+    binomial_poly,
     count_points,
     ehr_closed_small_m,
     ehr_closed_small_n,
@@ -33,6 +34,7 @@ from partperm import (
     ehr_interpolate,
     ehr_parking,
     ehr_recurrence,
+    enumerate_draconian,
     from_hstar,
     to_hstar,
     hull_convert,
@@ -307,6 +309,27 @@ def test_draconian_refuses_beyond_cap():
     m = DRACONIAN_MAX_M + 1
     with pytest.raises(ValueError, match=f"m <= {DRACONIAN_MAX_M}"):
         ehr_draconian(m, m)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_draconian_equals_the_sum_over_sequences(m):
+    # the docstring's formula, summand by summand over the listed sequences
+    for n in (m - 1, m, m + 2):
+        b = n - m + 1
+        total = Polynomial()
+        for a in enumerate_draconian(m, "ehrhart"):
+            term = Polynomial([1])
+            for k, ak in enumerate(a):
+                if ak:
+                    term = term * binomial_poly(Polynomial([ak - 1, b if k < m else 1]), ak)
+            total = total + term
+        assert ehr_draconian(m, n) == total, (m, n)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_parking_count_is_the_number_of_pairs_only_sequences(m):
+    seqs = enumerate_draconian(m, "ehrhart")
+    assert ehr_parking(m)[1] == sum(1 for a in seqs if not any(a[:m]))
 
 
 # --------------------------------------------------------------------------

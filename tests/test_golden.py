@@ -40,6 +40,9 @@ GOLDEN = {
     "volume-7-8": ("volume", "--m", "7", "--n", "8", "--all-methods"),
     "volume-13-20": ("volume", "--m", "13", "--n", "20", "--all-methods"),
     "table-volume-n-8": ("table", "--which", "volume-n", "--max-m", "8"),
+    "ehrhart-12-12": ("ehrhart", "--m", "12", "--n", "12", "--all-methods"),
+    "volume-12-11": ("volume", "--m", "12", "--n", "11", "--all-methods"),
+    "table-volume-N-12": ("table", "--which", "volume-N", "--max-m", "12"),
 }
 for _m, _n in SHAPES:
     for _cmd in ("hpoly", "volume", "ehrhart"):

@@ -23,6 +23,7 @@ from partperm import (
     aux1_nvol,
     aux2_nvol,
     conj_vmn_fit,
+    enumerate_draconian,
     nvol_closed,
     nvol_draconian,
     nvol_lambda,
@@ -307,6 +308,19 @@ def test_draconian_refuses_beyond_cap():
         nvol_draconian(m, m)
     with pytest.raises(ValueError, match=f"m <= {DRACONIAN_MAX_M}"):
         nvol_poly(m, "N")
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_draconian_equals_the_sum_over_sequences(m):
+    # sum of m!/prod a_k! * N^(singleton total): each coefficient of the
+    # N-polynomial, and its value at N = n-m+1 for nvol_draconian
+    coef = [0] * (m + 1)
+    for a in enumerate_draconian(m, "volume"):
+        coef[sum(a[:m])] += math.factorial(m) // math.prod(map(math.factorial, a))
+    assert list(nvol_poly(m, "N").coeffs) == coef
+    for n in (m - 1, m, m + 2):
+        assert nvol_draconian(m, n) == sum(c * (n - m + 1) ** s
+                                           for s, c in enumerate(coef)), (m, n)
 
 
 def test_draconian_m2_hand_sum():
