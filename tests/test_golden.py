@@ -43,6 +43,8 @@ GOLDEN = {
     "ehrhart-12-12": ("ehrhart", "--m", "12", "--n", "12", "--all-methods"),
     "volume-12-11": ("volume", "--m", "12", "--n", "11", "--all-methods"),
     "table-volume-N-12": ("table", "--which", "volume-N", "--max-m", "12"),
+    "verify-appendix": ("verify", "--suite", "appendix"),
+    "volume-20-25": ("volume", "--m", "20", "--n", "25", "--all-methods"),
 }
 for _m, _n in SHAPES:
     for _cmd in ("hpoly", "volume", "ehrhart"):
