@@ -56,6 +56,11 @@ ORACLE_MAX_M, ORACLE_MAX_N = 5, 6
 # the earlier subset search admitted stays inside.
 CHAIN_WORK_MAX = 2**18
 
+# enumerate_draconian lists at most this many sequences; m = 6 in ehrhart
+# mode, 74,670 of them, takes about 0.65 s (2-core VM, Python 3.11), and
+# m = 7 would list 1,261,748.
+DRACONIAN_LIST_MAX = 2**17
+
 
 def _validate_chain_shape(chain: Sequence, m: int) -> Chain:
     c = tuple(frozenset(a) for a in chain)
@@ -334,12 +339,17 @@ def enumerate_draconian(m: int, mode: str = "volume") -> List[Tuple[int, ...]]:
     """All draconian sequences on [m]: sum == m (volume) or sum <= m (ehrhart).
 
     Sequences are tuples indexed by draconian_indices(m), emitted in
-    lexicographic order.
+    lexicographic order.  They are counted first by ``draconian_sum``, and
+    more than ``DRACONIAN_LIST_MAX`` of them are refused up front.
     """
-    if mode not in ("volume", "ehrhart"):
-        raise ValueError(f"unknown draconian mode {mode!r}")
     if m < 1:
         raise ValueError("enumerate_draconian requires m >= 1")
+    total = draconian_sum(m, mode, lambda v, shape: 1)
+    if total > DRACONIAN_LIST_MAX:
+        raise ValueError(
+            f"draconian enumeration for m={m} in {mode} mode lists {total} "
+            f"sequences, above the listing bound DRACONIAN_LIST_MAX = {DRACONIAN_LIST_MAX}"
+        )
     return [tuple(t) for t in _enumerate_draconian_cached(m, mode)]
 
 

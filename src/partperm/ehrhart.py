@@ -1,4 +1,5 @@
-"""Ehrhart polynomials of P(m,n): counting, closed forms, and conjectures.
+"""Ehrhart polynomials of P(m,n): counting, closed forms, and generating
+functions.
 
 ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
 
@@ -16,14 +17,38 @@ ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
 * ``ehr_parking``       — the pairs-only specialization at n = m-1, whose
                           summand count equals the lattice-point count of
                           P(m, m-1) itself;
-* ``ehr_conjecture``    — two conjectural closed forms (a finite double
+* ``ehr_conjecture``    — two generating-function forms (a finite double
                           sum and m! [z^m] sqrt(1-tz)e^{(nt+t/2+1)z-tz^2/4}),
-                          cross-checked against each other;
-* ``ehr_recurrence``    — a conjectural three-term recurrence in m (n >= m-1).
+                          cross-checked against each other (n >= m-1);
+* ``ehr_recurrence``    — the three-term recurrence in m of that generating
+                          function (n >= m-1).
 
-``EHRHART_ENGINES`` is the ordered table of the four proved routes, method
+``EHRHART_ENGINES`` is the ordered table of the four table routes, method
 name -> (domain, value); each validates its arguments with the same domain
-predicate.
+predicate.  ``verify --suite engines`` compares the last two routes with it.
+
+Why the generating-function forms hold for n >= m-1 (Postnikov,
+arXiv:math/0507163, for the draconian sum; Flajolet & Sedgewick, *Analytic
+Combinatorics*, ch. II for the exponential formula and the tree and
+unicyclic EGFs, and A.6 for Lagrange inversion).  ``draconian_sum`` is the
+exponential formula over four component kinds.  Weight each component by
+its share of the draconian summand, with b = n-m+1, x = tz and T = T(x) the
+tree function, T = x e^T:
+
+* a tree with a token contributes b T;
+* a bare tree contributes (T - T^2/2)/t;
+* a tree with a doubled edge contributes ((t+1)/(2t)) T^2/2;
+* a unicyclic graph contributes (-log(1-T) - T - T^2/2)/2.
+
+Their sum is F = (b + 1/t - 1/2) T - T^2/(4t) - log(1-T)/2, and
+ehr(P(m,n), t) = m! [z^m] exp(F).  Lagrange inversion,
+[x^m] H(T) = [u^m] H(u)(1-u)e^{mu}, with m + b - 1/2 = n + 1/2, gives
+m! t^m [u^m] sqrt(1-u) exp((n + 1/2 + 1/t)u - u^2/(4t)), and u = tz gives
+m! [z^m] G(z) with G = sqrt(1-tz) exp((nt + t/2 + 1)z - tz^2/4): form (2)
+of ``ehr_conjecture``, whose form (1) is G expanded term by term.  G
+satisfies (1-tz) G' = (nt + 1 - t(nt + t/2 + 3/2) z + (t^2/2) z^2) G, and
+reading off the coefficient of z^(k-1) gives the recurrence of
+``ehr_recurrence``.
 
 Also here: h*-vector helpers (basis change between the monomial and
 binomial-coefficient bases) and the closed quasi-difference polynomial for
@@ -234,13 +259,14 @@ def ehr_parking(m: int) -> Tuple[Polynomial, int]:
 
 
 def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:
-    """Two conjectural closed Ehrhart forms, cross-checked (n >= m-1).
+    """Two closed Ehrhart forms from the generating function, cross-checked
+    (n >= m-1; the module docstring derives them from the draconian sum).
 
     (1) (1/2^m) sum_{i=0}^{floor(m/2)} sum_{j=2i}^{m} (-1)^{i+1}
         m!/((m-j)!(j-2i)!i!) (2(j-2i)-3)!! t^{j-i} (2nt+t+2)^{m-j};
     (2) m! [z^m] sqrt(1-tz) exp((nt+t/2+1)z - (t/4)z^2).
-    Both are conjectural; they are verified equal to each other here and
-    against interpolation in the test suite.  Form (1) reads (2i-3)!! from
+    They are verified equal to each other here, and ``verify --suite
+    engines`` compares them with the engine table.  Form (1) reads (2i-3)!! from
     double_factorial.  Form (2) does not: it is the Cauchy product
     sum_a r_a g_{m-a} of the two factors' coefficients in z, each from a
     recurrence.  With b = (n+1/2)t + 1, r_0 = 1 and
@@ -280,17 +306,17 @@ def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:
 
 
 def ehr_recurrence(m: int, n: int) -> Polynomial:
-    """Conjectural three-term recurrence in m (empirically exact on the
-    verified grid):
+    """Three-term recurrence in m, read off the ODE of the generating
+    function of ``ehr_conjecture`` (see the module docstring):
 
         E_k = (kt + nt - t + 1) E_{k-1}
               - (k-1) t (nt + t/2 + 3/2) E_{k-2}
               + (k-1)(k-2)/2 t^2 E_{k-3},      E_0 = 1.
 
-    Domain: m >= 0 and n >= max(0, m-1); m = 0 gives the constant 1.
-    Below n = m-1 the recurrence is not the Ehrhart polynomial (at (5,2)
-    its value at t = 1 is -119, where P(5,2) has 51 lattice points), so
-    those shapes are refused.
+    E_m is ehr(P(m,n), t).  Domain: m >= 0 and n >= max(0, m-1); m = 0
+    gives the constant 1.  Below n = m-1 the recurrence is not the Ehrhart
+    polynomial (at (5,2) its value at t = 1 is -119, where P(5,2) has 51
+    lattice points), so those shapes are refused.
     """
     if m < 0:
         raise ValueError("ehr_recurrence requires m >= 0")

@@ -122,15 +122,34 @@ def _facet_rhs(k: int, n: int) -> int:
     return comb(n + 1, 2) - (comb(a, 2) if a >= 2 else 0)
 
 
+# pp_facets lists at most this many rows (about 1.2 s); P(19,19) has
+# 524,306 and P(20,20) 1,048,595.
+FACET_LIST_MAX = 2**20
+
+
+def pp_facet_count(m: int, n: int) -> int:
+    """Number of rows of pp_facets(m, n): m + sum of C(m,k) over 1 <= k <= m
+    with k <= n-1 or k = m."""
+    return m + sum(comb(m, k) for k in range(1, m + 1) if k <= n - 1 or k == m)
+
+
 def pp_facets(m: int, n: int) -> HRep:
     """The irredundant facet system of P(m,n).
 
     Nonnegativity rows -x_i <= 0 first, then the subset rows over all
     nonempty S with |S| <= n-1 or |S| = m, ordered by (|S|, S).
-    For n = 0 the system pins the single point at the origin.
+    For n = 0 the system pins the single point at the origin.  Shapes
+    with more than ``FACET_LIST_MAX`` rows (``pp_facet_count``) are refused
+    up front.
     """
     if m < 1 or n < 0:
         raise ValueError("pp_facets requires m >= 1 and n >= 0")
+    count = pp_facet_count(m, n)
+    if count > FACET_LIST_MAX:
+        raise ValueError(
+            f"P({m},{n}) has {count} facet rows, above the listing bound "
+            f"FACET_LIST_MAX = {FACET_LIST_MAX}"
+        )
     rows = []
     for i in range(m):
         a = [0] * m

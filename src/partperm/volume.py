@@ -33,7 +33,6 @@ polynomials p_{n,i}.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -126,19 +125,24 @@ def nvol_of_vrep(v: VRep) -> int:
     return int(lead)
 
 
-@lru_cache(maxsize=None)
-def _nvol_rec(m: int, n: int) -> Fraction:
-    if m == 0:
-        return Fraction(1)
-    if m == 1:
-        return Fraction(max(n, 0))
-    total = Fraction(0)
-    for k in range(1, m + 1):
-        trees = 1 if k == 1 else k ** (k - 2)
-        sub = _nvol_rec(m - k, n - k) / factorial(m - k)
-        cap = k * n - comb(k, 2)
-        total += trees * sub * cap * comb(m, k)
-    return factorial(m - 1) * total
+def _nvol_rec(m: int, n: int) -> int:
+    """v(m,n) for n >= m-1 by the facet-coning recursion, in integers along
+    the diagonal d = n-m, which every term keeps: v_0 = 1 and
+
+        v_j = sum_{k=1}^{j} k^{k-2} (k(j+d) - C(k,2)) C(j,k) (j-1)!/(j-k)! v_{j-k},
+
+    reading k^{k-2} as 1 at k = 1.  A loop, so no shape exhausts the stack.
+    """
+    d = n - m
+    trees = [1, 1] + [k ** (k - 2) for k in range(2, m + 1)]
+    v = [1]
+    for j in range(1, m + 1):
+        total, ways = 0, j  # ways = C(j,k) (j-1)!/(j-k)!
+        for k in range(1, j + 1):
+            total += trees[k] * (k * (j + d) - k * (k - 1) // 2) * ways * v[j - k]
+            ways = ways * (j - k) ** 2 // (k + 1)
+        v.append(total)
+    return v[m]
 
 
 def nvol_recursive(m: int, n: int) -> int:

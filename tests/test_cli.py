@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -663,6 +664,67 @@ def test_verify_engines_census_records():
     assert [(r["params"]["m"], r["params"]["mode"]) for r in recs] == [
         (m, mode) for m in (1, 2, 3) for mode in ("volume", "ehrhart")]
     assert all(r["status"] == "pass" for r in recs)
+
+
+def _engine_records(check, **grid):
+    return {(r["params"]["m"], r["params"]["n"]): r
+            for r in verify_suite("engines", **grid) if r["check"] == check}
+
+
+def test_verify_engines_records_cover_every_shape_with_two_routes():
+    volume = _engine_records("volume-engines-agree", max_m=12, max_n=14)
+    ehrhart = _engine_records("ehrhart-engines-agree", max_m=12, max_n=14)
+    for m in range(1, 13):
+        for n in range(max(0, m - 1), 15):
+            assert volume[m, n]["status"] == "pass", (m, n)
+            assert ehrhart[m, n]["status"] == "pass", (m, n)
+    # at n = 0 and in the wedge n < m-1, beside the oracle
+    for shape in [(3, 0), (4, 1)]:
+        assert volume[shape]["status"] == ehrhart[shape]["status"] == "pass"
+    # one route alone is no record: (6,0) has only small_n
+    assert (6, 0) not in volume and (6, 0) not in ehrhart
+
+
+@pytest.mark.parametrize("route", ["ehr_recurrence", "ehr_conjecture"])
+def test_verify_engines_compares_both_generating_function_forms(monkeypatch, route):
+    import partperm.ehrhart as EH
+
+    true_route = getattr(EH, route)
+    if route == "ehr_recurrence":
+        wrong = lambda m, n: true_route(m, n) + 1
+    else:
+        wrong = lambda m, n: tuple(p + 1 for p in true_route(m, n)[:2]) + (True,)
+    monkeypatch.setattr(EH, route, wrong)
+    records = _engine_records("ehrhart-engines-agree", max_m=3, max_n=3)
+    failed = sorted(shape for shape, r in records.items() if r["status"] == "fail")
+    assert failed == [(m, n) for m in range(1, 4) for n in range(m - 1, 4)]
+    name = route.split("_")[1]
+    assert all(f"'{name}'" in records[shape]["detail"] for shape in failed)
+
+
+def test_verify_conjectures_suite_holds_only_the_volume_fit():
+    recs = list(verify_suite("conjectures", max_m=6, max_n=6))
+    assert [(r["check"], r["params"]) for r in recs] == [
+        ("volume-expansion-fit", {"n": 3}), ("volume-expansion-fit", {"n": 4})]
+
+
+def test_verify_engines_census_stops_at_the_listing_bound(monkeypatch):
+    import partperm.combinat as CB
+
+    monkeypatch.setattr(CB, "DRACONIAN_LIST_MAX", 500)
+    recs = [r for r in verify_suite("engines", max_m=6, max_n=0)
+            if r["check"] == "draconian-census-matches-enumeration"]
+    assert [(r["params"]["m"], r["params"]["mode"]) for r in recs] == [
+        (m, mode) for m in range(1, 5) for mode in ("volume", "ehrhart")]
+
+
+def test_facets_listing_bound_is_an_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "facets", "--m", "30", "--n", "30")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "FACET_LIST_MAX" in err
 
 
 def test_verify_engines_pp_count_records_cover_the_oracle_domain():

@@ -9,6 +9,7 @@ sequences) pin the semantics; the shape census from the component formula
 is checked against the shape tally of the enumeration.
 """
 
+import time
 from itertools import chain as ichain, combinations
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from partperm import (
     CHAIN_WORK_MAX,
+    DRACONIAN_LIST_MAX,
     DRACONIAN_MAX_M,
     chain_in_family,
     descents,
@@ -351,6 +353,16 @@ def test_enumerate_draconian_ehrhart_complete_vs_filter():
 def test_enumerate_draconian_bad_mode():
     with pytest.raises(ValueError):
         enumerate_draconian(2, "nonsense")
+
+
+def test_enumerate_draconian_refuses_above_its_listing_bound():
+    # m = 6 is the largest listing the bound admits in either mode
+    assert len(enumerate_draconian(6, "ehrhart")) == 74670 <= DRACONIAN_LIST_MAX
+    for m, mode in [(7, "volume"), (7, "ehrhart"), (8, "volume")]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="DRACONIAN_LIST_MAX"):
+            enumerate_draconian(m, mode)
+        assert time.perf_counter() - start < 1
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ anti-blocking graphs are pinned to small frozen neighborhoods.
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partperm import (
+    FACET_LIST_MAX,
     ORACLE_MAX_M,
     ORACLE_MAX_N,
     PP_COUNT_WORK_MAX,
@@ -33,6 +35,7 @@ from partperm import (
     oracle_domain,
     pp_box,
     pp_count,
+    pp_facet_count,
     pp_facets,
     pp_vertex_count,
     pp_vertices,
@@ -98,8 +101,17 @@ def test_pp_facets_row_census(m, n):
     subset_rows = sum(
         math.comb(m, k) for k in range(1, m + 1) if k <= n - 1 or k == m
     )
-    assert len(h.rows) == m + subset_rows
+    assert len(h.rows) == m + subset_rows == pp_facet_count(m, n)
     assert h.dim == m
+
+
+def test_pp_facets_refuses_above_its_listing_bound():
+    assert pp_facet_count(20, 19) == 2**20 - 1 <= FACET_LIST_MAX
+    assert pp_facet_count(20, 20) > FACET_LIST_MAX
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="FACET_LIST_MAX"):
+        pp_facets(30, 30)
+    assert time.perf_counter() - start < 1
 
 
 def test_pp_facets_pentagon_rows():

@@ -8,7 +8,9 @@ substitution points; the draconian sum must match the closed forms,
 on the n = m - 1 diagonal too.
 """
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +58,17 @@ GOLDEN_VALUES = {
 def test_recursive_golden_values(mn, value):
     m, n = mn
     assert nvol_recursive(m, n) == value
+
+
+def test_recursive_needs_no_stack_depth():
+    # the recursion is a loop along the diagonal d = n-m, so it runs with
+    # the stack nearly exhausted
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert nvol_recursive(200, 200) == nvol_three_term(200, 200)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_v1n_is_n():
