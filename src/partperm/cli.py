@@ -1,7 +1,8 @@
 """Command-line interface: exact invariants of partial permutohedra.
 
 Subcommands: vertices, facets, faces, fvector, hpoly, volume, ehrhart,
-verify, table.  Output is deterministic JSON by default (sorted keys,
+verify, table, each declared once with its flags in ``COMMANDS``, which a
+small parse loop reads (nothing is built per call or per process).  Output is deterministic JSON by default (sorted keys,
 compact separators); --format csv/tex give flat rows and TeX tabulars
 where a subcommand writes them; --all-methods and --eval write JSON only.
 All numbers are exact: integers or 'p/q' strings, never floats.
@@ -14,12 +15,13 @@ counterexample; 3 two internal engines disagreed (EngineDisagreement).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
-from typing import Dict, Iterator, List, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ehrhart as EH
 from . import faces as FA
@@ -55,22 +57,10 @@ class VerificationFailure(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we want exit 1
-        raise UsageError(message)
-
-
-def _int_at_least(low: int):
-    """argparse type: an integer >= low; argparse names the flag on failure."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return parse
+# A command's output may hold integers of up to this many digits; the
+# interpreter's default limit is 4,300.  Writing one such integer as text
+# takes about 0.36 s (2-core VM, Python 3.11): the conversion is quadratic.
+OUTPUT_DIGITS_MAX = 2**17
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -501,88 +491,258 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser and dispatch.
+# The command table and its parse loop.
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="partperm",
-                description="Exact invariants of partial permutohedra P(m,n).")
-    sub = p.add_subparsers(dest="command", required=True)
+class Flag(NamedTuple):
+    """One flag of a command.  ``kind`` is what it takes: an int, the least
+    integer it accepts; ``int``, any integer; a tuple or an engine table,
+    the names it accepts; ``bool``, no value (a switch, True when given)."""
 
-    def add_mn(sp, n_min=0, formats=("json", "csv", "tex")):
-        sp.add_argument("--m", type=_int_at_least(1), required=True,
-                        help="dimension m >= 1")
-        sp.add_argument("--n", type=_int_at_least(n_min), required=True,
-                        help=f"value bound n >= {n_min}")
-        sp.add_argument("--format", choices=formats, default="json")
-
-    sp = sub.add_parser("vertices", help="vertex list of P(m,n)")
-    add_mn(sp)
-    sp.set_defaults(func=_cmd_vertices)
-
-    sp = sub.add_parser("facets", help="facet inequalities of P(m,n)")
-    add_mn(sp)
-    sp.set_defaults(func=_cmd_facets)
-
-    sp = sub.add_parser("faces", help="all faces as chain records (JSON lines)")
-    add_mn(sp, n_min=1, formats=("json", "csv"))
-    sp.set_defaults(func=_cmd_faces)
-
-    sp = sub.add_parser("fvector", help="f-vector of P(m,n)")
-    add_mn(sp, n_min=1)
-    sp.set_defaults(func=_cmd_fvector)
-
-    sp = sub.add_parser("hpoly", help="h-polynomial of P(m,n)")
-    add_mn(sp, n_min=1)
-    sp.add_argument("--method", choices=tuple(FA.H_POLY_ENGINES))
-    sp.add_argument("--all-methods", action="store_true")
-    sp.set_defaults(func=_cmd_hpoly)
-
-    sp = sub.add_parser("volume", help="normalized volume of P(m,n)")
-    add_mn(sp, formats=("json", "csv"))
-    sp.add_argument("--method", choices=tuple(VO.VOLUME_ENGINES))
-    sp.add_argument("--all-methods", action="store_true")
-    sp.set_defaults(func=_cmd_volume)
-
-    sp = sub.add_parser("ehrhart", help="Ehrhart polynomial of P(m,n)")
-    add_mn(sp)
-    sp.add_argument("--method", choices=tuple(EH.EHRHART_ENGINES))
-    sp.add_argument("--all-methods", action="store_true")
-    sp.add_argument("--eval", type=int, default=None, metavar="T",
-                    help="also evaluate at t=T (JSON only)")
-    sp.set_defaults(func=_cmd_ehrhart)
-
-    sp = sub.add_parser("verify", help="run a cross-validation suite")
-    sp.add_argument("--suite", choices=("engines", "faces", "conjectures",
-                                        "appendix", "all"), default="all")
-    sp.add_argument("--max-m", type=_int_at_least(1), default=4)
-    sp.add_argument("--max-n", type=_int_at_least(0), default=6)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("table", help="volume polynomial tables")
-    sp.add_argument("--which", choices=("volume-n", "volume-N"), required=True)
-    sp.add_argument("--max-m", type=_int_at_least(1), default=None)
-    sp.add_argument("--format", choices=("json", "csv", "tex"), default="json")
-    sp.set_defaults(func=_cmd_table)
-
-    return p
+    kind: Any
+    help: str
+    required: bool = False
+    default: Any = None
 
 
-# Built by the first main call and reused by later ones; never at import.
-_parser: Optional[_Parser] = None
+class Command(NamedTuple):
+    help: str
+    run: Callable[[Any], int]
+    flags: Dict[str, Flag]
+
+
+def _mn_flags(n_min: int = 0, formats=("json", "csv", "tex")) -> Dict[str, Flag]:
+    return {
+        "--m": Flag(1, "dimension m >= 1", required=True),
+        "--n": Flag(n_min, f"value bound n >= {n_min}", required=True),
+        "--format": Flag(formats, "output format", default="json"),
+    }
+
+
+def _method_flags(table: Dict[str, Engine]) -> Dict[str, Flag]:
+    return {
+        "--method": Flag(table, "the engine to run (default: chosen by (m,n))"),
+        "--all-methods": Flag(bool, "run every covering engine and compare (JSON only)",
+                              default=False),
+    }
+
+
+# Command name -> Command, in the order the help lists them.  The --method
+# names are read from the engine tables whenever a flag is checked.
+COMMANDS: Dict[str, Command] = {
+    "vertices": Command("vertex list of P(m,n)", _cmd_vertices, _mn_flags()),
+    "facets": Command("facet inequalities of P(m,n)", _cmd_facets, _mn_flags()),
+    "faces": Command("all faces as chain records (JSON lines)", _cmd_faces,
+                     _mn_flags(1, ("json", "csv"))),
+    "fvector": Command("f-vector of P(m,n)", _cmd_fvector, _mn_flags(1)),
+    "hpoly": Command("h-polynomial of P(m,n)", _cmd_hpoly,
+                     {**_mn_flags(1), **_method_flags(FA.H_POLY_ENGINES)}),
+    "volume": Command("normalized volume of P(m,n)", _cmd_volume,
+                      {**_mn_flags(0, ("json", "csv")), **_method_flags(VO.VOLUME_ENGINES)}),
+    "ehrhart": Command("Ehrhart polynomial of P(m,n)", _cmd_ehrhart, {
+        **_mn_flags(), **_method_flags(EH.EHRHART_ENGINES),
+        "--eval": Flag(int, "also evaluate at t = EVAL (JSON only)"),
+    }),
+    "verify": Command("run a cross-validation suite", _cmd_verify, {
+        "--suite": Flag(("engines", "faces", "conjectures", "appendix", "all"),
+                        "the suite to run", default="all"),
+        "--max-m": Flag(1, "largest m of the suite's grids", default=4),
+        "--max-n": Flag(0, "largest n of the suite's grids", default=6),
+    }),
+    "table": Command("volume polynomial tables", _cmd_table, {
+        "--which": Flag(("volume-n", "volume-N"),
+                        "v(m,n) as a polynomial in n, or in N = n-m+1", required=True),
+        "--max-m": Flag(1, "largest m (default: 7 for volume-n, 6 for volume-N)"),
+        "--format": Flag(("json", "csv", "tex"), "output format", default="json"),
+    }),
+}
+
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _flag_of(token: str, names: Sequence[str]) -> Optional[Tuple[Optional[str], Optional[str]]]:
+    """Read one token against a command's flag names, as argparse does.
+
+    None for a value (a word, '-', a negative number); (flag, text) for a
+    flag given in full or by a unique prefix, text what follows '=' or None;
+    (None, None) for an unknown flag.
+    """
+    if token in names:
+        return token, None
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    head, eq, text = token.partition("=")
+    if eq and head in names:
+        return head, text
+    if token[1] != "-":
+        if token[1] == "h":  # the one short flag; text may follow it, as in -h5
+            return "-h", token[2:]
+    else:
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], text if eq else None
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _value(flag: str, kind: Any, text: str):
+    """The value a flag's text gives, or a usage error naming the flag."""
+    if kind is int or isinstance(kind, int):
+        try:
+            value = int(text)
+        except ValueError:
+            problem = (f"invalid int value: {text!r}" if kind is int
+                       else f"expected an integer, got {text!r}")
+            raise UsageError(f"argument {flag}: {problem}") from None
+        if kind is not int and value < kind:
+            raise UsageError(f"argument {flag}: must be >= {kind}, got {value}")
+        return value
+    if text not in kind:
+        raise UsageError(f"argument {flag}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, kind))})")
+    return text
+
+
+def _columns(rows) -> List[str]:
+    """Help rows: each name, then its text from column 24."""
+    lines = []
+    for name, text in rows:
+        if len(name) < 20:
+            lines.append(f"  {name:<22}{text}")
+        else:
+            lines += [f"  {name}", " " * 24 + text]
+    return lines
+
+
+def _top_help() -> str:
+    return "\n".join([
+        "usage: partperm [-h] COMMAND [FLAGS]", "",
+        "Exact invariants of partial permutohedra P(m,n).", "", "commands:",
+        *_columns((name, command.help) for name, command in COMMANDS.items()), "",
+        "'partperm COMMAND -h' lists the flags of a command.",
+    ])
+
+
+def _command_help(name: str, command: Command) -> str:
+    usage, rows = [f"usage: partperm {name} [-h]"], [("-h, --help", "show this help and exit")]
+    for flag, spec in command.flags.items():
+        if spec.kind is not bool:
+            is_int = spec.kind is int or isinstance(spec.kind, int)
+            flag += " " + (flag[2:].upper().replace("-", "_") if is_int
+                           else "{" + ",".join(spec.kind) + "}")
+        usage.append(flag if spec.required else f"[{flag}]")
+        note = (" (required)" if spec.required else
+                f" (default: {spec.default})" if spec.default not in (None, False) else "")
+        rows.append((flag, spec.help + note))
+    lines = [usage[0]]  # the usage wrapped at 79 columns, under its first flag
+    for part in usage[1:]:
+        if len(lines[-1]) + len(part) >= 79:
+            lines.append(" " * len(f"usage: partperm {name}"))
+        lines[-1] += " " + part
+    return "\n".join([*lines, "", command.help, "", "flags:", *_columns(rows)])
+
+
+def _print(text: str) -> int:
+    print(text)
+    return 0
+
+
+def _parse(argv: Sequence[str]) -> Tuple[Callable[[Any], int], Any]:
+    """argv -> (what to run, its argument): a command and its flags, or the
+    printing of a help text.  argv is read as argparse reads it: '--flag
+    value' or '--flag=value', the last repeat winning; a unique prefix of a
+    flag for the flag; a negative number as a value; every error a
+    UsageError with argparse's text.
+    """
+    extras: List[str] = []
+    for at, token in enumerate(argv):  # before the command: -h, or unknown flags
+        if token == "--":  # argparse reads it as the command, unless it is last
+            hit = None if at + 1 < len(argv) else (None, None)
+        else:
+            hit = _flag_of(token, _HELP)
+        if hit is None:
+            break
+        if hit[0] is not None:
+            if hit[1] is not None:
+                raise UsageError(f"argument -h/--help: ignored explicit argument {hit[1]!r}")
+            return _print, _top_help()
+        extras.append(token)
+    else:
+        raise UsageError("the following arguments are required: command")
+    name, tokens = argv[at], argv[at + 1:]
+    command = COMMANDS.get(name)
+    if command is None:
+        raise UsageError(f"argument command: invalid choice: {name!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    # Every token is read before any value is, so an ambiguous prefix is
+    # refused first; '--' is an unknown flag, and every token after it a value.
+    names = (*_HELP, *command.flags)
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    hits = ([_flag_of(token, names) for token in tokens[:cut]]
+            + [(None, None)] + [None] * (len(tokens) - cut - 1))
+    values: Dict[str, Any] = {}
+    at = 0
+    while at < len(tokens):
+        hit, token = hits[at], tokens[at]
+        at += 1
+        if hit is None or hit[0] is None:
+            extras.append(token)
+            continue
+        flag, text = hit
+        spec = command.flags.get(flag)
+        if spec is None or spec.kind is bool:  # -h, --help or a switch: no value
+            if text is not None:
+                shown = "-h/--help" if spec is None else flag
+                raise UsageError(f"argument {shown}: ignored explicit argument {text!r}")
+            if spec is None:
+                return _print, _command_help(name, command)
+            values[flag] = True
+            continue
+        if text is None:
+            if at == len(tokens) or hits[at] is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            text = tokens[at]
+            at += 1
+        values[flag] = _value(flag, spec.kind, text)
+    missing = [flag for flag, spec in command.flags.items()
+               if spec.required and flag not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    for flag in ("--all-methods", "--eval"):
+        if values.get(flag) is not None and values.get("--format", "json") != "json":
+            raise UsageError(f"{flag} writes JSON only, not --format {values['--format']}")
+    return command.run, SimpleNamespace(**{
+        flag[2:].replace("-", "_"): values.get(flag, spec.default)
+        for flag, spec in command.flags.items()})
+
+
+def _run(run: Callable[[Any], int], args: Any) -> int:
+    """run(args), with integers of up to OUTPUT_DIGITS_MAX digits writable
+    as text; the interpreter's own limit is restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7: no limit
+        return run(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(OUTPUT_DIGITS_MAX)
+    try:
+        return run(args)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise UsageError(f"an output value has more than OUTPUT_DIGITS_MAX = "
+                         f"{OUTPUT_DIGITS_MAX} digits") from None
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
     try:
-        args = _parser.parse_args(argv)
-        for flag, given in (("--all-methods", getattr(args, "all_methods", False)),
-                            ("--eval", getattr(args, "eval", None) is not None)):
-            if given and args.format != "json":
-                raise UsageError(f"{flag} writes JSON only, not --format {args.format}")
-        code = args.func(args)
+        code = _run(*_parse(sys.argv[1:] if argv is None else argv))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -19,6 +19,10 @@ an integer for lattice polytopes.  Engines implemented here:
                          of the lambdas, n >= m-1;
 * ``nvol_small_n``     — closed formulas for n <= 4 valid for every m.
 
+The recursive, closed, three-term and small-n engines declare work bounds
+(``NVOL_*_WORK_MAX``, ``NVOL_SMALL_N_MAX_M``) in their domains and refuse
+work above them up front.
+
 ``VOLUME_ENGINES`` is the ordered table of these engines, method name ->
 (domain, value); each engine validates its arguments with the same domain
 predicate.
@@ -68,10 +72,55 @@ def _integral(val: Fraction, what: str) -> int:
 LAMBDA_MAX_M = 5
 
 
+# Work bounds of the recursive, closed and three-term engines, each at most
+# about 2 s at its edge (2-core VM, Python 3.11): recursive 0.6 s at
+# (390,390) and 1.6 s at (42, 10^4299); closed 1.2 s at (316,316) and 2.3 s
+# at (33, 10^4299); three-term 1.4 s at (5926,5926) and 1.2 s at (88, 10^4299).
+NVOL_RECURSIVE_WORK_MAX = 2**30
+NVOL_CLOSED_WORK_MAX = 2**29
+NVOL_THREE_TERM_WORK_MAX = 2**47
+
+# nvol_small_n raises 10 to the m-th power; m = 2^20 takes 0.7 s.
+NVOL_SMALL_N_MAX_M = 2**20
+
+
 def polynomial_domain(m: int, n: int) -> bool:
     """n >= m-1, where v(m,n) is the polynomial nvol_poly(m, "n"): the domain
-    of the recursive, closed and three-term engines."""
+    of the recursive, closed and three-term engines before their work bounds."""
     return m >= 1 and n >= m - 1
+
+
+def value_bits(m: int, n: int) -> int:
+    """m times the bit length of mn: at least the bit length of v(m,n), which
+    is at most m! n^m <= (mn)^m, as P(m,n) lies in the cube [0,n]^m."""
+    return m * (m * n).bit_length()
+
+
+def nvol_sum_work(m: int, n: int) -> int:
+    """The work of the recursive and closed engines: m^2 terms, each of up
+    to value_bits(m, n) bits."""
+    return m * m * value_bits(m, n)
+
+
+def nvol_three_term_work(m: int, n: int) -> int:
+    """The work of the three-term engine: m Fraction steps, each reducing by
+    a gcd quadratic in the size value_bits(m, n)."""
+    return m * value_bits(m, n) ** 2
+
+
+def recursive_domain(m: int, n: int) -> bool:
+    """The domain of nvol_recursive: its work bound included."""
+    return polynomial_domain(m, n) and nvol_sum_work(m, n) <= NVOL_RECURSIVE_WORK_MAX
+
+
+def closed_domain(m: int, n: int) -> bool:
+    """The domain of nvol_closed: its work bound included."""
+    return polynomial_domain(m, n) and nvol_sum_work(m, n) <= NVOL_CLOSED_WORK_MAX
+
+
+def three_term_domain(m: int, n: int) -> bool:
+    """The domain of nvol_three_term: its work bound included."""
+    return polynomial_domain(m, n) and nvol_three_term_work(m, n) <= NVOL_THREE_TERM_WORK_MAX
 
 
 def lambda_domain(m: int, n: int) -> bool:
@@ -80,8 +129,14 @@ def lambda_domain(m: int, n: int) -> bool:
 
 
 def small_n_domain(m: int, n: int) -> bool:
-    """The domain of nvol_small_n: 0 <= n <= 4, every m."""
-    return m >= 1 and 0 <= n <= 4
+    """The domain of nvol_small_n: 0 <= n <= 4, m <= NVOL_SMALL_N_MAX_M."""
+    return 1 <= m <= NVOL_SMALL_N_MAX_M and 0 <= n <= 4
+
+
+def _require_work(engine: str, m: int, n: int, work: int, bound: str, top: int) -> None:
+    if work > top:
+        raise ValueError(f"{engine}({m}, {n}) has work {work}, above the work "
+                         f"bound {bound} = {top}")
 
 
 def nvol_oracle(m: int, n: int) -> int:
@@ -152,6 +207,8 @@ def nvol_recursive(m: int, n: int) -> int:
     n >= m-1.
     """
     _require(polynomial_domain(m, n), "nvol_recursive requires m >= 1 and n >= m-1")
+    _require_work("nvol_recursive", m, n, nvol_sum_work(m, n),
+                  "NVOL_RECURSIVE_WORK_MAX", NVOL_RECURSIVE_WORK_MAX)
     return _integral(_nvol_rec(m, n), f"nvol_recursive({m},{n})")
 
 
@@ -168,6 +225,8 @@ def nvol_closed(m: int, n: int) -> Tuple[int, int, int]:
     r_k = r_{k-1} (2k-3)/(2k) and e_k = e_{k-1} (n+1/2)/k.
     """
     _require(polynomial_domain(m, n), "nvol_closed requires m >= 1 and n >= m-1")
+    _require_work("nvol_closed", m, n, nvol_sum_work(m, n),
+                  "NVOL_CLOSED_WORK_MAX", NVOL_CLOSED_WORK_MAX)
     scale = -Fraction(factorial(m), 2**m)
     s1 = Fraction(0)
     for j in range(m + 1):
@@ -193,6 +252,8 @@ def nvol_three_term(m: int, n: int) -> int:
     W_0 = 1, W_1 = n, W_k = (k+n-1) W_{k-1} - (k-1)(n+1/2) W_{k-2}.
     """
     _require(polynomial_domain(m, n), "nvol_three_term requires m >= 1 and n >= m-1")
+    _require_work("nvol_three_term", m, n, nvol_three_term_work(m, n),
+                  "NVOL_THREE_TERM_WORK_MAX", NVOL_THREE_TERM_WORK_MAX)
     w_prev, w = Fraction(1), Fraction(n)
     for k in range(2, m + 1):
         w_prev, w = w, (k + n - 1) * w - (k - 1) * (n + Fraction(1, 2)) * w_prev
@@ -262,7 +323,8 @@ def nvol_small_n(m: int, n: int) -> int:
     v(m,3) = 6^m - m 3^m - (m-1) C(m,2);
     v(m,4) = 10^m - m 6^m - [m(m-1)(m-3)/6] 3^m - (3m^2-6m+1) C(m,3).
     """
-    _require(small_n_domain(m, n), "nvol_small_n covers only m >= 1, 0 <= n <= 4")
+    _require(small_n_domain(m, n), "nvol_small_n covers only 1 <= m <= "
+             f"NVOL_SMALL_N_MAX_M = {NVOL_SMALL_N_MAX_M}, 0 <= n <= 4")
     if n == 0:
         return 0
     if n == 1:
@@ -285,9 +347,9 @@ def nvol_small_n(m: int, n: int) -> int:
 # are the ones called.
 VOLUME_ENGINES: Dict[str, Engine] = {
     "oracle": Engine(oracle_domain, lambda m, n: nvol_oracle(m, n)),
-    "recursive": Engine(polynomial_domain, lambda m, n: nvol_recursive(m, n)),
-    "closed": Engine(polynomial_domain, lambda m, n: nvol_closed(m, n)[0]),
-    "three_term": Engine(polynomial_domain, lambda m, n: nvol_three_term(m, n)),
+    "recursive": Engine(recursive_domain, lambda m, n: nvol_recursive(m, n)),
+    "closed": Engine(closed_domain, lambda m, n: nvol_closed(m, n)[0]),
+    "three_term": Engine(three_term_domain, lambda m, n: nvol_three_term(m, n)),
     "draconian": Engine(draconian_domain, lambda m, n: nvol_draconian(m, n)),
     "lambda": Engine(lambda_domain, lambda m, n: _integral(
         nvol_lambda(m, n), f"nvol_lambda({m},{n})")),

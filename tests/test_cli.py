@@ -29,7 +29,7 @@ from partperm import (
     pp_vertex_count,
     pp_vertices,
 )
-from partperm.cli import _build_parser, main, verify_suite
+from partperm.cli import COMMANDS, main, verify_suite
 
 
 def run_cli(capsys, *argv):
@@ -549,6 +549,173 @@ def test_parallel_flag_is_gone(capsys, argv):
 
 
 # --------------------------------------------------------------------------
+# The command table's parse loop
+
+
+def test_flag_equals_value_and_last_repeat_wins(capsys):
+    _, want, _ = run_cli(capsys, "volume", "--m", "3", "--n", "3", "--method", "closed")
+    code, out, _ = run_cli(capsys, "volume", "--m=3", "--n=3", "--method=closed")
+    assert code == 0 and out == want
+    code, out, _ = run_cli(capsys, "volume", "--m", "5", "--n", "3", "--m=3",
+                           "--method", "oracle", "--method", "closed")
+    assert code == 0 and out == want
+
+
+def test_unique_prefix_names_its_flag(capsys):
+    _, want, _ = run_cli(capsys, "volume", "--m", "3", "--n", "3", "--all-methods")
+    code, out, _ = run_cli(capsys, "volume", "--m", "3", "--n", "3", "--all")
+    assert code == 0 and out == want
+    code, out, _ = run_cli(capsys, "verify", "--s", "conjectures")
+    assert code == 0 and json.loads(out.splitlines()[-1])["summary"] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [("--max", "3"), ("--max=3",)])
+def test_ambiguous_prefix_names_both_flags(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (f"usage error: ambiguous option: {argv[0]} could match "
+                   "--max-m, --max-n\n")
+
+
+def test_negative_value_after_eval(capsys):
+    p = partperm.EHRHART_ENGINES["interpolate"].value(2, 2)
+    for argv in (("--eval", "-2"), ("--eval=-2",)):
+        code, out, _ = run_cli(capsys, "ehrhart", "--m", "2", "--n", "2", *argv)
+        assert code == 0
+        assert json.loads(out)["value_at_t"] == str(p(-2))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("volume",), "the following arguments are required: --m, --n"),
+    (("table", "--max-m", "2"), "the following arguments are required: --which"),
+    (("frobnicate",), "argument command: invalid choice: 'frobnicate' (choose from "
+                      "'vertices', 'facets', 'faces', 'fvector', 'hpoly', 'volume', "
+                      "'ehrhart', 'verify', 'table')"),
+    ((), "the following arguments are required: command"),
+    (("volume", "--m", "3", "--n", "3", "--method"), "argument --method: expected one argument"),
+    (("volume", "--m", "3", "--n", "3", "--all-methods=yes"),
+     "argument --all-methods: ignored explicit argument 'yes'"),
+    (("ehrhart", "--m", "2", "--n", "2", "--eval", "x"), "argument --eval: invalid int value: 'x'"),
+])
+def test_usage_errors_keep_their_text(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--he",)])
+def test_top_level_help_lists_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    listed = [line.split()[0] for line in out.split("commands:\n")[1].split("\n\n")[0].splitlines()]
+    assert listed == list(COMMANDS) == ["vertices", "facets", "faces", "fvector", "hpoly",
+                                        "volume", "ehrhart", "verify", "table"]
+
+
+def test_command_help_lists_each_flag_with_its_choices(capsys):
+    code, out, err = run_cli(capsys, "volume", "-h")
+    assert code == 0
+    assert err == ""
+    rows = out.split("flags:\n")[1]
+    for flag in ("-h, --help", "--m M", "--n N", "--format {json,csv}", "--all-methods",
+                 "--method {" + ",".join(partperm.VOLUME_ENGINES) + "}"):
+        assert f"\n  {flag}" in "\n" + rows, flag
+    # help is printed before the required flags are checked, as argparse does
+    code, out2, _ = run_cli(capsys, "volume", "--m", "3", "--help")
+    assert code == 0 and out2 == out
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["partperm", "fvector", "--m", "2", "--n", "2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["f_vector"] == [5, 5, 1]
+
+
+# --------------------------------------------------------------------------
+# Output above the interpreter's 4,300-digit limit; engine work bounds
+
+
+def _text(value: int) -> str:
+    """value in decimal, above the interpreter's digit limit too."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("m,n,method,digits", [
+    (1010, 1010, "three_term", 5632),
+    (5000, 4, "small_n", 5000),
+])
+def test_volume_above_4300_digits_prints_exactly(capsys, m, n, method, digits):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "volume", "--m", str(m), "--n", str(n),
+                             "--method", method)
+    assert code == 0, err
+    value = _text(partperm.VOLUME_ENGINES[method].value(m, n))
+    assert len(value) == digits
+    assert out == f'{{"m":{m},"method":"{method}","n":{n},"value":{value}}}\n'
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_digit_limit_is_restored_after_errors(capsys, monkeypatch):
+    import partperm.cli as cli
+
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return  # Python before 3.10.7 has no limit to restore
+    limit = sys.get_int_max_str_digits()
+    for argv in (("volume", "--m", "0", "--n", "3"),                 # a bad flag
+                 ("volume", "--m", "8", "--n", "5"),                 # no engine
+                 ("faces", "--m", "30", "--n", "2")):                # a work bound
+        assert run_cli(capsys, *argv)[0] == 1
+        assert sys.get_int_max_str_digits() == limit
+    monkeypatch.setattr(cli, "OUTPUT_DIGITS_MAX", 1000)
+    code, out, err = run_cli(capsys, "volume", "--m", "1010", "--n", "1010",
+                             "--method", "three_term")
+    assert code == 1
+    assert out == ""
+    assert err == ("usage error: an output value has more than "
+                   "OUTPUT_DIGITS_MAX = 1000 digits\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("volume", "--m", "400", "--n", "400", "--method", "closed"),
+     "method 'closed' not applicable at (m,n)=(400,400); applicable: three_term"),
+    (("volume", "--m", "1000", "--n", "1000", "--method", "recursive"),
+     "method 'recursive' not applicable at (m,n)=(1000,1000); applicable: three_term"),
+    (("volume", "--m", "10000", "--n", "10000"),
+     "no exact volume engine covers (m,n)=(10000,10000)"),
+    (("volume", "--m", "100", "--n", "1" + "0" * 4000),
+     "no exact volume engine covers (m,n)=(100,1" + "0" * 4000 + ")"),
+    (("ehrhart", "--m", "2000", "--n", "2", "--method", "small_n"),
+     "no exact Ehrhart engine covers (m,n)=(2000,2)"),
+])
+def test_work_bounds_refuse_up_front(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_all_methods_drops_the_engines_over_their_bounds(capsys):
+    code, out, _ = run_cli(capsys, "volume", "--m", "350", "--n", "350", "--all-methods")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data["values"]) == ["recursive", "three_term"]
+    assert data["agree"] is True
+
+
+# --------------------------------------------------------------------------
 # --all-methods disagreements name every method and its value
 
 
@@ -616,11 +783,14 @@ def test_hpoly_method_recurrence_is_gone(capsys):
     ("ehrhart", partperm.EHRHART_ENGINES),
     ("hpoly", partperm.H_POLY_ENGINES),
 ])
-def test_method_choices_are_the_engine_table(command, table):
-    parser = _build_parser()
-    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
-    method = next(a for a in sub._actions if a.dest == "method")
-    assert list(method.choices) == list(table)
+def test_method_choices_are_the_engine_table(capsys, command, table):
+    code, out, err = run_cli(capsys, command, "--m", "2", "--n", "2",
+                             "--method", "bogus")
+    assert code == 1
+    assert out == ""
+    choices = ", ".join(repr(name) for name in table)
+    assert err == (f"usage error: argument --method: invalid choice: 'bogus' "
+                   f"(choose from {choices})\n")
 
 
 def test_chain_work_bound_is_usage_error(capsys):
@@ -810,7 +980,7 @@ def test_installed_console_entry_point_matches_pyproject():
 
 
 # --------------------------------------------------------------------------
-# One parser per process; a closed pipe
+# No parser library; a closed pipe
 
 
 def _run_script(script, *args, **kwargs):
@@ -820,24 +990,14 @@ def _run_script(script, *args, **kwargs):
                             env=env, text=True, **kwargs)
 
 
-def test_import_builds_no_parser_and_main_builds_one():
+def test_import_loads_neither_argparse_nor_gettext():
     proc = _run_script("""
-        import argparse
-        built = []
-        init = argparse.ArgumentParser.__init__
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-        argparse.ArgumentParser.__init__ = counting_init
+        import sys
         import partperm, partperm.cli
-        assert not built and partperm.cli._parser is None, built
-        argv = ["fvector", "--m", "2", "--n", "2"]
-        assert partperm.cli.main(argv) == 0
-        first = len(built)
-        assert first > 0 and partperm.cli._parser is built[0]
-        assert partperm.cli.main(argv) == 0
-        assert partperm.cli.main(["fvector", "--m", "0", "--n", "2"]) == 1
-        assert len(built) == first, (first, len(built))
+        loaded = sorted({"argparse", "gettext"} & set(sys.modules))
+        assert not loaded, loaded
+        assert partperm.cli.main(["fvector", "--m", "2", "--n", "2"]) == 0
+        assert not {"argparse", "gettext"} & set(sys.modules)
     """, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err

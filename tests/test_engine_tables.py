@@ -137,3 +137,76 @@ def test_engine_values_hold_no_float():
                     parts = value.coeffs if isinstance(value, Polynomial) else (value,)
                     assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
                                for x in parts), (method, m, n, value)
+
+
+# Engine, the bound it reads, the edge of its domain (inside, outside), and
+# the shape it refuses: every refusal is up front.
+VOLUME_EDGES = [
+    ("recursive", "NVOL_RECURSIVE_WORK_MAX", (390, 390), (391, 391), (1000, 1000)),
+    ("closed", "NVOL_CLOSED_WORK_MAX", (316, 316), (317, 317), (400, 400)),
+    ("three_term", "NVOL_THREE_TERM_WORK_MAX", (5926, 5926), (5927, 5927), (10000, 10000)),
+    ("small_n", "NVOL_SMALL_N_MAX_M", (2**20, 4), (2**20 + 1, 4), (10**9, 4)),
+]
+
+
+@pytest.mark.parametrize("method,bound,inside,outside,refused", VOLUME_EDGES)
+def test_volume_engines_declare_their_work_bounds(monkeypatch, method, bound,
+                                                  inside, outside, refused):
+    import partperm.volume as VO
+
+    engine = VOLUME_ENGINES[method]
+    assert engine.domain(*inside) and not engine.domain(*outside)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=bound):
+        engine.value(*refused)
+    assert time.perf_counter() - start < 1
+    # the value refuses exactly where the domain does, with the bound lowered
+    if method == "small_n":
+        base, low = (lambda m, n: m >= 1 and 0 <= n <= 4), 3
+    else:
+        base, low = VO.polynomial_domain, 500
+    monkeypatch.setattr(VO, bound, low)
+    refused = 0
+    for m in range(0, 7):
+        for n in range(-1, 9):
+            if engine.domain(m, n):
+                truth = VOLUME_ENGINES["draconian" if n >= m - 1 else "oracle"]
+                assert engine.value(m, n) == truth.value(m, n)
+            else:
+                refused += base(m, n)
+                with pytest.raises(ValueError):
+                    engine.value(m, n)
+    assert refused > 0
+
+
+def test_polynomial_volume_work_reads_the_size_of_n():
+    import partperm.volume as VO
+
+    # v(m,n) <= (mn)^m, so value_bits bounds its bit length
+    for m in range(1, 30):
+        for n in (m - 1, m, 2 * m, 10**6):
+            assert VO.nvol_three_term(m, n).bit_length() <= VO.value_bits(m, n)
+    # a huge n is refused at a small m, not computed for minutes
+    for method in ("recursive", "closed", "three_term"):
+        assert not VOLUME_ENGINES[method].domain(100, 10**4000)
+
+
+def test_ehrhart_small_n_declares_its_bound(monkeypatch):
+    import partperm.ehrhart as EH
+
+    engine = EHRHART_ENGINES["small_n"]
+    top = EH.EHR_SMALL_N_MAX_M
+    assert engine.domain(top, 3) and not engine.domain(top + 1, 0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="EHR_SMALL_N_MAX_M"):
+        engine.value(2000, 2)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(EH, "EHR_SMALL_N_MAX_M", 3)
+    for m in range(0, 7):
+        for n in range(-1, 9):
+            if engine.domain(m, n):
+                assert engine.value(m, n) == EHRHART_ENGINES["interpolate"].value(m, n)
+            else:
+                with pytest.raises(ValueError):
+                    engine.value(m, n)
+    assert not engine.domain(4, 2) and engine.domain(3, 2)

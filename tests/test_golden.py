@@ -45,6 +45,8 @@ GOLDEN = {
     "table-volume-N-12": ("table", "--which", "volume-N", "--max-m", "12"),
     "verify-appendix": ("verify", "--suite", "appendix"),
     "volume-20-25": ("volume", "--m", "20", "--n", "25", "--all-methods"),
+    "help": ("--help",),
+    "ehrhart-help": ("ehrhart", "--help"),
 }
 for _m, _n in SHAPES:
     for _cmd in ("hpoly", "volume", "ehrhart"):
