@@ -242,12 +242,32 @@ def _cmd_volume(args) -> int:
     return 0
 
 
+def _eval_exceeds(m: int, n: int, t: int, digits: int) -> bool:
+    """Must ehr_{P(m,n)}(t) have more than ``digits`` digits?
+
+    For n >= 1, P(m,n) contains the simplex P(m,1), interior included, so
+    ehr(t) >= C(t+m, m) for t >= 0 and, by reciprocity, |ehr(t)| >=
+    C(-t-1, m) for t < 0.  C(N, m) >= (N/m)^m >= 2^b with b = m (bit length
+    of N // m, minus 1), and 2^b > 10^digits once b * 0.30102999 >= digits,
+    as 0.30102999 < log10(2).  A True is a proof; a False proves nothing.
+    """
+    if n < 1:
+        return False  # P(m,0) is a point: ehr(t) = 1
+    big = t + m if t >= 0 else -t - 1
+    bits = m * ((big // m).bit_length() - 1)
+    return bits * 30102999 >= digits * 10**8
+
+
 def _cmd_ehrhart(args) -> int:
     m, n = args.m, args.n
     engines = EH.EHRHART_ENGINES
     methods = _methods(engines, m, n)
     if not methods:
         raise UsageError(f"no exact Ehrhart engine covers (m,n)=({m},{n})")
+    if args.eval is not None and _eval_exceeds(m, n, args.eval, OUTPUT_DIGITS_MAX):
+        raise UsageError(
+            f"the value at --eval has more than OUTPUT_DIGITS_MAX = {OUTPUT_DIGITS_MAX} "
+            f"digits: P({m},{n}) contains the simplex P({m},1), so |ehr(t)| >= |C(t+m,m)|")
     if args.all_methods:
         values = _values(engines, m, n)
         agree = _agree(values)

@@ -25,11 +25,21 @@ raises ``EngineDisagreement``.  The listing never scans V(P): a
 depth-first search places the values n, n-1, ... one at a time into free
 coordinates (every placement so far is a vertex) and cuts a branch once a
 row's sum passes its right-hand side or the values left can no longer
-reach it.  The blocks of ``face_vertices`` and the face's vertex count
-depend only on the chain's member sizes and n, and are held once per such
-key; ``face_vertex_count`` reads the count without building a vertex,
-and ``face_records`` reads it, with the dimension, for every listed chain
-without validating the chains again.
+reach it.  The search runs once per size class of chains.  P(m,n) is
+invariant under permuting coordinates, so relabelling them in the order
+they enter the chain (A_1, then A_2 \\ A_1, ..., then [m] \\ A_l) maps the
+vertices a form selects onto those its relabelled rows select; chains
+with the same member sizes share their relabelled rows, and those rows
+key a memo of the vertex set they select.  Each chain's own constructed
+vertices, relabelled the same way, are compared with that set, so the
+check stays exact.  The memo is keyed on the rows, never on the sizes: a
+row built wrong for one label gets a search of its own, and on a
+mismatch the chain's unrelabelled rows are searched again to name the
+vertices missed and added.  The blocks of ``face_vertices`` and the
+face's vertex count depend only on the chain's member sizes and n, and
+are held once per such key; ``face_vertex_count`` reads the count without
+building a vertex, and ``face_records`` reads it, with the dimension, for
+every listed chain without validating the chains again.
 
 The h-polynomial h(t) = f(t-1) is computed independently from the face
 census, from a closed Eulerian-polynomial sum, from the stellohedron
@@ -45,6 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import comb, factorial, perm, prod
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .combinat import (
@@ -206,12 +217,37 @@ def _reach(m: int, n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(_facet_rhs(k, v) for k in range(m + 1)) for v in range(n + 1))
 
 
+@lru_cache(maxsize=None)
+def _tight_sets(case_rows, compact_rows, m: int, n: int) -> Tuple[frozenset, frozenset]:
+    """The vertex sets that ``_vertices_on`` lists for the case and the
+    compact rows, memoised on the exact rows of both.
+
+    ``_verify_forms`` passes rows relabelled so that the chain's blocks
+    are consecutive, which every chain of one size class shares.  Two
+    forms that select one set share one frozenset, so with the rows built
+    right the memo holds at most one face vertex set per size class seen.
+    """
+    case = frozenset(_vertices_on(case_rows, m, n))
+    compact = frozenset(_vertices_on(compact_rows, m, n))
+    return case, case if compact == case else compact
+
+
 def _verify_forms(face: FaceSystem, want: set, m: int, n: int) -> None:
-    for form, rows in (("case", face.case_rows), ("compact", face.compact_rows)):
+    c = face.chain
+    # sigma lists the coordinates in the order they enter the chain
+    blocks = [b - a for a, b in zip((frozenset(),) + c, c + (frozenset(range(1, m + 1)),))]
+    order = [i - 1 for block in blocks for i in sorted(block)]
+    sigma = itemgetter(*order) if m > 1 else tuple  # one index gives no tuple
+    want_sigma = set(map(sigma, want))
+    forms = (("case", face.case_rows), ("compact", face.compact_rows))
+    rows_sigma = [tuple((sigma(coeffs), rhs) for coeffs, rhs in rows) for _, rows in forms]
+    for (form, rows), got_sigma in zip(forms, _tight_sets(*rows_sigma, m, n)):
+        if got_sigma == want_sigma:
+            continue
         got = set(_vertices_on(rows, m, n))
         if got != want:
             raise EngineDisagreement(
-                f"the {form} form of chain {[sorted(a) for a in face.chain]} at (m,n)="
+                f"the {form} form of chain {[sorted(a) for a in c]} at (m,n)="
                 f"({m},{n}) misses {sorted(want - got)} and adds {sorted(got - want)}")
 
 
@@ -510,13 +546,22 @@ def _h_stellohedron(m: int, n: int) -> Polynomial:
 
 def _h_orientation(m: int, n: int) -> Polynomial:
     _require_h(m, n)  # pp_vertices refuses shapes above VERTEX_LIST_MAX
-    coeffs = {0: 1}
-    for st in vertex_stats(m, n):
-        if st.category == "zero":
+    # A nonzero vertex with k nonzero entries has indegree 1 + des(pi^-1),
+    # plus beta when k = n: pos[x] is where the value x sits, so pi^-1 has
+    # a descent at x - (n-k) exactly when x+1 sits left of x, n-k < x < n.
+    coeffs = [1] + [0] * m
+    pos = [0] * (n + 1)
+    for v in pp_vertices(m, n).points:
+        for i, x in enumerate(v):
+            pos[x] = i  # pos[0] is overwritten and never read
+        k = m - v.count(0)
+        if not k:
             continue
-        e = 1 + st.des_inv + (st.beta if st.category == "V1" else 0)
-        coeffs[e] = coeffs.get(e, 0) + 1
-    return Polynomial([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+        e = 1 + sum(pos[x + 1] < pos[x] for x in range(n - k + 1, n))
+        if k == n:
+            e += v[pos[1] + 1:].count(0)
+        coeffs[e] += 1
+    return Polynomial(coeffs)
 
 
 # Method name -> Engine, in the order the CLI offers them.  The routes are

@@ -707,6 +707,78 @@ def test_work_bounds_refuse_up_front(capsys, argv, message):
     assert err == f"usage error: {message}\n"
 
 
+def test_ehrhart_eval_refuses_an_oversized_value_up_front(capsys):
+    # ehr(t) of P(300,3) at 4,000 nines has about 1.2 million digits; the
+    # lower bound |ehr(t)| >= |C(t+m,m)| refuses it before any evaluation
+    nines = "9" * 4000
+    for argv in (("--method", "small_n", "--eval", nines),
+                 ("--all-methods", "--eval", nines),
+                 ("--all-methods", "--eval", "-" + nines)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "ehrhart", "--m", "300", "--n", "3", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert out == ""
+        assert err == ("usage error: the value at --eval has more than OUTPUT_DIGITS_MAX = "
+                       "131072 digits: P(300,3) contains the simplex P(300,1), so "
+                       "|ehr(t)| >= |C(t+m,m)|\n")
+    # P(m,0) is a point: ehr(t) = 1 at every t
+    code, out, _ = run_cli(capsys, "ehrhart", "--m", "300", "--n", "0", "--eval", nines)
+    assert code == 0
+    assert json.loads(out)["value_at_t"] == "1"
+
+
+def _first_refused(m, n, sign, digits):
+    """The smallest s >= 0 at which the --eval bound refuses t = sign * s."""
+    import partperm.cli as cli
+
+    hi = 1
+    while not cli._eval_exceeds(m, n, sign * hi, digits):
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cli._eval_exceeds(m, n, sign * mid, digits):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 3), (3, 6), (5, 2), (6, 1)])
+def test_ehrhart_eval_bound_never_refuses_a_value_that_fits(capsys, monkeypatch, m, n):
+    import partperm.cli as cli
+
+    digits = 1000  # the interpreter takes no digit limit below 641
+    monkeypatch.setattr(cli, "OUTPUT_DIGITS_MAX", digits)
+    table = partperm.EHRHART_ENGINES
+    p = table[cli._methods(table, m, n)[0]].value(m, n)  # the one --eval reads
+    for sign in (1, -1):
+        first = _first_refused(m, n, sign, digits)
+        ts = {sign * s for s in range(max(first - 3, 0), first + 4)}
+        ts |= {sign * 10 ** e + d for e in range(0, 2 * digits, 7) for d in (-1, 0, 1)}
+        for t in ts:
+            if cli._eval_exceeds(m, n, t, digits):
+                assert abs(p(t)) >= 10 ** digits, (m, n, t)
+        # both sides through the CLI: the largest |t| whose value fits is
+        # answered, and the first t the bound names is refused up front
+        lo, hi = 0, first  # the value at sign * hi has more than digits digits
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if abs(p(sign * mid)) < 10 ** digits else (lo, mid)
+        fit = lo
+        code, out, err = run_cli(capsys, "ehrhart", "--m", str(m), "--n", str(n),
+                                 "--eval", str(sign * fit))
+        assert code == 0, err
+        assert json.loads(out)["value_at_t"] == str(p(sign * fit))
+        assert len(str(abs(p(sign * (fit + 1))))) > digits
+        code, out, err = run_cli(capsys, "ehrhart", "--m", str(m), "--n", str(n),
+                                 "--eval", str(sign * first))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: the value at --eval has more than "
+                              "OUTPUT_DIGITS_MAX = 1000 digits")
+
+
 def test_all_methods_drops_the_engines_over_their_bounds(capsys):
     code, out, _ = run_cli(capsys, "volume", "--m", "350", "--n", "350", "--all-methods")
     assert code == 0

@@ -312,6 +312,57 @@ def test_face_from_chain_never_lists_the_polytope(monkeypatch):
         assert set(FA._vertices_on(rows, 9, 9)) == direct
 
 
+def test_face_from_chain_memo_is_keyed_on_rows_not_sizes(monkeypatch):
+    """Rows built wrong for one label only: a chain whose size class was
+    verified and cached by a chain the fault spares still gets a search of
+    its own, so the fault is caught."""
+    true_indicator = FA._indicator
+    bad = 1
+    # an indicator row loses the label 1; a chain with 1 in A_1 never puts
+    # 1 in an indicator (A_1 nonempty, so no all-ones row), so it is spared
+    monkeypatch.setattr(FA, "_indicator",
+                        lambda members, m: true_indicator(set(members) - {bad}, m))
+    for m, n in [(4, 4), (5, 5)]:
+        FA._tight_sets.cache_clear()
+        chains = enumerate_chains(m, n)
+        spared = {}
+        for c in chains:
+            if bad in c[0]:
+                face_from_chain(c, m, n)
+                spared[tuple(map(len, c))] = c
+        caught = 0
+        for c in chains:
+            if c[0] and bad not in c[0] and tuple(map(len, c)) in spared:
+                with pytest.raises(EngineDisagreement, match="form of chain"):
+                    face_from_chain(c, m, n)
+                caught += 1
+        assert caught >= 90 and len(spared) >= 15, (m, n, caught, len(spared))
+
+
+def test_face_from_chain_searches_once_per_size_class(monkeypatch):
+    # an evenly spaced 200-chain sample of P(5,5), relabelled: each form
+    # of each size class is searched once, whatever the labels
+    m, n = 5, 5
+    relabel = {1: 4, 2: 1, 3: 5, 4: 3, 5: 2}
+    every = enumerate_chains(m, n)
+    sample = [tuple(frozenset(relabel[i] for i in a) for a in c)
+              for c in every[::len(every) // 200][:200]]
+    calls = []
+    true_vertices_on = FA._vertices_on
+
+    def counted(rows, mm, nn):
+        calls.append(rows)
+        return true_vertices_on(rows, mm, nn)
+
+    monkeypatch.setattr(FA, "_vertices_on", counted)
+    FA._tight_sets.cache_clear()
+    for c in sample:
+        face_from_chain(c, m, n)
+    classes = {tuple(map(len, c)) for c in sample}
+    assert len(sample) == 200 and len(classes) >= 40
+    assert len(calls) <= 2 * len(classes)
+
+
 def test_faces_partition_count():
     # every vertex of every face is a polytope vertex; face counts by
     # dimension agree with the f-vector
@@ -465,16 +516,19 @@ def test_vertex_stats_beta():
 
 
 def test_vertex_stats_h_poly_reconstruction():
-    # the orientation route: h = 1 + sum_{V1} t^{1+des_inv+beta} + sum_{V2} t^{1+des_inv}
-    m, n = 3, 2
-    h = Polynomial([1])
-    t = Polynomial.x()
-    for s in vertex_stats(m, n):
-        if s.category == "V1":
-            h = h + t ** (1 + s.des_inv + s.beta)
-        elif s.category == "V2":
-            h = h + t ** (1 + s.des_inv)
-    assert h == h_poly(m, n, "orientation")
+    # the orientation route: h = 1 + sum_{V1} t^{1+des_inv+beta} + sum_{V2} t^{1+des_inv},
+    # on every shape m <= 6, n <= 7 that the route admits
+    shapes = [(m, n) for m in range(1, 7) for n in range(1, 8)
+              if FA.orientation_domain(m, n)]
+    assert len(shapes) == 42
+    for m, n in shapes:
+        h = [0] * (m + 1)
+        for s in vertex_stats(m, n):
+            if s.category == "zero":
+                h[0] += 1
+            else:
+                h[1 + s.des_inv + (s.beta if s.category == "V1" else 0)] += 1
+        assert Polynomial(h) == h_poly(m, n, "orientation") == h_poly(m, n, "closed"), (m, n)
 
 
 def test_vertex_stats_count():
