@@ -244,7 +244,7 @@ def _verify_forms(face: FaceSystem, want: set, m: int, n: int) -> None:
     for (form, rows), got_sigma in zip(forms, _tight_sets(*rows_sigma, m, n)):
         if got_sigma == want_sigma:
             continue
-        got = set(_vertices_on(rows, m, n))
+        got = set(_vertices_on(rows, m, n))  # the chain's own rows decide and name the difference
         if got != want:
             raise EngineDisagreement(
                 f"the {form} form of chain {[sorted(a) for a in c]} at (m,n)="
