@@ -38,6 +38,8 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
+from .exactmath import check_bound
+
 Chain = Tuple[frozenset, ...]
 Shape = Tuple[int, int, int]
 
@@ -106,12 +108,8 @@ def enumerate_chains(m: int, n: int, include_empty: bool = False) -> List[Chain]
         raise ValueError("enumerate_chains requires m >= 1 and n >= 1")
     from .faces import f_vector  # faces imports this module
 
-    total = sum(f_vector(m, n))
-    if total > CHAIN_WORK_MAX:
-        raise ValueError(
-            f"chain enumeration for (m,n)=({m},{n}) lists {total} chains, "
-            f"above the listing bound CHAIN_WORK_MAX = {CHAIN_WORK_MAX}"
-        )
+    check_bound(f"enumerate_chains({m}, {n})", "chain count", sum(f_vector(m, n)),
+                "CHAIN_WORK_MAX", CHAIN_WORK_MAX)
     empty = frozenset()
     members: Dict[Tuple[int, ...], frozenset] = {}  # sorted tuple -> shared set
     memo: Dict[Tuple[frozenset, int], List[frozenset]] = {}
@@ -344,12 +342,9 @@ def enumerate_draconian(m: int, mode: str = "volume") -> List[Tuple[int, ...]]:
     """
     if m < 1:
         raise ValueError("enumerate_draconian requires m >= 1")
-    total = draconian_sum(m, mode, lambda v, shape: 1)
-    if total > DRACONIAN_LIST_MAX:
-        raise ValueError(
-            f"draconian enumeration for m={m} in {mode} mode lists {total} "
-            f"sequences, above the listing bound DRACONIAN_LIST_MAX = {DRACONIAN_LIST_MAX}"
-        )
+    check_bound(f"enumerate_draconian({m}, {mode!r})", "sequence count",
+                draconian_sum(m, mode, lambda v, shape: 1),
+                "DRACONIAN_LIST_MAX", DRACONIAN_LIST_MAX)
     return [tuple(t) for t in _enumerate_draconian_cached(m, mode)]
 
 
@@ -357,39 +352,88 @@ class Engine(NamedTuple):
     """One route to an invariant of P(m,n): the (m,n) it covers, and its value.
 
     ``value(m, n)`` raises ValueError exactly where ``domain(m, n)`` is
-    false.  Each invariant keeps an ordered table of these, name -> Engine
-    (``VOLUME_ENGINES``, ``EHRHART_ENGINES``, ``H_POLY_ENGINES``); the CLI
-    methods, ``verify`` and the cross-engine tests all iterate over it.
+    false, as it refuses through ``domain.require``.  Each invariant keeps
+    an ordered table of these, name -> Engine (``VOLUME_ENGINES``,
+    ``EHRHART_ENGINES``, ``H_POLY_ENGINES``); the CLI methods, ``verify``
+    and the cross-engine tests all iterate over it.
     """
 
     domain: Callable[[int, int], bool]
     value: Callable[[int, int], Any]
 
 
-def draconian_domain(m: int, n: int) -> bool:
-    """Is (m,n) in the domain of the draconian engines (n >= m-1, m capped)?"""
-    return 1 <= m <= DRACONIAN_MAX_M and n >= max(m - 1, 0)
+class Rule:
+    """A condition on (m,n), and what a route outside it requires."""
+
+    __slots__ = ("test", "words")
+
+    def __init__(self, test: Callable[[int, int], bool], words: str) -> None:
+        self.test, self.words = test, words
+
+    def refuse(self, route: str, m: int, n: int) -> None:
+        raise ValueError(f"{route} {self.words}")
 
 
-def require_draconian(engine: str, m: int, n: int) -> None:
-    """Raise ValueError naming the violated bound unless draconian_domain(m, n)."""
-    if not 1 <= m <= DRACONIAN_MAX_M:
-        raise ValueError(f"{engine} is limited to 1 <= m <= {DRACONIAN_MAX_M}")
-    if not draconian_domain(m, n):
-        raise ValueError(f"{engine} requires n >= m-1")
+class Bound:
+    """A declared bound: ``size(m, n)``, m by default, may not pass the
+    constant ``name`` of the module whose globals are ``scope``.  The
+    constant is read at each call, so a patched bound is the one applied."""
+
+    __slots__ = ("name", "scope", "quantity", "size")
+
+    def __init__(self, name: str, scope: Dict[str, Any], quantity: str = "m",
+                 size: Callable[[int, int], int] = lambda m, n: m) -> None:
+        self.name, self.scope, self.quantity, self.size = name, scope, quantity, size
+
+    def test(self, m: int, n: int) -> bool:
+        return self.size(m, n) <= self.scope[self.name]
+
+    def refuse(self, route: str, m: int, n: int) -> None:
+        check_bound(f"{route} at (m,n)=({m},{n})", self.quantity, self.size(m, n),
+                    self.name, self.scope[self.name])
 
 
-def oracle_domain(m: int, n: int) -> bool:
-    """Is (m,n) in the domain of the counting oracle (m, n capped)?"""
-    return 1 <= m <= ORACLE_MAX_M and 0 <= n <= ORACLE_MAX_N
+class Domain:
+    """The (m,n) a route covers, declared once: clauses (a ``Rule`` or a
+    ``Bound``, or a Domain for all of its clauses) that must all hold.
+
+    Calling a domain tests a shape.  ``require(route, m, n)`` is how every
+    engine refuses: it raises the ValueError of the first clause that
+    fails, naming the route and what it requires, or, for a bound, the
+    size and the bound's name and value.
+    """
+
+    def __init__(self, *parts) -> None:
+        self.clauses = tuple(clause for part in parts for clause in
+                             (part.clauses if isinstance(part, Domain) else (part,)))
+
+    def __call__(self, m: int, n: int) -> bool:
+        for clause in self.clauses:
+            if not clause.test(m, n):
+                return False
+        return True
+
+    def require(self, route: str, m: int, n: int) -> None:
+        for clause in self.clauses:
+            if not clause.test(m, n):
+                clause.refuse(route, m, n)
 
 
-def require_oracle(engine: str, m: int, n: int) -> None:
-    """Raise ValueError naming the bounds unless oracle_domain(m, n)."""
-    if not oracle_domain(m, n):
-        raise ValueError(
-            f"{engine} is limited to m <= {ORACLE_MAX_M}, n <= {ORACLE_MAX_N}"
-        )
+# The range of the paper's pyramidal results.
+PYRAMIDAL = Rule(lambda m, n: n >= m - 1, "requires n >= m-1")
+
+# Where v(m,n) is the polynomial nvol_poly(m, "n") and the Ehrhart
+# generating function holds; the recursive, closed and three-term volume
+# engines add their work bounds to it.
+polynomial_domain = Domain(Rule(lambda m, n: m >= 1, "requires m >= 1"), PYRAMIDAL)
+
+# The domain of the draconian engines.
+draconian_domain = Domain(polynomial_domain, Bound("DRACONIAN_MAX_M", globals()))
+
+# The domain of the counting oracle, ehr_interpolate and nvol_oracle.
+oracle_domain = Domain(Rule(
+    lambda m, n: 1 <= m <= ORACLE_MAX_M and 0 <= n <= ORACLE_MAX_N,
+    f"is limited to m <= {ORACLE_MAX_M}, n <= {ORACLE_MAX_N} (ORACLE_MAX_M, ORACLE_MAX_N)"))
 
 
 def _draconian_shape(a: Sequence[int], m: int) -> Shape:

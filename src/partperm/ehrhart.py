@@ -25,8 +25,9 @@ ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
                           function (n >= m-1).
 
 ``EHRHART_ENGINES`` is the ordered table of the four table routes, method
-name -> (domain, value); each validates its arguments with the same domain
-predicate.  ``verify --suite engines`` compares the last two routes with it.
+name -> (domain, value); each route refuses through its domain, and the
+last three routes above read the same declarations.  ``verify --suite
+engines`` compares the last two routes with it.
 
 Why the generating-function forms hold for n >= m-1 (Postnikov,
 arXiv:math/0507163, for the draconian sum; Flajolet & Sedgewick, *Analytic
@@ -63,13 +64,16 @@ from math import comb, factorial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .combinat import (
+    PYRAMIDAL,
+    Bound,
+    Domain,
     Engine,
+    Rule,
     draconian_coefficients,
     draconian_domain,
     draconian_sum,
     oracle_domain,
-    require_draconian,
-    require_oracle,
+    polynomial_domain,
 )
 from .exactmath import (
     EngineDisagreement,
@@ -121,7 +125,7 @@ def ehr_interpolate(m: int, n: int) -> Polynomial:
     not hold there: n = 0 yields the constant polynomial 1 before any
     counting.
     """
-    require_oracle("ehr_interpolate", m, n)
+    oracle_domain.require("ehr_interpolate", m, n)
     if n == 0:
         return Polynomial([1])
     key = (m, n)
@@ -141,14 +145,14 @@ def _tpoly(a0, a1) -> Polynomial:
 EHR_SMALL_N_MAX_M = 700
 
 
-def small_n_domain(m: int, n: int) -> bool:
-    """The domain of ehr_closed_small_n: 0 <= n <= 3, m <= EHR_SMALL_N_MAX_M."""
-    return 1 <= m <= EHR_SMALL_N_MAX_M and 0 <= n <= 3
-
-
-def small_m_domain(m: int, n: int) -> bool:
-    """The domain of ehr_closed_small_m: m <= 4, n >= max(1, m-1)."""
-    return 1 <= m <= 4 and n >= max(1, m - 1)
+# The domains of ehr_closed_small_n, ehr_closed_small_m and ehr_recurrence.
+small_n_domain = Domain(
+    Rule(lambda m, n: m >= 1 and 0 <= n <= 3, "covers only m >= 1, 0 <= n <= 3"),
+    Bound("EHR_SMALL_N_MAX_M", globals()))
+small_m_domain = Domain(polynomial_domain,
+                        Rule(lambda m, n: m <= 4 and n >= 1, "covers only m <= 4, n >= 1"))
+recurrence_domain = Domain(Rule(lambda m, n: m >= 0 and n >= 0, "requires m >= 0 and n >= 0"),
+                           PYRAMIDAL)
 
 
 def ehr_closed_small_n(m: int, n: int) -> Polynomial:
@@ -160,9 +164,7 @@ def ehr_closed_small_n(m: int, n: int) -> Polynomial:
     n=3: C(6t+m, m) - m C(3t+m-1, m)
          - C(m,2) [ C(t+m-1, m) + (m-2) C(t+m-2, m) ].
     """
-    if not small_n_domain(m, n):
-        raise ValueError("ehr_closed_small_n covers only 1 <= m <= "
-                         f"EHR_SMALL_N_MAX_M = {EHR_SMALL_N_MAX_M}, 0 <= n <= 3")
+    small_n_domain.require("ehr_closed_small_n", m, n)
     if n == 0:
         return Polynomial([1])
     if n == 1:
@@ -189,8 +191,7 @@ def ehr_closed_small_m(m: int, n: int) -> Polynomial:
     m=3: 1, 3n-3/2, 3n^2-3n/2-3/2, n^3-3n/2-1;
     m=4: 1, 4n-3, 6n^2-6n-9/4, 4n^3-3n^2-6n-5/2, n^4-3n^2-4n-9/4.
     """
-    if not small_m_domain(m, n):
-        raise ValueError("ehr_closed_small_m covers only 1 <= m <= 4, n >= max(1, m-1)")
+    small_m_domain.require("ehr_closed_small_m", m, n)
     half = Fraction(1, 2)
     if m == 1:
         return Polynomial([1, n])
@@ -237,7 +238,7 @@ def ehr_draconian(m: int, n: int) -> Polynomial:
     ((n-m+1)t)^s t^p1 C(t+1,2)^p2, a product over the components of a; so
     the sum is ``draconian_coefficients`` with the weight of ``_ehrhart_poly``.
     """
-    require_draconian("ehr_draconian", m, n)
+    draconian_domain.require("ehr_draconian", m, n)
     return _ehrhart_poly(m, n - m + 1)
 
 
@@ -261,7 +262,7 @@ def ehr_parking(m: int) -> Tuple[Polynomial, int]:
     [s == 0].  Each binomial product is 1 at t = 1, so the count is the value at
     1, the lattice-point count of P(m, m-1) (1, 3, 17, 144, ... for m = 1..4).
     """
-    require_draconian("ehr_parking", m, m - 1)
+    draconian_domain.require("ehr_parking", m, m - 1)
     return _ehrhart_poly(m, 0), draconian_sum(m, "ehrhart", lambda v, shape: int(shape[0] == 0))
 
 
@@ -281,10 +282,7 @@ def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:
     (k+1) g_{k+1} = b g_k - (t/2) g_{k-1}, the ODE g' = (b - (t/2)z) g of
     exp(bz - tz^2/4).
     """
-    if m < 1:
-        raise ValueError("ehr_conjecture requires m >= 1")
-    if n < m - 1 or n < 0:
-        raise ValueError("ehr_conjecture requires n >= m-1")
+    polynomial_domain.require("ehr_conjecture", m, n)
     t = Polynomial.x()
     base = Polynomial([2, 2 * n + 1])  # (2n+1)t + 2
     total = Polynomial()
@@ -325,12 +323,7 @@ def ehr_recurrence(m: int, n: int) -> Polynomial:
     polynomial (at (5,2) its value at t = 1 is -119, where P(5,2) has 51
     lattice points), so those shapes are refused.
     """
-    if m < 0:
-        raise ValueError("ehr_recurrence requires m >= 0")
-    if n < 0:
-        raise ValueError("ehr_recurrence requires n >= 0")
-    if n < m - 1:
-        raise ValueError("ehr_recurrence requires n >= m-1")
+    recurrence_domain.require("ehr_recurrence", m, n)
     e: List[Polynomial] = [Polynomial([1])]
     for k in range(1, m + 1):
         term = Polynomial([1, k + n - 1]) * e[k - 1]

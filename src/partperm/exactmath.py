@@ -35,6 +35,16 @@ class EngineDisagreement(RuntimeError):
     """
 
 
+def check_bound(what: str, quantity: str, size: int, name: str, bound: int) -> None:
+    """Refuse up front, with a ValueError, a call whose size passes a
+    declared bound.  Every work, listing and range bound of the package is
+    refused here, so each message names the call, its size, and the bound
+    with its value."""
+    if size > bound:
+        raise ValueError(f"{what} has {quantity} = {size}, above the bound {name}: "
+                         f"{quantity} <= {bound}")
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

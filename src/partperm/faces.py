@@ -45,8 +45,8 @@ The h-polynomial h(t) = f(t-1) is computed independently from the face
 census, from a closed Eulerian-polynomial sum, from the stellohedron
 specialization (n >= m), and from an edge-orientation/indegree statistic
 on the vertex graph.  ``H_POLY_ENGINES`` is the ordered table of these
-routes, method name -> (domain, value); all are cross-checked in the test
-suite.
+routes, method name -> (domain, value); each route refuses through its
+domain, its bound included, and all are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -59,8 +59,11 @@ from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .combinat import (
+    Bound,
     Chain,
+    Domain,
     Engine,
+    Rule,
     chain_in_family,
     descents,
     enumerate_chains,
@@ -68,7 +71,7 @@ from .combinat import (
     permutation_inverse,
     r_set,
 )
-from .exactmath import EngineDisagreement, Polynomial, eulerian_rows, stirling2
+from .exactmath import EngineDisagreement, Polynomial, check_bound, eulerian_rows, stirling2
 from .polytope import VERTEX_LIST_MAX, _facet_rhs, pp_vertex_count, pp_vertices
 
 # comb_equiv_check builds comparability matrices of at most this many chain
@@ -217,7 +220,25 @@ def _reach(m: int, n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(_facet_rhs(k, v) for k in range(m + 1)) for v in range(n + 1))
 
 
-@lru_cache(maxsize=None)
+# _tight_sets keeps at most this many face vertices: all 127 size classes
+# of P(6,6) take 5,690, while the whole of P(8,8), 109,601 vertices, would
+# hold 27.7 MB for the life of the process.
+_TIGHT_VERTICES_MAX = 2**13
+
+
+class _VertexMemo(dict):
+    """A dict of face vertex set pairs that counts the vertices it holds."""
+
+    held = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+
+_tight_memo = _VertexMemo()
+
+
 def _tight_sets(case_rows, compact_rows, m: int, n: int) -> Tuple[frozenset, frozenset]:
     """The vertex sets that ``_vertices_on`` lists for the case and the
     compact rows, memoised on the exact rows of both.
@@ -225,11 +246,25 @@ def _tight_sets(case_rows, compact_rows, m: int, n: int) -> Tuple[frozenset, fro
     ``_verify_forms`` passes rows relabelled so that the chain's blocks
     are consecutive, which every chain of one size class shares.  Two
     forms that select one set share one frozenset, so with the rows built
-    right the memo holds at most one face vertex set per size class seen.
+    right the memo holds at most one face vertex set per size class.  It
+    holds whole classes of at most ``_TIGHT_VERTICES_MAX`` vertices in all
+    (a shared set counted twice), dropping the class it kept first; a class
+    above that is searched again each time.
     """
-    case = frozenset(_vertices_on(case_rows, m, n))
-    compact = frozenset(_vertices_on(compact_rows, m, n))
-    return case, case if compact == case else compact
+    key = (case_rows, compact_rows, m, n)
+    sets = _tight_memo.get(key)
+    if sets is None:
+        case = frozenset(_vertices_on(case_rows, m, n))
+        compact = frozenset(_vertices_on(compact_rows, m, n))
+        sets = case, case if compact == case else compact
+        size = len(case) + len(compact)
+        if size <= _TIGHT_VERTICES_MAX:
+            while _tight_memo.held + size > _TIGHT_VERTICES_MAX:
+                a, b = _tight_memo.pop(next(iter(_tight_memo)))
+                _tight_memo.held -= len(a) + len(b)
+            _tight_memo[key] = sets
+            _tight_memo.held += size
+    return sets
 
 
 def _verify_forms(face: FaceSystem, want: set, m: int, n: int) -> None:
@@ -336,11 +371,8 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
     """
     c = _family_chain(chain, m, n)
     blocks, count = _face_blocks(tuple(map(len, c)), n)
-    if count > VERTEX_LIST_MAX:
-        raise ValueError(
-            f"the face of chain {[sorted(a) for a in c]} in P({m},{n}) has {count} "
-            f"vertices, above the listing bound VERTEX_LIST_MAX = {VERTEX_LIST_MAX}"
-        )
+    check_bound(f"a face of P({m},{n})", "vertex count", count, "VERTEX_LIST_MAX",
+                VERTEX_LIST_MAX)
     verts = [(0,) * m]
     for j, runs in blocks:
         positions = sorted(c[j] - c[j - 1]) if j else sorted(c[0])
@@ -367,14 +399,7 @@ def f_vector(m: int, n: int) -> Tuple[int, ...]:
     is the origin.  Shapes whose ``f_vector_work`` exceeds
     ``F_VECTOR_WORK_MAX`` are refused up front with a ValueError.
     """
-    if m < 1 or n < 1:
-        raise ValueError("f_vector requires m >= 1 and n >= 1")
-    work = f_vector_work(m, n)
-    if work > F_VECTOR_WORK_MAX:
-        raise ValueError(
-            f"f_vector({m}, {n}) has work {work} ({work // m} census terms times "
-            f"m = {m}), above the work bound F_VECTOR_WORK_MAX = {F_VECTOR_WORK_MAX}"
-        )
+    from_f_domain.require("f_vector", m, n)  # the census is the from_f route
     widest = min(n - 1, m - 1)
     # ordered[w][k]: ordered set partitions of a w-set into k blocks
     ordered = [[factorial(k) * stirling2(w, k) for k in range(w + 1)]
@@ -456,11 +481,6 @@ def vertex_stats(m: int, n: int) -> List[VertexStats]:
     return out
 
 
-def h_domain(m: int, n: int) -> bool:
-    """m >= 1 and n >= 1, where every h-route is defined."""
-    return m >= 1 and n >= 1
-
-
 def h_closed_work(m: int, n: int) -> int:
     """The work of the closed route, k^2 + m with k = min(m,n): the
     Eulerian rows A_0..A_{k-1} with their scaled entries, then one prefix
@@ -470,44 +490,25 @@ def h_closed_work(m: int, n: int) -> int:
     return k * k + m
 
 
-def closed_domain(m: int, n: int) -> bool:
-    """The domain of the closed route: its work bound included."""
-    return h_domain(m, n) and h_closed_work(m, n) <= H_CLOSED_WORK_MAX
-
-
-def from_f_domain(m: int, n: int) -> bool:
-    """The domain of the from_f route: f_vector's work bound included."""
-    return h_domain(m, n) and f_vector_work(m, n) <= F_VECTOR_WORK_MAX
-
-
-def stellohedron_domain(m: int, n: int) -> bool:
-    """The domain of the stellohedron route, n >= m >= 1, its bound
-    m <= H_STELLOHEDRON_MAX_M included."""
-    return h_domain(m, n) and n >= m and m <= H_STELLOHEDRON_MAX_M
-
-
-def orientation_domain(m: int, n: int) -> bool:
-    """The domain of the orientation route: at most VERTEX_LIST_MAX vertices."""
-    return h_domain(m, n) and pp_vertex_count(m, n) <= VERTEX_LIST_MAX
-
-
-def _require_h(m: int, n: int) -> None:
-    if not h_domain(m, n):
-        raise ValueError("h_poly requires m >= 1 and n >= 1")
+# The domain of each h-route: h_domain, where every route is defined, and
+# the route's own bound.
+h_domain = Domain(Rule(lambda m, n: m >= 1 and n >= 1, "requires m >= 1 and n >= 1"))
+from_f_domain = Domain(h_domain, Bound("F_VECTOR_WORK_MAX", globals(), "work", f_vector_work))
+closed_domain = Domain(h_domain, Bound("H_CLOSED_WORK_MAX", globals(), "work", h_closed_work))
+stellohedron_domain = Domain(
+    h_domain, Rule(lambda m, n: n >= m, "requires n >= m in the stellohedron form"),
+    Bound("H_STELLOHEDRON_MAX_M", globals()))
+orientation_domain = Domain(h_domain, Bound("VERTEX_LIST_MAX", globals(), "vertex count",
+                                            pp_vertex_count))
 
 
 def _h_from_f(m: int, n: int) -> Polynomial:
-    _require_h(m, n)  # f_vector refuses shapes above F_VECTOR_WORK_MAX
+    from_f_domain.require("h_poly", m, n)
     return f_polynomial(m, n)(Polynomial([-1, 1]))
 
 
 def _h_closed(m: int, n: int) -> Polynomial:
-    _require_h(m, n)
-    work = h_closed_work(m, n)
-    if work > H_CLOSED_WORK_MAX:
-        raise ValueError(
-            f"h_poly({m}, {n}, 'closed') has work {work}, above the work bound "
-            f"H_CLOSED_WORK_MAX = {H_CLOSED_WORK_MAX}")
+    closed_domain.require("h_poly", m, n)
     # Times t + ... + t^{m-i}, a coefficient at degree d adds to degrees
     # d+1..d+m-i: a difference list marks each run, one prefix sum adds them.
     diff = [0] * (m + 2)
@@ -523,13 +524,7 @@ def _h_closed(m: int, n: int) -> Polynomial:
 
 
 def _h_stellohedron(m: int, n: int) -> Polynomial:
-    _require_h(m, n)
-    if n < m:
-        raise ValueError("stellohedron form requires n >= m")
-    if m > H_STELLOHEDRON_MAX_M:
-        raise ValueError(
-            f"h_poly({m}, {n}, 'stellohedron') is refused above the bound "
-            f"H_STELLOHEDRON_MAX_M = {H_STELLOHEDRON_MAX_M}")
+    stellohedron_domain.require("h_poly", m, n)
     h1 = [1] + [0] * m  # 1 + t sum_{i>=1} C(m,i) A_i(t)
     h2 = [0] * (m + 1)  # sum_i C(m,i) A_i(t) t^{m-i}
     for i, row in enumerate(eulerian_rows(m + 1)):
@@ -545,7 +540,7 @@ def _h_stellohedron(m: int, n: int) -> Polynomial:
 
 
 def _h_orientation(m: int, n: int) -> Polynomial:
-    _require_h(m, n)  # pp_vertices refuses shapes above VERTEX_LIST_MAX
+    orientation_domain.require("h_poly", m, n)
     # A nonzero vertex with k nonzero entries has indegree 1 + des(pi^-1),
     # plus beta when k = n: pos[x] is where the value x sits, so pi^-1 has
     # a descent at x - (n-k) exactly when x+1 sits left of x, n-k < x < n.
@@ -629,12 +624,9 @@ def comb_equiv_check(m: int, n1: int, n2: int) -> bool:
     front with a ValueError.
     """
     f1 = f_vector(m, n1)
-    total = sum(f1) + 1  # the empty face included
-    if total * total > COMB_EQUIV_WORK_MAX:
-        raise ValueError(
-            f"comb_equiv_check for (m,n1)=({m},{n1}) compares {total}^2 chain "
-            f"pairs, above the work bound COMB_EQUIV_WORK_MAX = {COMB_EQUIV_WORK_MAX}"
-        )
+    pairs = (sum(f1) + 1) ** 2  # the empty face included
+    check_bound(f"comb_equiv_check({m}, {n1}, {n2})", "chain pairs", pairs,
+                "COMB_EQUIV_WORK_MAX", COMB_EQUIV_WORK_MAX)
     if f1 != f_vector(m, n2):
         return False
     chains1 = enumerate_chains(m, n1, include_empty=True)

@@ -30,7 +30,7 @@ from math import comb, factorial, floor, ceil, gcd
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._counting_py import count_lattice_points
-from .exactmath import _as_int, _integral, row_reduce
+from .exactmath import _as_int, _integral, check_bound, row_reduce
 
 # The one counting kernel; kept as a name because benchmark records and the
 # ``verify`` summary report it.
@@ -97,12 +97,8 @@ def pp_vertices(m: int, n: int) -> VRep:
     """
     if m < 1 or n < 0:
         raise ValueError("pp_vertices requires m >= 1 and n >= 0")
-    count = pp_vertex_count(m, n)
-    if count > VERTEX_LIST_MAX:
-        raise ValueError(
-            f"P({m},{n}) has {count} vertices, above the listing bound "
-            f"VERTEX_LIST_MAX = {VERTEX_LIST_MAX}"
-        )
+    check_bound(f"P({m},{n})", "vertex count", pp_vertex_count(m, n),
+                "VERTEX_LIST_MAX", VERTEX_LIST_MAX)
     pts = []
     values = list(range(n, 0, -1))
     for k in range(min(m, n) + 1):
@@ -144,12 +140,8 @@ def pp_facets(m: int, n: int) -> HRep:
     """
     if m < 1 or n < 0:
         raise ValueError("pp_facets requires m >= 1 and n >= 0")
-    count = pp_facet_count(m, n)
-    if count > FACET_LIST_MAX:
-        raise ValueError(
-            f"P({m},{n}) has {count} facet rows, above the listing bound "
-            f"FACET_LIST_MAX = {FACET_LIST_MAX}"
-        )
+    check_bound(f"P({m},{n})", "facet row count", pp_facet_count(m, n),
+                "FACET_LIST_MAX", FACET_LIST_MAX)
     rows = []
     for i in range(m):
         a = [0] * m
@@ -253,12 +245,9 @@ def pp_count(m: int, n: int, t: int, interior: bool = False) -> int:
     bound = [0]
     for i in range(m):
         bound.append(bound[-1] + t * max(n - i, 0))
-    work = t * n * sum((b + 1) * (m - k) for k, b in enumerate(bound[:m]))
-    if work > PP_COUNT_WORK_MAX:
-        raise ValueError(
-            f"pp_count({m},{n},{t}) needs {work} steps, "
-            f"above the work bound PP_COUNT_WORK_MAX = {PP_COUNT_WORK_MAX}"
-        )
+    check_bound(f"pp_count({m}, {n}, {t})", "steps",
+                t * n * sum((b + 1) * (m - k) for k, b in enumerate(bound[:m])),
+                "PP_COUNT_WORK_MAX", PP_COUNT_WORK_MAX)
     top = t * n
     if interior:
         bound[1:] = [b - 1 for b in bound[1:]]

@@ -19,13 +19,11 @@ an integer for lattice polytopes.  Engines implemented here:
                          of the lambdas, n >= m-1;
 * ``nvol_small_n``     — closed formulas for n <= 4 valid for every m.
 
-The recursive, closed, three-term and small-n engines declare work bounds
-(``NVOL_*_WORK_MAX``, ``NVOL_SMALL_N_MAX_M``) in their domains and refuse
-work above them up front.
-
 ``VOLUME_ENGINES`` is the ordered table of these engines, method name ->
-(domain, value); each engine validates its arguments with the same domain
-predicate.
+(domain, value).  Each domain (a ``combinat.Domain``) is the one statement
+of its engine's range, bounds included (``NVOL_*_WORK_MAX``,
+``LAMBDA_MAX_M``, ``NVOL_SMALL_N_MAX_M``), and each engine refuses a shape
+outside it up front through ``domain.require``.
 
 ``nvol_poly`` packages v(m,n) as a polynomial in n (closed form) or in
 N = n-m+1 (draconian form); ``conj_vmn_fit`` fits the conjectural
@@ -42,14 +40,15 @@ from math import comb, factorial, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combinat import (
-    DRACONIAN_MAX_M,
+    Bound,
+    Domain,
     Engine,
+    Rule,
     draconian_coefficients,
     draconian_domain,
     draconian_sum,
     oracle_domain,
-    require_draconian,
-    require_oracle,
+    polynomial_domain,
 )
 from .exactmath import EngineDisagreement, Polynomial, double_factorial, solve_linear
 from .polytope import VRep, count_points, hull_convert, vertex_box
@@ -84,12 +83,6 @@ NVOL_THREE_TERM_WORK_MAX = 2**47
 NVOL_SMALL_N_MAX_M = 2**20
 
 
-def polynomial_domain(m: int, n: int) -> bool:
-    """n >= m-1, where v(m,n) is the polynomial nvol_poly(m, "n"): the domain
-    of the recursive, closed and three-term engines before their work bounds."""
-    return m >= 1 and n >= m - 1
-
-
 def value_bits(m: int, n: int) -> int:
     """m times the bit length of mn: at least the bit length of v(m,n), which
     is at most m! n^m <= (mn)^m, as P(m,n) lies in the cube [0,n]^m."""
@@ -108,35 +101,18 @@ def nvol_three_term_work(m: int, n: int) -> int:
     return m * value_bits(m, n) ** 2
 
 
-def recursive_domain(m: int, n: int) -> bool:
-    """The domain of nvol_recursive: its work bound included."""
-    return polynomial_domain(m, n) and nvol_sum_work(m, n) <= NVOL_RECURSIVE_WORK_MAX
-
-
-def closed_domain(m: int, n: int) -> bool:
-    """The domain of nvol_closed: its work bound included."""
-    return polynomial_domain(m, n) and nvol_sum_work(m, n) <= NVOL_CLOSED_WORK_MAX
-
-
-def three_term_domain(m: int, n: int) -> bool:
-    """The domain of nvol_three_term: its work bound included."""
-    return polynomial_domain(m, n) and nvol_three_term_work(m, n) <= NVOL_THREE_TERM_WORK_MAX
-
-
-def lambda_domain(m: int, n: int) -> bool:
-    """The domain of nvol_lambda: n >= m-1 with m capped."""
-    return 1 <= m <= LAMBDA_MAX_M and n >= m - 1
-
-
-def small_n_domain(m: int, n: int) -> bool:
-    """The domain of nvol_small_n: 0 <= n <= 4, m <= NVOL_SMALL_N_MAX_M."""
-    return 1 <= m <= NVOL_SMALL_N_MAX_M and 0 <= n <= 4
-
-
-def _require_work(engine: str, m: int, n: int, work: int, bound: str, top: int) -> None:
-    if work > top:
-        raise ValueError(f"{engine}({m}, {n}) has work {work}, above the work "
-                         f"bound {bound} = {top}")
+# The domain of each engine (polynomial_domain and the draconian and oracle
+# domains are declared in combinat), work bounds included.
+recursive_domain = Domain(polynomial_domain,
+                          Bound("NVOL_RECURSIVE_WORK_MAX", globals(), "work", nvol_sum_work))
+closed_domain = Domain(polynomial_domain,
+                       Bound("NVOL_CLOSED_WORK_MAX", globals(), "work", nvol_sum_work))
+three_term_domain = Domain(polynomial_domain, Bound(
+    "NVOL_THREE_TERM_WORK_MAX", globals(), "work", nvol_three_term_work))
+lambda_domain = Domain(polynomial_domain, Bound("LAMBDA_MAX_M", globals()))
+small_n_domain = Domain(
+    Rule(lambda m, n: m >= 1 and 0 <= n <= 4, "covers only m >= 1, 0 <= n <= 4"),
+    Bound("NVOL_SMALL_N_MAX_M", globals()))
 
 
 def nvol_oracle(m: int, n: int) -> int:
@@ -147,7 +123,7 @@ def nvol_oracle(m: int, n: int) -> int:
     paired by reciprocity; restricted to the oracle domain
     m <= ORACLE_MAX_M, n <= ORACLE_MAX_N.
     """
-    require_oracle("nvol_oracle", m, n)
+    oracle_domain.require("nvol_oracle", m, n)
     poly = _ehrhart.ehr_interpolate(m, n)
     lead = poly.coefficient(m) * factorial(m)
     if lead.denominator != 1:
@@ -206,9 +182,7 @@ def nvol_recursive(m: int, n: int) -> int:
     partial permutohedron, and the facet height kn - C(k,2).  Valid for
     n >= m-1.
     """
-    _require(polynomial_domain(m, n), "nvol_recursive requires m >= 1 and n >= m-1")
-    _require_work("nvol_recursive", m, n, nvol_sum_work(m, n),
-                  "NVOL_RECURSIVE_WORK_MAX", NVOL_RECURSIVE_WORK_MAX)
+    recursive_domain.require("nvol_recursive", m, n)
     return _integral(_nvol_rec(m, n), f"nvol_recursive({m},{n})")
 
 
@@ -224,9 +198,7 @@ def nvol_closed(m: int, n: int) -> Tuple[int, int, int]:
     from its first-order recurrence, r_0 = e_0 = 1,
     r_k = r_{k-1} (2k-3)/(2k) and e_k = e_{k-1} (n+1/2)/k.
     """
-    _require(polynomial_domain(m, n), "nvol_closed requires m >= 1 and n >= m-1")
-    _require_work("nvol_closed", m, n, nvol_sum_work(m, n),
-                  "NVOL_CLOSED_WORK_MAX", NVOL_CLOSED_WORK_MAX)
+    closed_domain.require("nvol_closed", m, n)
     scale = -Fraction(factorial(m), 2**m)
     s1 = Fraction(0)
     for j in range(m + 1):
@@ -251,9 +223,7 @@ def nvol_three_term(m: int, n: int) -> int:
     """Three-term recurrence for W_k = v(k,n)/k!:
     W_0 = 1, W_1 = n, W_k = (k+n-1) W_{k-1} - (k-1)(n+1/2) W_{k-2}.
     """
-    _require(polynomial_domain(m, n), "nvol_three_term requires m >= 1 and n >= m-1")
-    _require_work("nvol_three_term", m, n, nvol_three_term_work(m, n),
-                  "NVOL_THREE_TERM_WORK_MAX", NVOL_THREE_TERM_WORK_MAX)
+    three_term_domain.require("nvol_three_term", m, n)
     w_prev, w = Fraction(1), Fraction(n)
     for k in range(2, m + 1):
         w_prev, w = w, (k + n - 1) * w - (k - 1) * (n + Fraction(1, 2)) * w_prev
@@ -267,7 +237,7 @@ def nvol_draconian(m: int, n: int) -> int:
     singletons}; a sequence of shape (s, p1, p2) has m!/prod a_k! = m!/2^p2,
     so it is m!/2^m times ``draconian_sum`` with weight (n-m+1)^s 2^(v-p2).
     """
-    require_draconian("nvol_draconian", m, n)
+    draconian_domain.require("nvol_draconian", m, n)
     base = n - m + 1
     total = draconian_sum(m, "volume", lambda v, shape: base ** shape[0] * 2 ** (v - shape[2]))
     return _integral(Fraction(factorial(m) * total, 2**m), f"nvol_draconian({m},{n})")
@@ -294,8 +264,7 @@ def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
     integer product of differences; one Fraction is built per distinct
     product at the end, and the total is divided by 2^m.
     """
-    _require(lambda_domain(m, n),
-             f"nvol_lambda requires 1 <= m <= {LAMBDA_MAX_M} and n >= m-1")
+    lambda_domain.require("nvol_lambda", m, n)
     if lam is None:
         lam = tuple(range(1, m + 2))
     lam = tuple(Fraction(x) for x in lam)
@@ -323,8 +292,7 @@ def nvol_small_n(m: int, n: int) -> int:
     v(m,3) = 6^m - m 3^m - (m-1) C(m,2);
     v(m,4) = 10^m - m 6^m - [m(m-1)(m-3)/6] 3^m - (3m^2-6m+1) C(m,3).
     """
-    _require(small_n_domain(m, n), "nvol_small_n covers only 1 <= m <= "
-             f"NVOL_SMALL_N_MAX_M = {NVOL_SMALL_N_MAX_M}, 0 <= n <= 4")
+    small_n_domain.require("nvol_small_n", m, n)
     if n == 0:
         return 0
     if n == 1:
@@ -388,10 +356,7 @@ def nvol_poly(m: int, variable: str = "n") -> Polynomial:
             raise EngineDisagreement(f"v({m}, n) has a non-integral coefficient")
         return poly1
     if variable == "N":
-        _require(
-            1 <= m <= DRACONIAN_MAX_M,
-            f"nvol_poly in N is limited to 1 <= m <= {DRACONIAN_MAX_M}",
-        )
+        draconian_domain.require("nvol_poly in N", m, m - 1)
         coeffs = draconian_coefficients(
             m, "volume", lambda x, v, shape: x ** shape[0] * 2 ** (v - shape[2]))
         return Polynomial([_integral(Fraction(factorial(m) * c, 2**m), f"v({m}, N)")

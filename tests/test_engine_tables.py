@@ -13,23 +13,81 @@ from fractions import Fraction
 
 import pytest
 
-from partperm import EHRHART_ENGINES, H_POLY_ENGINES, VOLUME_ENGINES, Polynomial, h_poly
+import partperm.combinat as C
+import partperm.ehrhart as EH
+import partperm.faces as FA
+import partperm.volume as VO
+from partperm import (EHRHART_ENGINES, H_POLY_ENGINES, VOLUME_ENGINES, Engine, Polynomial,
+                      draconian_domain, ehr_conjecture, ehr_parking, ehr_recurrence, h_poly,
+                      nvol_poly)
 
 TABLES = {"volume": VOLUME_ENGINES, "ehrhart": EHRHART_ENGINES,
           "h_poly": H_POLY_ENGINES}
 
+# Public routes outside the tables, each with the declaration it reads;
+# ehr_parking and nvol_poly take m alone, and cover P(m, m-1).
+ROUTES = {
+    "ehr_conjecture": Engine(C.polynomial_domain, ehr_conjecture),
+    "ehr_recurrence": Engine(EH.recurrence_domain, ehr_recurrence),
+    "ehr_parking": Engine(lambda m, n: draconian_domain(m, m - 1), lambda m, n: ehr_parking(m)),
+    "nvol_poly-n": Engine(lambda m, n: 1 <= m <= 8, lambda m, n: nvol_poly(m, "n")),
+    "nvol_poly-N": Engine(lambda m, n: draconian_domain(m, m - 1),
+                          lambda m, n: nvol_poly(m, "N")),
+}
 
-@pytest.mark.parametrize("table,method", [
-    (table, method) for table, engines in TABLES.items() for method in engines])
-def test_value_raises_exactly_outside_the_domain(table, method):
-    engine = TABLES[table][method]
+# The function each route's refusal names, and the declared bounds of its
+# domain as (module, constant).
+ORACLE = [(C, "ORACLE_MAX_M"), (C, "ORACLE_MAX_N")]
+DRACONIAN = [(C, "DRACONIAN_MAX_M")]
+REFUSALS = {
+    ("volume", "oracle"): ("nvol_oracle", ORACLE),
+    ("volume", "recursive"): ("nvol_recursive", [(VO, "NVOL_RECURSIVE_WORK_MAX")]),
+    ("volume", "closed"): ("nvol_closed", [(VO, "NVOL_CLOSED_WORK_MAX")]),
+    ("volume", "three_term"): ("nvol_three_term", [(VO, "NVOL_THREE_TERM_WORK_MAX")]),
+    ("volume", "draconian"): ("nvol_draconian", DRACONIAN),
+    ("volume", "lambda"): ("nvol_lambda", [(VO, "LAMBDA_MAX_M")]),
+    ("volume", "small_n"): ("nvol_small_n", [(VO, "NVOL_SMALL_N_MAX_M")]),
+    ("ehrhart", "interpolate"): ("ehr_interpolate", ORACLE),
+    ("ehrhart", "small_n"): ("ehr_closed_small_n", [(EH, "EHR_SMALL_N_MAX_M")]),
+    ("ehrhart", "small_m"): ("ehr_closed_small_m", []),
+    ("ehrhart", "draconian"): ("ehr_draconian", DRACONIAN),
+    ("h_poly", "from_f"): ("h_poly", [(FA, "F_VECTOR_WORK_MAX")]),
+    ("h_poly", "closed"): ("h_poly", [(FA, "H_CLOSED_WORK_MAX")]),
+    ("h_poly", "stellohedron"): ("h_poly", [(FA, "H_STELLOHEDRON_MAX_M")]),
+    ("h_poly", "orientation"): ("h_poly", [(FA, "VERTEX_LIST_MAX")]),
+    ("route", "ehr_conjecture"): ("ehr_conjecture", []),
+    ("route", "ehr_recurrence"): ("ehr_recurrence", []),
+    ("route", "ehr_parking"): ("ehr_parking", DRACONIAN),
+    ("route", "nvol_poly-n"): ("nvol_poly", []),
+    ("route", "nvol_poly-N"): ("nvol_poly", DRACONIAN),
+}
+
+
+@pytest.mark.parametrize("table,method", list(REFUSALS))
+def test_value_raises_exactly_outside_the_domain(monkeypatch, table, method):
+    engine = dict(TABLES, route=ROUTES)[table][method]
     for m in range(0, 7):
         for n in range(-1, 9):
             if engine.domain(m, n):
                 engine.value(m, n)
-            else:
-                with pytest.raises(ValueError):
-                    engine.value(m, n)
+    # Every refusal is up front, so the wider grid is only refused.  Where
+    # raising the route's declared bounds would admit a shape, a bound is
+    # what failed, and the refusal names it.
+    name, bounds = REFUSALS[table, method]
+    outside = [(m, n) for m in range(-1, 15) for n in range(-2, 17)
+               if not engine.domain(m, n)]
+    for module, constant in bounds:
+        monkeypatch.setattr(module, constant, 10**9)
+    past_a_bound = {shape for shape in outside if engine.domain(*shape)}
+    monkeypatch.undo()
+    assert outside
+    for m, n in outside:
+        with pytest.raises(ValueError) as info:
+            engine.value(m, n)
+        assert name in str(info.value), (m, n, str(info.value))
+        if (m, n) in past_a_bound:
+            assert any(constant in str(info.value) for _, constant in bounds), (
+                m, n, str(info.value))
 
 
 def test_h_poly_refuses_what_the_table_refuses():
@@ -53,8 +111,6 @@ def test_tables_keep_their_method_order():
 
 
 def test_closed_h_route_declares_its_work_bound(monkeypatch):
-    import partperm.faces as FA
-
     for m in range(1, 40):
         for n in range(1, 45):
             k = min(m, n)
@@ -100,8 +156,6 @@ def test_closed_h_route_covers_200_150():
 
 
 def test_stellohedron_h_route_declares_its_bound(monkeypatch):
-    import partperm.faces as FA
-
     stellohedron = H_POLY_ENGINES["stellohedron"]
     top = FA.H_STELLOHEDRON_MAX_M
     assert stellohedron.domain(top, top) and stellohedron.domain(top, top + 7)
@@ -152,8 +206,6 @@ VOLUME_EDGES = [
 @pytest.mark.parametrize("method,bound,inside,outside,refused", VOLUME_EDGES)
 def test_volume_engines_declare_their_work_bounds(monkeypatch, method, bound,
                                                   inside, outside, refused):
-    import partperm.volume as VO
-
     engine = VOLUME_ENGINES[method]
     assert engine.domain(*inside) and not engine.domain(*outside)
     start = time.perf_counter()
@@ -180,8 +232,6 @@ def test_volume_engines_declare_their_work_bounds(monkeypatch, method, bound,
 
 
 def test_polynomial_volume_work_reads_the_size_of_n():
-    import partperm.volume as VO
-
     # v(m,n) <= (mn)^m, so value_bits bounds its bit length
     for m in range(1, 30):
         for n in (m - 1, m, 2 * m, 10**6):
@@ -192,8 +242,6 @@ def test_polynomial_volume_work_reads_the_size_of_n():
 
 
 def test_ehrhart_small_n_declares_its_bound(monkeypatch):
-    import partperm.ehrhart as EH
-
     engine = EHRHART_ENGINES["small_n"]
     top = EH.EHR_SMALL_N_MAX_M
     assert engine.domain(top, 3) and not engine.domain(top + 1, 0)

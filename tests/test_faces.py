@@ -10,8 +10,10 @@ stellohedron identity is verified against the Eulerian-polynomial route for
 every m <= 8.
 """
 
+import gc
 import math
 import time
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -323,7 +325,7 @@ def test_face_from_chain_memo_is_keyed_on_rows_not_sizes(monkeypatch):
     monkeypatch.setattr(FA, "_indicator",
                         lambda members, m: true_indicator(set(members) - {bad}, m))
     for m, n in [(4, 4), (5, 5)]:
-        FA._tight_sets.cache_clear()
+        FA._tight_memo.clear()
         chains = enumerate_chains(m, n)
         spared = {}
         for c in chains:
@@ -355,12 +357,37 @@ def test_face_from_chain_searches_once_per_size_class(monkeypatch):
         return true_vertices_on(rows, mm, nn)
 
     monkeypatch.setattr(FA, "_vertices_on", counted)
-    FA._tight_sets.cache_clear()
+    FA._tight_memo.clear()
     for c in sample:
         face_from_chain(c, m, n)
     classes = {tuple(map(len, c)) for c in sample}
     assert len(sample) == 200 and len(classes) >= 40
     assert len(calls) <= 2 * len(classes)
+
+
+def test_face_vertex_memo_holds_no_face_above_its_cap(monkeypatch):
+    # the whole of P(7,6), 8,660 vertices, is checked from its own rows and
+    # then dropped: an unbounded memo kept 1.4 MB of it for the life of the
+    # process, and 27.7 MB of the whole of P(8,8)
+    chain = (frozenset(range(1, 8)),)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        face_from_chain(chain, 7, 6)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**18
+    # under a low cap the oldest classes leave first, and the tally the memo
+    # keeps is the vertices it holds
+    monkeypatch.setattr(FA, "_TIGHT_VERTICES_MAX", 100)
+    FA._tight_memo.clear()
+    for c in enumerate_chains(4, 4):
+        face_from_chain(c, 4, 4)
+    held = sum(len(a) + len(b) for a, b in FA._tight_memo.values())
+    assert 0 < FA._tight_memo.held == held <= 100
+    assert len(FA._tight_memo) < len({tuple(map(len, c)) for c in enumerate_chains(4, 4)})
 
 
 def test_faces_partition_count():
