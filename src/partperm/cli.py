@@ -7,6 +7,10 @@ Output is deterministic JSON by default (sorted keys, compact
 separators); --format csv/tex give flat rows and TeX tabulars where a
 subcommand writes them; --all-methods and --eval write JSON only.
 All numbers are exact: integers or 'p/q' strings, never floats.
+volume, ehrhart and hpoly share one engine path, ``_engine_value``: the
+covering methods of the engine table, run and compared under
+--all-methods, else --method or the command's default.  The verify
+suites are declared once, in ``SUITES``, which the --suite choices read.
 
 Exit codes: 0 success; 1 usage error (bad arguments or unsupported
 parameter ranges), or standard output closed early by its reader (quietly,
@@ -71,18 +75,16 @@ def _dump(obj) -> str:
     return _ENCODER.encode(obj)
 
 
-def _poly_json(p: Polynomial) -> List[str]:
-    return p.to_strings()
-
-
 def _methods(table: Dict[str, Engine], m: int, n: int) -> List[str]:
     """The methods of an engine table that cover (m,n), in table order."""
     return [name for name, engine in table.items() if engine.domain(m, n)]
 
 
-def _values(table: Dict[str, Engine], m: int, n: int) -> dict:
-    """Every covering method of an engine table -> its value at (m,n)."""
-    return {name: table[name].value(m, n) for name in _methods(table, m, n)}
+def _values(table: Dict[str, Engine], m: int, n: int, value=None) -> dict:
+    """Every covering method of an engine table -> its value at (m,n):
+    ``value(m, n, method)``, by default the table's value."""
+    run = value or (lambda m, n, method: table[method].value(m, n))
+    return {method: run(m, n, method) for method in _methods(table, m, n)}
 
 
 def _agree(values: dict) -> bool:
@@ -90,18 +92,53 @@ def _agree(values: dict) -> bool:
     return len(set(values.values())) <= 1
 
 
-def _require_applicable(method: str, methods: List[str], m: int, n: int) -> None:
+def _engine_value(args, table: Dict[str, Engine], nouns: Tuple[str, str], key: str,
+                  value=None, pick=None, fields=lambda first: {},
+                  check=lambda: None) -> Optional[Tuple[str, Any]]:
+    """The engine path of volume, ehrhart and hpoly, written once.
+
+    The methods of ``table`` that cover (m,n), or a usage error naming the
+    invariant (nouns[0]); then ``check()``, before any engine runs.  Under
+    --all-methods, each method's ``value(m, n, method)`` (see ``_values``),
+    written as JSON under ``key`` with ``fields(the first method's value)``
+    and compared: a disagreement names nouns[1] and every method with its
+    value.  None is returned.  Otherwise (method, value) of --method, or of
+    ``pick(methods)`` (by default the first), for the command to write.
+    """
+    m, n = args.m, args.n
+    methods = _methods(table, m, n)
+    if not methods:
+        raise UsageError(f"no exact {nouns[0]} engine covers (m,n)=({m},{n})")
+    check()
+    if args.all_methods:
+        values = _values(table, m, n, value)
+        agree = _agree(values)
+        print(_dump({"m": m, "n": n, "agree": agree, **fields(values[methods[0]]),
+                     key: {k: v.to_strings() if isinstance(v, Polynomial) else v
+                           for k, v in values.items()}}))
+        if not agree:
+            pairs = "; ".join(f"{k} -> {v.render() if isinstance(v, Polynomial) else v}"
+                              for k, v in values.items())
+            raise EngineDisagreement(f"{nouns[1]} disagree at (m,n)=({m},{n}): {pairs}")
+        return None
+    method = args.method or (pick(methods) if pick else methods[0])
     if method not in methods:
-        raise UsageError(
-            f"method {method!r} not applicable at (m,n)=({m},{n}); "
-            f"applicable: {', '.join(methods)}"
-        )
+        raise UsageError(f"method {method!r} not applicable at (m,n)=({m},{n}); "
+                         f"applicable: {', '.join(methods)}")
+    return method, _values({method: table[method]}, m, n, value)[method]
 
 
-def _disagreement(what: str, m: int, n: int, values: dict) -> EngineDisagreement:
-    """The --all-methods error, naming every method and the value it gave."""
-    pairs = "; ".join(f"{meth} -> {val}" for meth, val in values.items())
-    return EngineDisagreement(f"{what} disagree at (m,n)=({m},{n}): {pairs}")
+def _write_poly(args, symbol: str, method: str, p: Polynomial, fields: dict) -> int:
+    """Write one method's polynomial: its coefficients (csv), a TeX formula
+    for ``symbol``, or JSON with ``fields``."""
+    if args.format == "csv":
+        print(",".join(p.to_strings()))
+    elif args.format == "tex":
+        print(f"${symbol}_{{P({args.m},{args.n})}}(t) = {p.render()}$")
+    else:
+        print(_dump({"m": args.m, "n": args.n, "method": method,
+                     "coefficients": p.to_strings(), "rendered": p.render(), **fields}))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -180,66 +217,25 @@ def _cmd_fvector(args) -> int:
 
 
 def _cmd_hpoly(args) -> int:
-    m, n = args.m, args.n
-    methods = _methods(FA.H_POLY_ENGINES, m, n)
-    if not methods:
-        raise UsageError(f"no exact h-polynomial engine covers (m,n)=({m},{n})")
-    if args.all_methods:
-        results = {meth: FA.h_poly(m, n, meth) for meth in methods}
-        agree = _agree(results)
-        out = {
-            "m": m,
-            "n": n,
-            "results": {k: _poly_json(p) for k, p in results.items()},
-            "agree": agree,
-            "palindromic": FA.is_palindromic(results[methods[0]], m),
-        }
-        print(_dump(out))
-        if not agree:
-            raise _disagreement("h-polynomial methods", m, n,
-                                {k: p.render() for k, p in results.items()})
+    palindromic = lambda p: {"palindromic": FA.is_palindromic(p, args.m)}
+    picked = _engine_value(args, FA.H_POLY_ENGINES, ("h-polynomial", "h-polynomial methods"),
+                           "results", value=FA.h_poly, fields=palindromic)
+    if picked is None:
         return 0
-    method = args.method or ("from_f" if "from_f" in methods else methods[0])
-    _require_applicable(method, methods, m, n)
-    p = FA.h_poly(m, n, method)
-    out = {
-        "m": m,
-        "n": n,
-        "method": method,
-        "coefficients": _poly_json(p),
-        "rendered": p.render(),
-        "palindromic": FA.is_palindromic(p, m),
-        "h_at_1": int(sum(p.coeffs)),
-    }
-    if args.format == "csv":
-        print(",".join(_poly_json(p)))
-    elif args.format == "tex":
-        print(f"$h_{{P({m},{n})}}(t) = {p.render()}$")
-    else:
-        print(_dump(out))
-    return 0
+    method, p = picked
+    return _write_poly(args, "h", method, p, {**palindromic(p), "h_at_1": int(sum(p.coeffs))})
 
 
 def _cmd_volume(args) -> int:
-    m, n = args.m, args.n
-    engines = VO.VOLUME_ENGINES
-    methods = _methods(engines, m, n)
-    if not methods:
-        raise UsageError(f"no exact volume engine covers (m,n)=({m},{n})")
-    if args.all_methods:
-        values = _values(engines, m, n)
-        agree = _agree(values)
-        print(_dump({"m": m, "n": n, "values": values, "agree": agree}))
-        if not agree:
-            raise _disagreement("volume engines", m, n, values)
+    picked = _engine_value(args, VO.VOLUME_ENGINES, ("volume", "volume engines"), "values",
+                           pick=lambda methods: "closed" if "closed" in methods else methods[-1])
+    if picked is None:
         return 0
-    method = args.method or ("closed" if "closed" in methods else methods[-1])
-    _require_applicable(method, methods, m, n)
-    value = engines[method].value(m, n)
+    method, value = picked
     if args.format == "csv":
-        print(f"{m},{n},{value}")
+        print(f"{args.m},{args.n},{value}")
     else:
-        print(_dump({"m": m, "n": n, "method": method, "value": value}))
+        print(_dump({"m": args.m, "n": args.n, "method": method, "value": value}))
     return 0
 
 
@@ -259,67 +255,39 @@ def _eval_exceeds(m: int, n: int, t: int, digits: int) -> bool:
     return bits * 30102999 >= digits * 10**8
 
 
-def _cmd_ehrhart(args) -> int:
-    m, n = args.m, args.n
-    engines = EH.EHRHART_ENGINES
-    methods = _methods(engines, m, n)
-    if not methods:
-        raise UsageError(f"no exact Ehrhart engine covers (m,n)=({m},{n})")
-    if args.eval is not None and _eval_exceeds(m, n, args.eval, OUTPUT_DIGITS_MAX):
+def _refuse_eval(args) -> None:
+    """Refuse an --eval whose value must pass OUTPUT_DIGITS_MAX digits."""
+    if args.eval is not None and _eval_exceeds(args.m, args.n, args.eval, OUTPUT_DIGITS_MAX):
         raise UsageError(
             f"the value at --eval has more than OUTPUT_DIGITS_MAX = {OUTPUT_DIGITS_MAX} "
-            f"digits: P({m},{n}) contains the simplex P({m},1), so |ehr(t)| >= |C(t+m,m)|")
-    if args.all_methods:
-        values = _values(engines, m, n)
-        agree = _agree(values)
-        out = {"m": m, "n": n,
-               "results": {k: _poly_json(p) for k, p in values.items()},
-               "agree": agree}
-        if args.eval is not None:
-            out["value_at_t"] = str(values[methods[0]](args.eval))
-        print(_dump(out))
-        if not agree:
-            raise _disagreement("Ehrhart engines", m, n,
-                                {k: p.render() for k, p in values.items()})
+            f"digits: P({args.m},{args.n}) contains the simplex P({args.m},1), "
+            f"so |ehr(t)| >= |C(t+m,m)|")
+
+
+def _cmd_ehrhart(args) -> int:
+    at_t = lambda p: {} if args.eval is None else {"value_at_t": str(p(args.eval))}
+    picked = _engine_value(args, EH.EHRHART_ENGINES, ("Ehrhart", "Ehrhart engines"), "results",
+                           fields=at_t, check=lambda: _refuse_eval(args))
+    if picked is None:
         return 0
-    method = args.method or methods[0]
-    _require_applicable(method, methods, m, n)
-    p = engines[method].value(m, n)
-    out = {"m": m, "n": n, "method": method, "coefficients": _poly_json(p),
-           "rendered": p.render()}
-    if args.eval is not None:
-        out["value_at_t"] = str(p(args.eval))
-    if args.format == "csv":
-        print(",".join(_poly_json(p)))
-    elif args.format == "tex":
-        print(f"$\\mathrm{{ehr}}_{{P({m},{n})}}(t) = {p.render()}$")
-    else:
-        print(_dump(out))
-    return 0
+    method, p = picked
+    return _write_poly(args, r"\mathrm{ehr}", method, p, at_t(p))
 
 
 def _cmd_table(args) -> int:
-    which = args.which
-    if which == "volume-n":
-        max_m = 7 if args.max_m is None else args.max_m
-        rows = [(m, VO.nvol_poly(m, "n")) for m in range(1, max_m + 1)]
-        var = "n"
-    elif which == "volume-N":
-        max_m = 6 if args.max_m is None else args.max_m
-        rows = [(m, VO.nvol_poly(m, "N")) for m in range(1, max_m + 1)]
-        var = "N"
-    else:
-        raise UsageError(f"unknown table {which!r}")
+    var = args.which[-1]  # volume-n or volume-N: v(m,n) in n, or in N = n-m+1
+    max_m = (7 if var == "n" else 6) if args.max_m is None else args.max_m
+    rows = [(m, VO.nvol_poly(m, var)) for m in range(1, max_m + 1)]
     if args.format == "json":
         print(_dump({
             "table": f"normalized volume of P(m,n) as a polynomial in {var}"
                      + (" where N = n-m+1" if var == "N" else ""),
-            "rows": [{"m": m, "coefficients": _poly_json(p),
+            "rows": [{"m": m, "coefficients": p.to_strings(),
                       "rendered": p.render(var)} for m, p in rows],
         }))
     elif args.format == "csv":
         for m, p in rows:
-            print(f"{m}," + ",".join(_poly_json(p)))
+            print(f"{m}," + ",".join(p.to_strings()))
     else:
         print(r"\begin{tabular}{rl}")
         print(rf"$m$ & $v(m,n)$ as a polynomial in ${var}$ \\ \hline")
@@ -352,7 +320,7 @@ def _suite_engines(max_m: int, max_n: int) -> Iterator[dict]:
     for m, n in grid:
         polys = _values(EH.EHRHART_ENGINES, m, n)
         if EH.polynomial_domain(m, n):  # the two generating-function forms
-            polys["conjecture"] = EH.ehr_conjecture(m, n)[0]
+            polys["conjecture"] = EH.ehr_conjecture(m, n)
             polys["recurrence"] = EH.ehr_recurrence(m, n)
         if len(polys) > 1:
             yield _check("ehrhart-engines-agree", {"m": m, "n": n}, _agree(polys),
@@ -418,8 +386,7 @@ def _suite_faces(max_m: int, max_n: int) -> Iterator[dict]:
                  not FA.comb_equiv_check(2, 1, 2))
     for m in range(1, min(max_m, 4) + 1):
         for n in range(1, max_n + 1):
-            polys = {meth: FA.h_poly(m, n, meth)
-                     for meth in _methods(FA.H_POLY_ENGINES, m, n)}
+            polys = _values(FA.H_POLY_ENGINES, m, n, FA.h_poly)
             first = next(iter(polys.values()))
             ok = _agree(polys) and FA.is_palindromic(first, m)
             ok = ok and sum(first.coeffs) == len(pp_vertices(m, n).points)
@@ -481,21 +448,20 @@ def _suite_appendix(max_m: int, max_n: int) -> Iterator[dict]:
         yield _check("aux3-count-difference", {"n": n}, ok)
 
 
+# Suite name -> the generator of its check records, in the order --suite all
+# runs them; the --suite flag's choices are these names and "all".
+SUITES: Dict[str, Callable[[int, int], Iterator[dict]]] = {
+    "engines": _suite_engines, "faces": _suite_faces,
+    "conjectures": _suite_conjectures, "appendix": _suite_appendix,
+}
+
+
 def verify_suite(name: str, max_m: int = 4, max_n: int = 6) -> Iterator[dict]:
-    """Yield check records for one named verification suite."""
-    suites = {
-        "engines": lambda: _suite_engines(max_m, max_n),
-        "faces": lambda: _suite_faces(max_m, max_n),
-        "conjectures": lambda: _suite_conjectures(max_m, max_n),
-        "appendix": lambda: _suite_appendix(max_m, max_n),
-    }
-    if name == "all":
-        for key in ("engines", "faces", "conjectures", "appendix"):
-            yield from suites[key]()
-        return
-    if name not in suites:
+    """Yield check records for one named verification suite, or all of them."""
+    if name != "all" and name not in SUITES:
         raise UsageError(f"unknown suite {name!r}")
-    yield from suites[name]()
+    for suite in SUITES.values() if name == "all" else (SUITES[name],):
+        yield from suite(max_m, max_n)
 
 
 def _cmd_verify(args) -> int:
@@ -565,8 +531,7 @@ COMMANDS: Dict[str, Command] = {
         "--eval": Flag(int, "also evaluate at t = EVAL (JSON only)"),
     }),
     "verify": Command("run a cross-validation suite", _cmd_verify, {
-        "--suite": Flag(("engines", "faces", "conjectures", "appendix", "all"),
-                        "the suite to run", default="all"),
+        "--suite": Flag((*SUITES, "all"), "the suite to run", default="all"),
         "--max-m": Flag(1, "largest m of the suite's grids", default=4),
         "--max-n": Flag(0, "largest n of the suite's grids", default=6),
     }),

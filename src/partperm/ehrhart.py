@@ -266,16 +266,17 @@ def ehr_parking(m: int) -> Tuple[Polynomial, int]:
     return _ehrhart_poly(m, 0), draconian_sum(m, "ehrhart", lambda v, shape: int(shape[0] == 0))
 
 
-def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:
+def ehr_conjecture(m: int, n: int) -> Polynomial:
     """Two closed Ehrhart forms from the generating function, cross-checked
     (n >= m-1; the module docstring derives them from the draconian sum).
 
     (1) (1/2^m) sum_{i=0}^{floor(m/2)} sum_{j=2i}^{m} (-1)^{i+1}
         m!/((m-j)!(j-2i)!i!) (2(j-2i)-3)!! t^{j-i} (2nt+t+2)^{m-j};
     (2) m! [z^m] sqrt(1-tz) exp((nt+t/2+1)z - (t/4)z^2).
-    They are verified equal to each other here, and ``verify --suite
-    engines`` compares them with the engine table.  Form (1) reads (2i-3)!! from
-    double_factorial.  Form (2) does not: it is the Cauchy product
+    They are verified equal to each other here, and the one checked value
+    is returned; ``verify --suite engines`` compares it with the engine
+    table.  Form (1) reads (2i-3)!! from double_factorial.  Form (2) does
+    not: it is the Cauchy product
     sum_a r_a g_{m-a} of the two factors' coefficients in z, each from a
     recurrence.  With b = (n+1/2)t + 1, r_0 = 1 and
     r_a = r_{a-1} t (2a-3)/(2a) for sqrt(1-tz); g_0 = 1, g_1 = b and
@@ -307,7 +308,7 @@ def ehr_conjecture(m: int, n: int) -> Tuple[Polynomial, Polynomial, bool]:
     p2 = factorial(m) * sum(r * g for r, g in zip(root, reversed(expo)))
     if p1 != p2:
         raise EngineDisagreement(f"conjectural Ehrhart forms disagree at ({m},{n})")
-    return p1, p2, True
+    return p1
 
 
 def ehr_recurrence(m: int, n: int) -> Polynomial:

@@ -72,7 +72,7 @@ from .combinat import (
     r_set,
 )
 from .exactmath import EngineDisagreement, Polynomial, check_bound, eulerian_rows, stirling2
-from .polytope import VERTEX_LIST_MAX, _facet_rhs, pp_vertex_count, pp_vertices
+from .polytope import VERTEX_LIST_MAX, _facet_rhs, pp_vertices, pp_vertices_counted
 
 # comb_equiv_check builds comparability matrices of at most this many chain
 # pairs.  Its rows are bitmasks (_face_order_rows), so the largest shapes
@@ -498,8 +498,9 @@ closed_domain = Domain(h_domain, Bound("H_CLOSED_WORK_MAX", globals(), "work", h
 stellohedron_domain = Domain(
     h_domain, Rule(lambda m, n: n >= m, "requires n >= m in the stellohedron form"),
     Bound("H_STELLOHEDRON_MAX_M", globals()))
-orientation_domain = Domain(h_domain, Bound("VERTEX_LIST_MAX", globals(), "vertex count",
-                                            pp_vertex_count))
+orientation_domain = Domain(h_domain, Bound(
+    "VERTEX_LIST_MAX", globals(), "vertices counted",
+    lambda m, n: pp_vertices_counted(m, n, VERTEX_LIST_MAX)))
 
 
 def _h_from_f(m: int, n: int) -> Polynomial:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial, floor, ceil, gcd
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from math import comb, floor, ceil, gcd
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._counting_py import count_lattice_points
 from .exactmath import _as_int, _integral, check_bound, row_reduce
@@ -80,9 +80,32 @@ def _coord_json(c):
 VERTEX_LIST_MAX = 2**19
 
 
+def _vertex_terms(m: int, n: int) -> Iterator[int]:
+    """m!/(m-k)! for k = 0..min(m,n), each from the last by one product:
+    the number of vertices of P(m,n) with k nonzero coordinates."""
+    term = 1
+    for k in range(min(m, n) + 1):
+        yield term
+        term *= m - k
+
+
 def pp_vertex_count(m: int, n: int) -> int:
     """Number of vertices of P(m,n): sum_{k <= min(m,n)} m!/(m-k)!."""
-    return sum(factorial(m) // factorial(m - k) for k in range(min(m, n) + 1))
+    return sum(_vertex_terms(m, n))
+
+
+def pp_vertices_counted(m: int, n: int, bound: int) -> int:
+    """The vertices of P(m,n) counted by their number k of nonzero
+    coordinates until the count passes ``bound``: ``pp_vertex_count(m, n)``
+    when that is at most ``bound``, else a partial count above it.  A bound
+    on the vertex count is tested on this, in a few products at any shape.
+    """
+    counted = 0
+    for term in _vertex_terms(m, n):
+        counted += term
+        if counted > bound:
+            break
+    return counted
 
 
 @lru_cache(maxsize=8)
@@ -97,7 +120,7 @@ def pp_vertices(m: int, n: int) -> VRep:
     """
     if m < 1 or n < 0:
         raise ValueError("pp_vertices requires m >= 1 and n >= 0")
-    check_bound(f"P({m},{n})", "vertex count", pp_vertex_count(m, n),
+    check_bound(f"P({m},{n})", "vertices counted", pp_vertices_counted(m, n, VERTEX_LIST_MAX),
                 "VERTEX_LIST_MAX", VERTEX_LIST_MAX)
     pts = []
     values = list(range(n, 0, -1))

@@ -9,7 +9,7 @@ an integer for lattice polytopes.  Engines implemented here:
                          facets, valid for n >= m-1;
 * ``nvol_closed``      — three closed forms (a double sum in 2n, a single
                          sum in 2n+1, and (m!)^2 [z^m] sqrt(1-z)e^{(n+1/2)z}),
-                         cross-checked against each other;
+                         cross-checked against each other, one value;
 * ``nvol_three_term``  — a three-term recurrence in k for W = v/m!;
 * ``nvol_draconian``   — a sum of multinomial coefficients times powers of
                          (n-m+1) over draconian sequences, by the weighted
@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, lcm, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .combinat import (
     Bound,
@@ -125,12 +125,7 @@ def nvol_oracle(m: int, n: int) -> int:
     """
     oracle_domain.require("nvol_oracle", m, n)
     poly = _ehrhart.ehr_interpolate(m, n)
-    lead = poly.coefficient(m) * factorial(m)
-    if lead.denominator != 1:
-        raise EngineDisagreement(
-            f"leading Ehrhart coefficient of P({m},{n}) is not 1/m! integral"
-        )
-    return int(lead)
+    return _integral(poly.coefficient(m) * factorial(m), f"nvol_oracle({m},{n})")
 
 
 def nvol_of_vrep(v: VRep) -> int:
@@ -150,10 +145,7 @@ def nvol_of_vrep(v: VRep) -> int:
         lambda t, interior: count_points(h, t, box=box, interior=interior), m,
         f"the hull of {len(v.points)} points in dimension {m}",
     )
-    lead = poly.coefficient(m) * factorial(m)
-    if lead.denominator != 1:
-        raise EngineDisagreement("normalized volume came out non-integral")
-    return int(lead)
+    return _integral(poly.coefficient(m) * factorial(m), "nvol_of_vrep")
 
 
 def _nvol_rec(m: int, n: int) -> int:
@@ -186,8 +178,8 @@ def nvol_recursive(m: int, n: int) -> int:
     return _integral(_nvol_rec(m, n), f"nvol_recursive({m},{n})")
 
 
-def nvol_closed(m: int, n: int) -> Tuple[int, int, int]:
-    """Three closed forms of v(m,n), cross-checked; returns all three.
+def nvol_closed(m: int, n: int) -> int:
+    """Three closed forms of v(m,n), cross-checked; returns the one value.
 
     (1) -(m!/2^m) sum_{0<=i<=j<=m} C(m,j) C(j,i) (2i-3)!! (2n)^{m-j};
     (2) -(m!/2^m) sum_{i=0}^{m} C(m,i) (2i-3)!! (2n+1)^{m-i};
@@ -214,9 +206,9 @@ def nvol_closed(m: int, n: int) -> Tuple[int, int, int]:
         root.append(root[-1] * (2 * k - 3) / (2 * k))
         expo.append(expo[-1] * (2 * n + 1) / (2 * k))
     v3 = factorial(m) ** 2 * sum(r * e for r, e in zip(root, reversed(expo)))
-    if not (v1 == v2 == v3 and v1.denominator == 1):
+    if not v1 == v2 == v3:
         raise EngineDisagreement(f"closed volume forms disagree at ({m},{n})")
-    return int(v1), int(v2), int(v3)
+    return _integral(v1, f"nvol_closed({m},{n})")
 
 
 def nvol_three_term(m: int, n: int) -> int:
@@ -316,7 +308,7 @@ def nvol_small_n(m: int, n: int) -> int:
 VOLUME_ENGINES: Dict[str, Engine] = {
     "oracle": Engine(oracle_domain, lambda m, n: nvol_oracle(m, n)),
     "recursive": Engine(recursive_domain, lambda m, n: nvol_recursive(m, n)),
-    "closed": Engine(closed_domain, lambda m, n: nvol_closed(m, n)[0]),
+    "closed": Engine(closed_domain, lambda m, n: nvol_closed(m, n)),
     "three_term": Engine(three_term_domain, lambda m, n: nvol_three_term(m, n)),
     "draconian": Engine(draconian_domain, lambda m, n: nvol_draconian(m, n)),
     "lambda": Engine(lambda_domain, lambda m, n: _integral(

@@ -116,7 +116,7 @@ def test_criterion_02_volume_engines_agree():
         for m, n in VOLUME_GRID:
             ref = nvol_oracle(m, n)
             assert nvol_recursive(m, n) == ref, ("recursive", m, n)
-            assert nvol_closed(m, n) == (ref, ref, ref), ("closed", m, n)
+            assert nvol_closed(m, n) == ref, ("closed", m, n)
             assert nvol_three_term(m, n) == ref, ("three_term", m, n)
             assert nvol_draconian(m, n) == ref, ("draconian", m, n)
             assert nvol_lambda(m, n) == ref, ("lambda default", m, n)
@@ -182,9 +182,7 @@ def test_criterion_05_conjectural_forms_consistent():
         for m in range(1, 5):
             for n in range(m - 1, 7):
                 p = ehr_interpolate(m, n)
-                form_a, form_b, agree = ehr_conjecture(m, n)
-                assert agree and form_a == p and form_b == p, (
-                    "conjecture", m, n)
+                assert ehr_conjecture(m, n) == p, ("conjecture", m, n)
                 assert ehr_recurrence(m, n) == p, ("recurrence", m, n)
         for n in (3, 4):
             report = conj_vmn_fit(n)

@@ -187,12 +187,11 @@ def test_counts_confirm_the_engines_above_the_oracle_domain(m, n):
     truth = interpolate_counts(
         lambda t, interior: pp_count(m, n, t, interior), m, f"P({m},{n})")
     assert [truth(t) for t in range(m + 2)] == [pp_count(m, n, t) for t in range(m + 2)]
-    p1, p2, _ = ehr_conjecture(m, n)
-    assert p1 == p2 == truth
+    assert ehr_conjecture(m, n) == truth
     assert ehr_recurrence(m, n) == truth
     assert ehr_draconian(m, n) == truth
     volume = truth.coefficient(m) * math.factorial(m)
-    assert nvol_closed(m, n) == (volume, volume, volume)
+    assert nvol_closed(m, n) == volume
 
 
 def test_ehr_point_counts_at_one():
@@ -302,7 +301,7 @@ def test_draconian_beyond_enumeration_matches_conjecture_and_recurrence(m):
         poly = ehr_draconian(m, n)
         assert poly == ehr_recurrence(m, n), (m, n)
         assert poly.coefficient(m) * math.factorial(m) == nvol_recursive(m, n)
-    assert ehr_draconian(m, m) == ehr_conjecture(m, m)[0]
+    assert ehr_draconian(m, m) == ehr_conjecture(m, m)
 
 
 def test_draconian_refuses_beyond_cap():
@@ -386,21 +385,17 @@ def test_parking_beyond_enumeration(m):
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (2, 2), (3, 2), (3, 4), (4, 3), (4, 6)])
 def test_conjecture_forms_agree_and_match_oracle(m, n):
-    p1, p2, equal = ehr_conjecture(m, n)
-    assert equal is True
-    assert p1 == p2
-    assert p1 == ehr_interpolate(m, n)
+    assert ehr_conjecture(m, n) == ehr_interpolate(m, n)
 
 
 def test_conjecture_m1_closed():
     for n in (1, 2, 5):
-        p1, p2, equal = ehr_conjecture(1, n)
-        assert equal and p1 == Polynomial([1, n])
+        assert ehr_conjecture(1, n) == Polynomial([1, n])
 
 
 def test_conjecture_leading_coefficient_is_volume():
     for m, n in [(2, 2), (3, 3), (4, 4)]:
-        p1, _, _ = ehr_conjecture(m, n)
+        p1 = ehr_conjecture(m, n)
         assert p1.coefficient(m) * math.factorial(m) == nvol_recursive(m, n)
 
 
@@ -428,7 +423,7 @@ def test_recurrence_refuses_below_n_m_minus_1(m, n):
 
 def test_recurrence_equals_conjecture():
     for m, n in [(2, 3), (3, 3), (4, 5)]:
-        assert ehr_recurrence(m, n) == ehr_conjecture(m, n)[0]
+        assert ehr_recurrence(m, n) == ehr_conjecture(m, n)
 
 
 def test_conjecture_series_form_is_independent_of_double_factorial(monkeypatch):
@@ -445,8 +440,8 @@ def test_conjecture_series_form_is_independent_of_double_factorial(monkeypatch):
 def test_series_forms_match_the_recurrences():
     for m in range(1, 17):
         for n in (m - 1, m, m + 3):
-            assert ehr_conjecture(m, n)[1] == ehr_recurrence(m, n), (m, n)
-            assert nvol_closed(m, n)[2] == nvol_three_term(m, n), (m, n)
+            assert ehr_conjecture(m, n) == ehr_recurrence(m, n), (m, n)
+            assert nvol_closed(m, n) == nvol_three_term(m, n), (m, n)
 
 
 # --------------------------------------------------------------------------

@@ -48,6 +48,16 @@ GOLDEN = {
     "help": ("--help",),
     "ehrhart-help": ("ehrhart", "--help"),
 }
+# One method's output, at the default pick and by --method, in every format.
+for _cmd, _m, _n, _formats in (("volume", "4", "6", ("json", "csv")),
+                                ("ehrhart", "4", "3", ("json", "csv", "tex")),
+                                ("hpoly", "4", "3", ("json", "csv", "tex"))):
+    for _format in _formats:
+        GOLDEN[f"{_cmd}-default-{_format}-{_m}-{_n}"] = (
+            _cmd, "--m", _m, "--n", _n, "--format", _format)
+GOLDEN["volume-default-json-5-2"] = ("volume", "--m", "5", "--n", "2")
+GOLDEN["ehrhart-small_n-eval-5-3"] = (
+    "ehrhart", "--m", "5", "--n", "3", "--method", "small_n", "--eval", "3")
 for _m, _n in SHAPES:
     for _cmd in ("hpoly", "volume", "ehrhart"):
         GOLDEN[f"{_cmd}-{_m}-{_n}"] = (_cmd, "--m", _m, "--n", _n, "--all-methods")

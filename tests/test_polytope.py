@@ -70,6 +70,22 @@ def test_pp_vertices_refuses_above_the_listing_bound():
         pp_vertices(9, 9)
 
 
+def test_vertex_bound_is_tested_without_the_full_count(capsys):
+    # the count of P(2000,2000) has about 5,700 digits and that of
+    # P(10^9,4) takes m! to form; the bound stops counting once passed
+    from partperm.cli import main
+    from partperm.faces import orientation_domain
+
+    with pytest.raises(ValueError, match="VERTEX_LIST_MAX") as refusal:
+        pp_vertices(2000, 2000)
+    assert len(str(refusal.value)) < 200
+    assert main(["vertices", "--m", "2000", "--n", "2000"]) == 1
+    err = capsys.readouterr().err
+    assert "VERTEX_LIST_MAX" in err and len(err) < 200
+    assert not orientation_domain(10**9, 4) and not orientation_domain(2000, 2000)
+    assert orientation_domain(8, 8) and not orientation_domain(9, 9)
+
+
 def test_pp_vertices_pentagon():
     v = pp_vertices(2, 2)
     assert v.points == ((0, 0), (0, 2), (1, 2), (2, 0), (2, 1))
