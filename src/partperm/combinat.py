@@ -337,11 +337,13 @@ def enumerate_draconian(m: int, mode: str = "volume") -> List[Tuple[int, ...]]:
     """All draconian sequences on [m]: sum == m (volume) or sum <= m (ehrhart).
 
     Sequences are tuples indexed by draconian_indices(m), emitted in
-    lexicographic order.  They are counted first by ``draconian_sum``, and
+    lexicographic order.  Outside ``draconian_domain`` at (m, m-1) it
+    refuses first: the count grows with m (a token on the new element maps
+    the sequences on [m-1] into those on [m]), so the listing bound would
+    refuse those m too.  Then they are counted by ``draconian_sum``, and
     more than ``DRACONIAN_LIST_MAX`` of them are refused up front.
     """
-    if m < 1:
-        raise ValueError("enumerate_draconian requires m >= 1")
+    draconian_domain.require("enumerate_draconian", m, m - 1)
     check_bound(f"enumerate_draconian({m}, {mode!r})", "sequence count",
                 draconian_sum(m, mode, lambda v, shape: 1),
                 "DRACONIAN_LIST_MAX", DRACONIAN_LIST_MAX)
@@ -497,9 +499,10 @@ def draconian_census(m: int, mode: str = "volume") -> Dict[Shape, int]:
     """Number of draconian sequences on [m] of each shape (s, p1, p2): the
     coefficients of ``draconian_coefficients`` with weight x^(s + B p1 + B^2 p2),
     B = m+1 (s, p1, p2 <= m, so the exponent fixes the shape).  So checking it
-    against draconian_shape_tally(m, mode) checks the engines' own routine."""
-    if m < 1:
-        raise ValueError("draconian_census requires m >= 1")
+    against draconian_shape_tally(m, mode) checks the engines' own routine.
+    Outside ``draconian_domain`` at (m, m-1), m above ``DRACONIAN_MAX_M``
+    included, it refuses up front, as the draconian engines do."""
+    draconian_domain.require("draconian_census", m, m - 1)
     b = m + 1
     coeffs = draconian_coefficients(
         m, mode, lambda x, v, shape: x ** (shape[0] + b * shape[1] + b * b * shape[2]))

@@ -136,10 +136,6 @@ def ehr_interpolate(m: int, n: int) -> Polynomial:
     return _INTERP_CACHE[key]
 
 
-def _tpoly(a0, a1) -> Polynomial:
-    return Polynomial([a0, a1])
-
-
 # ehr_closed_small_n expands binomials of degree m; (700,3) takes 2.1 s
 # (2-core VM, Python 3.11).
 EHR_SMALL_N_MAX_M = 700
@@ -168,16 +164,16 @@ def ehr_closed_small_n(m: int, n: int) -> Polynomial:
     if n == 0:
         return Polynomial([1])
     if n == 1:
-        return binomial_poly(_tpoly(m, 1), m)
+        return binomial_poly(Polynomial([m, 1]), m)
     if n == 2:
-        return binomial_poly(_tpoly(m, 3), m) - m * binomial_poly(_tpoly(m - 1, 1), m)
+        return binomial_poly(Polynomial([m, 3]), m) - m * binomial_poly(Polynomial([m - 1, 1]), m)
     return (
-        binomial_poly(_tpoly(m, 6), m)
-        - m * binomial_poly(_tpoly(m - 1, 3), m)
+        binomial_poly(Polynomial([m, 6]), m)
+        - m * binomial_poly(Polynomial([m - 1, 3]), m)
         - comb(m, 2)
         * (
-            binomial_poly(_tpoly(m - 1, 1), m)
-            + (m - 2) * binomial_poly(_tpoly(m - 2, 1), m)
+            binomial_poly(Polynomial([m - 1, 1]), m)
+            + (m - 2) * binomial_poly(Polynomial([m - 2, 1]), m)
         )
     )
 

@@ -22,7 +22,7 @@ on by the closed volume and Ehrhart formulas.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Iterable, Iterator, List, Sequence
 
 

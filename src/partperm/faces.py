@@ -35,11 +35,12 @@ vertices, relabelled the same way, are compared with that set, so the
 check stays exact.  The memo is keyed on the rows, never on the sizes: a
 row built wrong for one label gets a search of its own, and on a
 mismatch the chain's unrelabelled rows are searched again to name the
-vertices missed and added.  The blocks of ``face_vertices`` and the
-face's vertex count depend only on the chain's member sizes and n, and
-are held once per such key; ``face_vertex_count`` reads the count without
-building a vertex, and ``face_records`` reads it, with the dimension, for
-every listed chain without validating the chains again.
+vertices missed and added.  The blocks ``face_vertices`` passes to
+``polytope.placements`` and the face's vertex count depend only on the
+chain's member sizes and n, and are held once per such key;
+``face_vertex_count`` reads the count without building a vertex, and
+``face_records`` reads it, with the dimension, for every listed chain
+without validating the chains again.
 
 The h-polynomial h(t) = f(t-1) is computed independently from the face
 census, from a closed Eulerian-polynomial sum, from the stellohedron
@@ -53,8 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations
-from math import comb, factorial, perm, prod
+from itertools import accumulate
+from math import comb, factorial
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -72,7 +73,7 @@ from .combinat import (
     r_set,
 )
 from .exactmath import EngineDisagreement, Polynomial, check_bound, eulerian_rows, stirling2
-from .polytope import VERTEX_LIST_MAX, _facet_rhs, pp_vertices, pp_vertices_counted
+from .polytope import VERTEX_LIST_MAX, _facet_rhs, placement_count, placements, pp_vertices
 
 # comb_equiv_check builds comparability matrices of at most this many chain
 # pairs.  Its rows are bitmasks (_face_order_rows), so the largest shapes
@@ -294,21 +295,15 @@ def _family_chain(chain: Sequence, m: int, n: int) -> Tuple[frozenset, ...]:
     return c
 
 
-def _check_block(vals, width: int, sizes) -> None:
-    if len(vals) != width:
-        raise EngineDisagreement(
-            f"member sizes {sizes}: {len(vals)} values for {width} positions"
-        )
-
-
 @lru_cache(maxsize=None)
 def _face_blocks(sizes: Tuple[int, ...], n: int):
     """The blocks of the face of every family chain with these member sizes,
-    and the face's vertex count.
+    and the face's exact vertex count.
 
-    A block is (j, runs): the coordinates of A_{j+1} \\ A_j (A_0 the empty
-    set, so block 0 is A_1) take the values of one run of ``runs``, placed
-    injectively.  Both depend on the chain only through its sizes.
+    A block is (j, values, lengths): the coordinates of A_{j+1} \\ A_j (A_0
+    the empty set, so block 0 is A_1) take values[:k] placed injectively,
+    for each k in lengths, as ``placements`` fills a block.  Both depend on
+    the chain only through its sizes.
     """
     top = sizes[-1]
     special = sizes[0] == 0 and top >= n
@@ -317,22 +312,15 @@ def _face_blocks(sizes: Tuple[int, ...], n: int):
     for j in range(1, len(sizes)):  # block A_{j+1} \ A_j, values fixed
         if j == 1 and special:
             continue
-        hi = n - (top - sizes[j])
-        lo = n - (top - sizes[j - 1]) + 1
-        vals = tuple(range(hi, lo - 1, -1))
-        _check_block(vals, sizes[j] - sizes[j - 1], sizes)
-        blocks.append((j, (vals,)))
-    if sizes[0]:
+        blocks.append((j, range(n - (top - sizes[j]), 0, -1), (sizes[j] - sizes[j - 1],)))
+    if sizes[0]:  # a sliding top interval, padded with zeros
         topval = n - (top - sizes[0])
-        blocks.append((0, tuple(tuple(range(topval, topval - k, -1))
-                                for k in range(min(sizes[0], topval) + 1))))
-    elif special and len(sizes) >= 2:
-        vals = tuple(range(n - (top - sizes[1]), 0, -1))
-        _check_block(vals + (0,) * (top - n), sizes[1], sizes)
-        blocks.append((1, (vals,)))
-    count = prod(sum(perm(sizes[j] - (sizes[j - 1] if j else 0), len(vals))
-                     for vals in runs)
-                 for j, runs in blocks)
+        blocks.append((0, range(topval, 0, -1), range(min(sizes[0], topval) + 1)))
+    elif special and len(sizes) >= 2:  # every value down to 1, padded with top - n zeros
+        topval = n - (top - sizes[1])
+        blocks.append((1, range(topval, 0, -1), (topval,)))
+    count = placement_count((sizes[j] - (sizes[j - 1] if j else 0), lengths)
+                            for j, _, lengths in blocks)
     return tuple(blocks), count
 
 
@@ -360,32 +348,26 @@ def face_records(m: int, n: int) -> Iterator[Tuple[Chain, int, int]]:
 def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
     """The vertex set of the face indexed by a chain, by direct construction.
 
-    Blockwise: coordinates outside A_l are zero; each consecutive block
-    A_{j+1} \\ A_j carries a fixed interval of values in every order; the
-    bottom block carries a sliding top interval padded with zeros (when
-    A_1 is nonempty) or the full interval down to 1 padded with exactly
-    |A_l| - n zeros (when A_1 is empty and |A_l| >= n).  The vertex count,
-    a product over the blocks (``face_vertex_count``), is read before any
-    vertex is built: faces with more than ``VERTEX_LIST_MAX`` vertices are
-    refused with a ValueError.
+    Blockwise, through ``placements``: coordinates outside A_l are zero;
+    each consecutive block A_{j+1} \\ A_j carries a fixed interval of values
+    in every order; the bottom block carries a sliding top interval padded
+    with zeros (when A_1 is nonempty) or the full interval down to 1 padded
+    with exactly |A_l| - n zeros (when A_1 is empty and |A_l| >= n).  The
+    vertex count, a product over the blocks (``face_vertex_count``), is read
+    before any vertex is built: faces with more than ``VERTEX_LIST_MAX``
+    vertices are refused with a ValueError, on a count that stops once it
+    passes the bound.
     """
     c = _family_chain(chain, m, n)
     blocks, count = _face_blocks(tuple(map(len, c)), n)
-    check_bound(f"a face of P({m},{n})", "vertex count", count, "VERTEX_LIST_MAX",
-                VERTEX_LIST_MAX)
-    verts = [(0,) * m]
-    for j, runs in blocks:
-        positions = sorted(c[j] - c[j - 1]) if j else sorted(c[0])
-        grown = []
-        for vals in runs:
-            for pos in permutations(positions, len(vals)):
-                for base in verts:
-                    w = list(base)
-                    for p, val in zip(pos, vals):
-                        w[p - 1] = val
-                    grown.append(tuple(w))
-        verts = grown
-    return sorted(verts)
+    blocks = [(sorted(c[j] - c[j - 1]) if j else sorted(c[0]), values, lengths)
+              for j, values, lengths in blocks]
+    if count > VERTEX_LIST_MAX:  # refused on a short count: the exact one can pass 4,300 digits
+        check_bound(f"a face of P({m},{n})", "vertices counted",
+                    placement_count([(len(pos), lengths) for pos, _, lengths in blocks],
+                                    VERTEX_LIST_MAX),
+                    "VERTEX_LIST_MAX", VERTEX_LIST_MAX)
+    return sorted(placements(blocks, m))
 
 
 def f_vector(m: int, n: int) -> Tuple[int, ...]:
@@ -500,7 +482,7 @@ stellohedron_domain = Domain(
     Bound("H_STELLOHEDRON_MAX_M", globals()))
 orientation_domain = Domain(h_domain, Bound(
     "VERTEX_LIST_MAX", globals(), "vertices counted",
-    lambda m, n: pp_vertices_counted(m, n, VERTEX_LIST_MAX)))
+    lambda m, n: placement_count([(m, range(min(m, n) + 1))], VERTEX_LIST_MAX)))
 
 
 def _h_from_f(m: int, n: int) -> Polynomial:

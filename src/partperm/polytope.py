@@ -12,12 +12,13 @@ inequalities are x_i >= 0 together with, for every nonempty S in [m] with
 where C(a,2) is taken as 0 for a <= 1 (equivalently the right-hand side is
 |S|*n - C(|S|,2) when |S| <= n and C(n+1,2) otherwise).
 
-Also here: exact lattice-point counting of dilates, by a symmetric
-dynamic programme over sorted values for P(m,n) itself and by a cached box
-search for any system; exact hull conversion in both directions by integer
-double description, halfspace cuts for strip-decomposition arguments, and
-the anti-blocking polytope of a weakly decreasing score vector together
-with its vertex-edge graph.
+``placements`` lists and ``placement_count`` counts the vertices of P(m,n),
+of its faces and of anti-blocking polytopes.  Also here: exact
+lattice-point counting of dilates, by a symmetric dynamic programme over
+sorted values for P(m,n) itself and by a cached box search for any system;
+exact hull conversion in both directions by integer double description,
+halfspace cuts for strip-decomposition arguments, and the anti-blocking
+polytope of a weakly decreasing score vector with its vertex-edge graph.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, floor, ceil, gcd
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._counting_py import count_lattice_points
 from .exactmath import _as_int, _integral, check_bound, row_reduce
@@ -50,12 +51,6 @@ class HRep:
     def with_rows(self, extra) -> "HRep":
         return HRep(self.rows + tuple(extra), self.dim)
 
-    def to_jsonable(self):
-        return {
-            "dim": self.dim,
-            "rows": [{"coeffs": list(a), "rhs": b} for a, b in self.rows],
-        }
-
 
 @dataclass(frozen=True)
 class VRep:
@@ -64,75 +59,88 @@ class VRep:
     points: Tuple[Tuple, ...]
     dim: int
 
-    def to_jsonable(self):
-        return {
-            "dim": self.dim,
-            "points": [[_coord_json(c) for c in p] for p in self.points],
-        }
-
-
-def _coord_json(c):
-    return c if isinstance(c, int) else str(c)
-
 
 # pp_vertices lists at most this many vertices (about 2 s); P(8,8) has
 # 109,601 and P(9,9) 986,410.
 VERTEX_LIST_MAX = 2**19
 
 
-def _vertex_terms(m: int, n: int) -> Iterator[int]:
-    """m!/(m-k)! for k = 0..min(m,n), each from the last by one product:
-    the number of vertices of P(m,n) with k nonzero coordinates."""
-    term = 1
-    for k in range(min(m, n) + 1):
-        yield term
-        term *= m - k
+def placements(blocks, m: int) -> List[Tuple[int, ...]]:
+    """The points of length m that each block (positions, values, lengths)
+    fills with values[:k] placed injectively into its positions, for one k
+    in lengths, with zeros in every other coordinate.  Positions count from
+    1, and the blocks' positions are disjoint.
+
+    Every vertex set the package lists is such a placement: P(m,n) is one
+    block, n, n-1, ... placed into the m coordinates (``pp_vertices``); a
+    face of it is one block per member of its chain (``faces``); an
+    anti-blocking polytope is one block of prefixes of its scores.  Points
+    come in no particular order, once per placement.
+    """
+    points = [(0,) * m]
+    for positions, values, lengths in blocks:
+        grown = []
+        for k in lengths:
+            for pos in permutations(positions, k):
+                for base in points:
+                    w = list(base)
+                    for p, val in zip(pos, values):  # values[:k], as pos has k
+                        w[p - 1] = val
+                    grown.append(tuple(w))
+        points = grown
+    return points
+
+
+def placement_count(blocks, bound: Optional[int] = None) -> int:
+    """The number of points ``placements`` lists for blocks of these
+    (width, lengths), a width being a block's number of positions: the
+    product over the blocks of sum_{k in lengths} P(width, k), each
+    P(width, k) = width!/(width-k)! from the last by one product.  The
+    lengths of a block increase and do not pass its width.
+
+    Given ``bound``, the count stops once it passes it: it is exact when at
+    most ``bound``, else a partial count above it, formed in a few products
+    at any size.  A bound on a vertex count is tested on this.
+    """
+    count = 1
+    for width, lengths in blocks:
+        total, term, k = 0, 1, 0
+        for length in lengths:
+            while k < length:
+                term *= width - k
+                k += 1
+            total += term
+            if bound is not None and count * total > bound:
+                break
+        count *= total
+        if bound is not None and count > bound:
+            break
+    return count
 
 
 def pp_vertex_count(m: int, n: int) -> int:
     """Number of vertices of P(m,n): sum_{k <= min(m,n)} m!/(m-k)!."""
-    return sum(_vertex_terms(m, n))
-
-
-def pp_vertices_counted(m: int, n: int, bound: int) -> int:
-    """The vertices of P(m,n) counted by their number k of nonzero
-    coordinates until the count passes ``bound``: ``pp_vertex_count(m, n)``
-    when that is at most ``bound``, else a partial count above it.  A bound
-    on the vertex count is tested on this, in a few products at any shape.
-    """
-    counted = 0
-    for term in _vertex_terms(m, n):
-        counted += term
-        if counted > bound:
-            break
-    return counted
+    return placement_count([(m, range(min(m, n) + 1))])
 
 
 @lru_cache(maxsize=8)
 def pp_vertices(m: int, n: int) -> VRep:
     """All vertices of P(m,n), lexicographically sorted.
 
-    For each k = 0..min(m,n), place the values n, n-1, ..., n-k+1 injectively
-    into k of the m positions; the total count is ``pp_vertex_count``.
-    P(m,0) is the single point at the origin.  The VRep is frozen, so the
-    few most recent ones are memoised and shared between callers.  Shapes
-    with more than ``VERTEX_LIST_MAX`` vertices are refused up front.
+    One block of ``placements``: for each k = 0..min(m,n), the values n,
+    n-1, ..., n-k+1 placed injectively into k of the m positions; the total
+    count is ``pp_vertex_count``.  P(m,0) is the single point at the origin.
+    The VRep is frozen, so the few most recent ones are memoised and shared
+    between callers.  Shapes with more than ``VERTEX_LIST_MAX`` vertices are
+    refused up front, on a count that stops once it passes the bound.
     """
     if m < 1 or n < 0:
         raise ValueError("pp_vertices requires m >= 1 and n >= 0")
-    check_bound(f"P({m},{n})", "vertices counted", pp_vertices_counted(m, n, VERTEX_LIST_MAX),
+    lengths = range(min(m, n) + 1)
+    check_bound(f"P({m},{n})", "vertices counted", placement_count([(m, lengths)], VERTEX_LIST_MAX),
                 "VERTEX_LIST_MAX", VERTEX_LIST_MAX)
-    pts = []
-    values = list(range(n, 0, -1))
-    for k in range(min(m, n) + 1):
-        vals = values[:k]
-        for pos in permutations(range(m), k):
-            v = [0] * m
-            for p, val in zip(pos, vals):
-                v[p] = val
-            pts.append(tuple(v))
-    pts = sorted(set(pts))
-    return VRep(tuple(pts), m)
+    pts = placements([(range(1, m + 1), range(n, 0, -1), lengths)], m)
+    return VRep(tuple(sorted(pts)), m)
 
 
 def _facet_rhs(k: int, n: int) -> int:
@@ -146,10 +154,25 @@ def _facet_rhs(k: int, n: int) -> int:
 FACET_LIST_MAX = 2**20
 
 
+def _facet_rows_counted(m: int, n: int, bound: Optional[int]) -> int:
+    """m + sum of C(m,k) over 1 <= k <= m with k <= n-1 or k = m, each
+    C(m,k) from the last by one product.  Given ``bound``, the count stops
+    once it passes it, as ``placement_count`` does."""
+    count, term = m, 1
+    for k in range(1, min(n, m + 1)):  # 1 <= k <= min(n-1, m)
+        term = term * (m - k + 1) // k
+        count += term
+        if bound is not None and count > bound:
+            return count
+    if m >= n:  # the row of S = [m], not reached above
+        count += 1
+    return count
+
+
 def pp_facet_count(m: int, n: int) -> int:
     """Number of rows of pp_facets(m, n): m + sum of C(m,k) over 1 <= k <= m
     with k <= n-1 or k = m."""
-    return m + sum(comb(m, k) for k in range(1, m + 1) if k <= n - 1 or k == m)
+    return _facet_rows_counted(m, n, None)
 
 
 def pp_facets(m: int, n: int) -> HRep:
@@ -159,11 +182,11 @@ def pp_facets(m: int, n: int) -> HRep:
     nonempty S with |S| <= n-1 or |S| = m, ordered by (|S|, S).
     For n = 0 the system pins the single point at the origin.  Shapes
     with more than ``FACET_LIST_MAX`` rows (``pp_facet_count``) are refused
-    up front.
+    up front, on a count that stops once it passes the bound.
     """
     if m < 1 or n < 0:
         raise ValueError("pp_facets requires m >= 1 and n >= 0")
-    check_bound(f"P({m},{n})", "facet row count", pp_facet_count(m, n),
+    check_bound(f"P({m},{n})", "facet rows counted", _facet_rows_counted(m, n, FACET_LIST_MAX),
                 "FACET_LIST_MAX", FACET_LIST_MAX)
     rows = []
     for i in range(m):
@@ -486,15 +509,8 @@ def antiblocking_vertices_edges(z: Sequence[int]) -> Tuple[VRep, Tuple[Tuple[int
     if any(z[i] < z[i + 1] for i in range(m - 1)):
         raise ValueError("scores must be weakly decreasing")
     bigk = sum(1 for x in z if x > 0)
-    verts = set()
-    for k in range(m + 1):
-        vals = z[:k]
-        for pos in permutations(range(m), k):
-            v = [0] * m
-            for p, val in zip(pos, vals):
-                v[p] = val
-            verts.add(tuple(v))
-    vlist = sorted(verts)
+    # equal scores, or a zero, place equal points
+    vlist = sorted(set(placements([(range(1, m + 1), z, range(m + 1))], m)))
     vindex = {v: i for i, v in enumerate(vlist)}
     edges = set()
     for u in vlist:

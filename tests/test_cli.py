@@ -8,7 +8,6 @@ contract; values agree with the library routines.
 
 import importlib.metadata
 import json
-import math
 import os
 import subprocess
 import sys
@@ -23,7 +22,6 @@ import partperm
 from partperm import (
     Polynomial,
     nvol_poly,
-    nvol_recursive,
     oracle_domain,
     pp_facets,
     pp_vertex_count,
@@ -968,12 +966,15 @@ def test_verify_engines_census_stops_at_the_listing_bound(monkeypatch):
 
 
 def test_facets_listing_bound_is_an_error(capsys):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "facets", "--m", "30", "--n", "30")
-    assert time.perf_counter() - start < 1
-    assert code == 1
-    assert out == ""
-    assert "FACET_LIST_MAX" in err
+    # the row count of P(10^5,10^5) has about 30,000 digits; the bound
+    # stops counting once passed
+    for size in ("30", "100000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "facets", "--m", size, "--n", size)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert "FACET_LIST_MAX" in err and len(err) < 200
 
 
 def test_verify_engines_pp_count_records_cover_the_oracle_domain():

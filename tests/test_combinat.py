@@ -10,7 +10,7 @@ is checked against the shape tally of the enumeration.
 """
 
 import time
-from itertools import chain as ichain, combinations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +363,12 @@ def test_enumerate_draconian_refuses_above_its_listing_bound():
         with pytest.raises(ValueError, match="DRACONIAN_LIST_MAX"):
             enumerate_draconian(m, mode)
         assert time.perf_counter() - start < 1
+    # above DRACONIAN_MAX_M the count is not formed: it grows with m
+    for m in (DRACONIAN_MAX_M + 1, 1000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"DRACONIAN_MAX_M: m <= {DRACONIAN_MAX_M}"):
+            enumerate_draconian(m, "volume")
+        assert time.perf_counter() - start < 1
 
 
 # --------------------------------------------------------------------------
@@ -398,6 +404,15 @@ def test_census_bad_arguments():
         draconian_census(2, "nonsense")
     with pytest.raises(ValueError):
         draconian_census(0)
+
+
+def test_census_refuses_outside_the_draconian_domain():
+    assert draconian_census(DRACONIAN_MAX_M, "ehrhart")
+    for m in (DRACONIAN_MAX_M + 1, 1000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"DRACONIAN_MAX_M: m <= {DRACONIAN_MAX_M}"):
+            draconian_census(m, "ehrhart")
+        assert time.perf_counter() - start < 1
 
 
 def test_draconian_domain():

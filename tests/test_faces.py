@@ -14,7 +14,6 @@ import gc
 import math
 import time
 import tracemalloc
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +38,6 @@ from partperm import (
     h_poly,
     is_palindromic,
     missing_ranks,
-    pp_facets,
     pp_vertex_count,
     pp_vertices,
     r_set,
@@ -123,12 +121,13 @@ def test_face_from_chain_origin():
 
 
 def test_face_from_chain_whole_polytope():
-    # the chain ([m]) indexes P(m,n) itself
-    m, n = 3, 2
-    fs = face_from_chain((frozenset({1, 2, 3}),), m, n)
-    assert fs.dimension == m
-    got = sorted(face_vertices((frozenset({1, 2, 3}),), m, n))
-    assert got == sorted(pp_vertices(m, n).points)
+    # the chain ([m]) indexes P(m,n) itself: its listing is V(P(m,n)), point
+    # for point, through the same placement routine
+    for m in range(1, 7):
+        for n in range(1, 8):
+            whole = (frozenset(range(1, m + 1)),)
+            assert face_from_chain(whole, m, n).dimension == m
+            assert face_vertices(whole, m, n) == list(pp_vertices(m, n).points)
 
 
 def test_face_from_chain_full_sum_facet():
@@ -195,15 +194,29 @@ def test_face_vertex_count_lists_nothing():
         face_vertex_count((frozenset({1}), frozenset({1})), 2, 2)
 
 
+def test_face_vertex_count_builds_no_run_of_values():
+    # P(20000,20000) has a count of about 77,000 digits; its one block is
+    # counted by running products, with no tuple of values per length
+    whole = (frozenset(range(1, 20001)),)
+    start = time.perf_counter()
+    count = face_vertex_count(whole, 20000, 20000)
+    assert time.perf_counter() - start < 2
+    assert count == pp_vertex_count(20000, 20000)
+
+
 def test_face_vertices_refuses_above_the_listing_bound(monkeypatch):
     # the chain ([10]) is all of P(10,10): 9,864,101 vertices, refused from
-    # the block sizes before any permutation is built
-    whole = (frozenset(range(1, 11)),)
-    for build in (face_vertices, face_from_chain):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="VERTEX_LIST_MAX"):
-            build(whole, 10, 10)
-        assert time.perf_counter() - start < 0.1
+    # the block sizes before any permutation is built; the count of
+    # P(2000,2000) has about 5,700 digits, and the refusal stops counting
+    # once past the bound
+    for m in (10, 2000):
+        whole = (frozenset(range(1, m + 1)),)
+        for build in (face_vertices, face_from_chain):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="VERTEX_LIST_MAX") as refusal:
+                build(whole, m, m)
+            assert time.perf_counter() - start < 0.1
+            assert len(str(refusal.value)) < 200
     # the count read up front is the face's exact vertex count
     sizes = {c: len(face_vertices(c, 4, 3)) for c in enumerate_chains(4, 3)}
     for c, size in sizes.items():

@@ -653,20 +653,6 @@ def test_antiblocking_edges_are_valid_indices():
     assert len(set(edges)) == len(edges)
 
 
-# --------------------------------------------------------------------------
-# JSON forms
-
-
-def test_reps_jsonable():
-    v = pp_vertices(2, 2)
-    h = pp_facets(2, 2)
-    jv = v.to_jsonable()
-    jh = h.to_jsonable()
-    assert jv["dim"] == 2 and len(jv["points"]) == 5
-    assert jh["dim"] == 2 and len(jh["rows"]) == 5
-    assert all(isinstance(r["rhs"], int) for r in jh["rows"])
-
-
 def test_hrep_dilate():
     h = pp_facets(2, 2).dilate(3)
     assert ((1, 1), 9) in h.rows
