@@ -310,21 +310,27 @@ def _check(name: str, params: dict, ok: bool, detail: Optional[str] = None) -> d
 
 def _suite_engines(max_m: int, max_n: int) -> Iterator[dict]:
     grid = [(m, n) for m in range(1, max_m + 1) for n in range(max_n + 1)]
+    # Each shape's routes are counted before any runs, so an engine that
+    # would be a shape's only route is never run.
     for m, n in grid:
+        methods = _methods(VO.VOLUME_ENGINES, m, n)
+        if len(methods) + ("lambda" in methods) < 2:  # lambda also runs as lambda-primes
+            continue
         vals = _values(VO.VOLUME_ENGINES, m, n)
         if "lambda" in vals:  # the lambda sum again, at other parameters
             primes = (2, 3, 5, 7, 11, 13)[: m + 1]
             vals["lambda-primes"] = VO.nvol_lambda(m, n, primes)
-        if len(vals) > 1:
-            yield _check("volume-engines-agree", {"m": m, "n": n}, _agree(vals), repr(vals))
+        yield _check("volume-engines-agree", {"m": m, "n": n}, _agree(vals), repr(vals))
     for m, n in grid:
+        forms = EH.polynomial_domain(m, n)  # the two generating-function forms
+        if len(_methods(EH.EHRHART_ENGINES, m, n)) + 2 * forms < 2:
+            continue
         polys = _values(EH.EHRHART_ENGINES, m, n)
-        if EH.polynomial_domain(m, n):  # the two generating-function forms
+        if forms:
             polys["conjecture"] = EH.ehr_conjecture(m, n)
             polys["recurrence"] = EH.ehr_recurrence(m, n)
-        if len(polys) > 1:
-            yield _check("ehrhart-engines-agree", {"m": m, "n": n}, _agree(polys),
-                         repr({k: v.to_strings() for k, v in polys.items()}))
+        yield _check("ehrhart-engines-agree", {"m": m, "n": n}, _agree(polys),
+                     repr({k: v.to_strings() for k, v in polys.items()}))
     modes = ("volume", "ehrhart")
     for m, mode in [(m, mode) for m in range(1, max_m + 1) for mode in modes]:
         try:

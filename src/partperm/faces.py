@@ -52,12 +52,11 @@ domain, its bound included, and all are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combinat import (
     Bound,
@@ -66,10 +65,8 @@ from .combinat import (
     Engine,
     Rule,
     chain_in_family,
-    descents,
     enumerate_chains,
     missing_ranks,
-    permutation_inverse,
     r_set,
 )
 from .exactmath import EngineDisagreement, Polynomial, check_bound, eulerian_rows, stirling2
@@ -98,8 +95,7 @@ H_CLOSED_WORK_MAX = 2**18
 H_STELLOHEDRON_MAX_M = 800
 
 
-@dataclass(frozen=True)
-class FaceSystem:
+class FaceSystem(NamedTuple):
     """A face of P(m,n) cut out by equality rows (coeffs, rhs) over P."""
 
     chain: Tuple[frozenset, ...]
@@ -297,12 +293,11 @@ def _family_chain(chain: Sequence, m: int, n: int) -> Tuple[frozenset, ...]:
 
 @lru_cache(maxsize=None)
 def _face_blocks(sizes: Tuple[int, ...], n: int):
-    """The blocks of the face of every family chain with these member sizes,
-    and the face's exact vertex count.
+    """The blocks of the face of every family chain with these member sizes.
 
     A block is (j, values, lengths): the coordinates of A_{j+1} \\ A_j (A_0
     the empty set, so block 0 is A_1) take values[:k] placed injectively,
-    for each k in lengths, as ``placements`` fills a block.  Both depend on
+    for each k in lengths, as ``placements`` fills a block.  They depend on
     the chain only through its sizes.
     """
     top = sizes[-1]
@@ -319,16 +314,23 @@ def _face_blocks(sizes: Tuple[int, ...], n: int):
     elif special and len(sizes) >= 2:  # every value down to 1, padded with top - n zeros
         topval = n - (top - sizes[1])
         blocks.append((1, range(topval, 0, -1), (topval,)))
-    count = placement_count((sizes[j] - (sizes[j - 1] if j else 0), lengths)
-                            for j, _, lengths in blocks)
-    return tuple(blocks), count
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _face_count(sizes: Tuple[int, ...], n: int, bound: Optional[int] = None) -> int:
+    """The vertex count of the face blocks of these sizes, by
+    ``placement_count``: exact, or given ``bound`` a count that stops once
+    it passes it."""
+    return placement_count(((sizes[j] - (sizes[j - 1] if j else 0), lengths)
+                            for j, _, lengths in _face_blocks(sizes, n)), bound)
 
 
 def face_vertex_count(chain: Sequence, m: int, n: int) -> int:
     """The number of vertices of the face indexed by a chain, read from the
     member sizes without building any vertex."""
     c = _family_chain(chain, m, n)
-    return _face_blocks(tuple(map(len, c)), n)[1]
+    return _face_count(tuple(map(len, c)), n)
 
 
 def face_records(m: int, n: int) -> Iterator[Tuple[Chain, int, int]]:
@@ -342,7 +344,7 @@ def face_records(m: int, n: int) -> Iterator[Tuple[Chain, int, int]]:
     """
     for c in enumerate_chains(m, n):
         sizes = tuple(map(len, c))
-        yield c, sizes[-1] - len(c) + 1, _face_blocks(sizes, n)[1]
+        yield c, sizes[-1] - len(c) + 1, _face_count(sizes, n)
 
 
 def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
@@ -353,20 +355,17 @@ def face_vertices(chain: Sequence, m: int, n: int) -> List[Tuple[int, ...]]:
     in every order; the bottom block carries a sliding top interval padded
     with zeros (when A_1 is nonempty) or the full interval down to 1 padded
     with exactly |A_l| - n zeros (when A_1 is empty and |A_l| >= n).  The
-    vertex count, a product over the blocks (``face_vertex_count``), is read
-    before any vertex is built: faces with more than ``VERTEX_LIST_MAX``
-    vertices are refused with a ValueError, on a count that stops once it
-    passes the bound.
+    vertex count, a product over the blocks (``face_vertex_count``), is
+    tested before any vertex is built: faces with more than
+    ``VERTEX_LIST_MAX`` vertices are refused with a ValueError, on a count
+    that stops once it passes the bound, so no exact count is formed.
     """
     c = _family_chain(chain, m, n)
-    blocks, count = _face_blocks(tuple(map(len, c)), n)
+    sizes = tuple(map(len, c))
+    check_bound(f"a face of P({m},{n})", "vertices counted",
+                _face_count(sizes, n, VERTEX_LIST_MAX), "VERTEX_LIST_MAX", VERTEX_LIST_MAX)
     blocks = [(sorted(c[j] - c[j - 1]) if j else sorted(c[0]), values, lengths)
-              for j, values, lengths in blocks]
-    if count > VERTEX_LIST_MAX:  # refused on a short count: the exact one can pass 4,300 digits
-        check_bound(f"a face of P({m},{n})", "vertices counted",
-                    placement_count([(len(pos), lengths) for pos, _, lengths in blocks],
-                                    VERTEX_LIST_MAX),
-                    "VERTEX_LIST_MAX", VERTEX_LIST_MAX)
+              for j, values, lengths in _face_blocks(sizes, n)]
     return sorted(placements(blocks, m))
 
 
@@ -417,50 +416,6 @@ def is_palindromic(p: Polynomial, d: int) -> bool:
     if p.degree > d:
         return False
     return all(p.coefficient(i) == p.coefficient(d - i) for i in range(d + 1))
-
-
-@dataclass(frozen=True)
-class VertexStats:
-    """Orientation statistics of one vertex of P(m,n).
-
-    ``category`` is 'zero' for the origin, 'V1' for vertices containing
-    every value of [n] (equivalently: containing 1), and 'V2' for the
-    remaining nonzero vertices.  ``des``/``des_inv`` count descents of the
-    induced permutation and its inverse; ``beta`` (V1 only) counts zeros to
-    the right of the unique entry 1.
-    """
-
-    vertex: Tuple[int, ...]
-    category: str
-    des: int
-    des_inv: int
-    beta: Optional[int]
-
-
-def vertex_stats(m: int, n: int) -> List[VertexStats]:
-    """Orientation statistics for every vertex of P(m,n).
-
-    For a nonzero vertex with k nonzero entries, delete the zeros and
-    subtract n-k from the rest to get a permutation of [k]; a vertex is in
-    V1 exactly when k = n (its smallest nonzero entry is 1).
-    """
-    out = []
-    for v in pp_vertices(m, n).points:
-        nz = [x for x in v if x > 0]
-        k = len(nz)
-        if k == 0:
-            out.append(VertexStats(v, "zero", 0, 0, None))
-            continue
-        perm = tuple(x - (n - k) for x in nz)
-        des = descents(perm)
-        des_inv = descents(permutation_inverse(perm))
-        if k == n:
-            pos_one = v.index(1)
-            beta = sum(1 for x in v[pos_one + 1 :] if x == 0)
-            out.append(VertexStats(v, "V1", des, des_inv, beta))
-        else:
-            out.append(VertexStats(v, "V2", des, des_inv, None))
-    return out
 
 
 def h_closed_work(m: int, n: int) -> int:

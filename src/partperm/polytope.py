@@ -23,7 +23,6 @@ polytope of a weakly decreasing score vector with its vertex-edge graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -38,8 +37,7 @@ from .exactmath import _as_int, _integral, check_bound, row_reduce
 KERNEL_NAME = "pure"
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(NamedTuple):
     """Halfspace system a . x <= b: rows of (coefficients, rhs), plus dimension."""
 
     rows: Tuple[Tuple[Tuple[int, ...], int], ...]
@@ -52,8 +50,7 @@ class HRep:
         return HRep(self.rows + tuple(extra), self.dim)
 
 
-@dataclass(frozen=True)
-class VRep:
+class VRep(NamedTuple):
     """Vertex list of a polytope (exact coordinates), plus ambient dimension."""
 
     points: Tuple[Tuple, ...]

@@ -936,6 +936,27 @@ def test_verify_engines_records_cover_every_shape_with_two_routes():
     assert (6, 0) not in volume and (6, 0) not in ehrhart
 
 
+def test_verify_engines_runs_no_engine_that_is_a_shapes_only_route(monkeypatch):
+    # small_n is the one volume and Ehrhart route at m >= 6, n <= 2: its
+    # value there would be dropped, so it is never computed
+    import partperm.ehrhart as EH
+    import partperm.volume as VO
+
+    calls = {"nvol_small_n": set(), "ehr_closed_small_n": set()}
+    for module, name in [(VO, "nvol_small_n"), (EH, "ehr_closed_small_n")]:
+        def counted(m, n, route=getattr(module, name), seen=calls[name]):
+            seen.add((m, n))
+            return route(m, n)
+        monkeypatch.setattr(module, name, counted)
+    volume = _engine_records("volume-engines-agree", max_m=12, max_n=2)
+    ehrhart = _engine_records("ehrhart-engines-agree", max_m=12, max_n=2)
+    alone = {(m, n) for m in range(6, 13) for n in range(3)}
+    assert alone.isdisjoint(volume) and alone.isdisjoint(ehrhart)
+    assert calls["nvol_small_n"] == set(volume)
+    assert calls["ehr_closed_small_n"] == set(ehrhart)
+    assert all(r["status"] == "pass" for r in (*volume.values(), *ehrhart.values()))
+
+
 @pytest.mark.parametrize("route", ["ehr_recurrence", "ehr_conjecture"])
 def test_verify_engines_compares_both_generating_function_forms(monkeypatch, route):
     import partperm.ehrhart as EH

@@ -14,6 +14,7 @@ import gc
 import math
 import time
 import tracemalloc
+from typing import List, NamedTuple, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +42,8 @@ from partperm import (
     pp_vertex_count,
     pp_vertices,
     r_set,
-    vertex_stats,
 )
+from partperm.combinat import descents, permutation_inverse
 from partperm.faces import H_POLY_ENGINES
 
 # --------------------------------------------------------------------------
@@ -225,6 +226,19 @@ def test_face_vertices_refuses_above_the_listing_bound(monkeypatch):
         monkeypatch.setattr(FA, "VERTEX_LIST_MAX", size - 1)
         with pytest.raises(ValueError, match="VERTEX_LIST_MAX"):
             face_vertices(c, 4, 3)
+
+
+def test_face_vertices_refuses_before_any_exact_count():
+    # the count of P(50000,50000) has about 213,000 digits; the refusal
+    # reads a count that stops once past the bound, and forms no other
+    whole = (frozenset(range(1, 50001)),)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refusal:
+        face_vertices(whole, 50000, 50000)
+    assert time.perf_counter() - start < 0.25
+    assert str(refusal.value) == (
+        "a face of P(50000,50000) has vertices counted = 2500000001, above the bound "
+        "VERTEX_LIST_MAX: vertices counted <= 524288")
 
 
 def test_face_vertices_work_follows_the_face_size():
@@ -532,6 +546,50 @@ def test_h_poly_n_independent_for_n_ge_m():
 
 # --------------------------------------------------------------------------
 # Orientation statistics
+
+
+class VertexStats(NamedTuple):
+    """Orientation statistics of one vertex of P(m,n).
+
+    ``category`` is 'zero' for the origin, 'V1' for vertices containing
+    every value of [n] (equivalently: containing 1), and 'V2' for the
+    remaining nonzero vertices.  ``des``/``des_inv`` count descents of the
+    induced permutation and its inverse; ``beta`` (V1 only) counts zeros to
+    the right of the unique entry 1.
+    """
+
+    vertex: Tuple[int, ...]
+    category: str
+    des: int
+    des_inv: int
+    beta: Optional[int]
+
+
+def vertex_stats(m: int, n: int) -> List[VertexStats]:
+    """Orientation statistics for every vertex of P(m,n), one record per
+    vertex: the reference the orientation h-route is checked against.
+
+    For a nonzero vertex with k nonzero entries, delete the zeros and
+    subtract n-k from the rest to get a permutation of [k]; a vertex is in
+    V1 exactly when k = n (its smallest nonzero entry is 1).
+    """
+    out = []
+    for v in pp_vertices(m, n).points:
+        nz = [x for x in v if x > 0]
+        k = len(nz)
+        if k == 0:
+            out.append(VertexStats(v, "zero", 0, 0, None))
+            continue
+        perm = tuple(x - (n - k) for x in nz)
+        des = descents(perm)
+        des_inv = descents(permutation_inverse(perm))
+        if k == n:
+            pos_one = v.index(1)
+            beta = sum(1 for x in v[pos_one + 1 :] if x == 0)
+            out.append(VertexStats(v, "V1", des, des_inv, beta))
+        else:
+            out.append(VertexStats(v, "V2", des, des_inv, None))
+    return out
 
 
 def test_vertex_stats_categories():
