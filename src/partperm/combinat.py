@@ -212,72 +212,11 @@ def r_set(chain: Sequence, m: int, n: int) -> frozenset:
     return frozenset(markers)
 
 
-def r_set_and_order(c1: Sequence, c2: Sequence, m: int, n: int):
-    """R-sets of two chains plus the face-order verdict c1 <= c2.
-
-    The face of c1 is contained in the face of c2 exactly when R(c2) is a
-    subset of R(c1) (more markers pin down a smaller face).
-    """
-    for c in (c1, c2):
-        cc = tuple(frozenset(a) for a in c)
-        if cc and not chain_in_family(cc, m, n):
-            raise ValueError("chain outside the family")
-    r1 = r_set(c1, m, n)
-    r2 = r_set(c2, m, n)
-    return r1, r2, r2 <= r1
-
-
 def draconian_indices(m: int) -> List[frozenset]:
     """Index supports I_1..I_K: singletons {1}..{m}, then pairs in lex order."""
     singles = [frozenset([i]) for i in range(1, m + 1)]
     pairs = [frozenset(p) for p in combinations(range(1, m + 1), 2)]
     return singles + pairs
-
-
-def _hall_ok(a: Sequence[int], supports: Sequence[frozenset]) -> bool:
-    """Hall's condition via bipartite matching of unit tokens into [m].
-
-    Token k (one per unit of a_k) may occupy any element of its support
-    I_k; the condition sum_{k in S} a_k <= |union I_k| for all S holds iff
-    a perfect matching of all tokens exists (defect Hall theorem).
-    """
-    tokens: List[frozenset] = []
-    for ak, sup in zip(a, supports):
-        tokens.extend([sup] * ak)
-    match = {}  # ground element -> token index
-
-    def try_assign(t: int, seen: set) -> bool:
-        for x in tokens[t]:
-            if x in seen:
-                continue
-            seen.add(x)
-            if x not in match or try_assign(match[x], seen):
-                match[x] = t
-                return True
-        return False
-
-    for t in range(len(tokens)):
-        if not try_assign(t, set()):
-            return False
-    return True
-
-
-def draconian_check(a: Sequence[int], m: int) -> bool:
-    """Is ``a`` a draconian sequence for ground set [m]? (caps + Hall.)
-
-    ``a`` is indexed by draconian_indices(m); its length must match.
-    """
-    supports = draconian_indices(m)
-    if len(a) != len(supports):
-        raise ValueError(f"sequence length {len(a)} != {len(supports)} supports")
-    if any(x < 0 for x in a):
-        return False
-    for x, sup in zip(a, supports):
-        if len(sup) == 1 and x > 1:
-            return False
-        if len(sup) == 2 and x > 2:
-            return False
-    return _hall_ok(a, supports)
 
 
 @lru_cache(maxsize=None)
@@ -508,17 +447,3 @@ def draconian_census(m: int, mode: str = "volume") -> Dict[Shape, int]:
         m, mode, lambda x, v, shape: x ** (shape[0] + b * shape[1] + b * b * shape[2]))
     return dict(sorted(((e % b, e // b % b, e // (b * b)), c)
                        for e, c in enumerate(coeffs) if c))
-
-
-def descents(seq: Sequence[int]) -> int:
-    """Number of descents in a sequence: positions i with seq[i] > seq[i+1]."""
-    return sum(1 for x, y in zip(seq, seq[1:]) if x > y)
-
-
-def permutation_inverse(perm: Sequence[int]) -> Tuple[int, ...]:
-    """Inverse of a permutation of 1..k given in one-line notation."""
-    k = len(perm)
-    inv = [0] * k
-    for pos, val in enumerate(perm, start=1):
-        inv[val - 1] = pos
-    return tuple(inv)

@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, floor, ceil, gcd
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._counting_py import count_lattice_points
@@ -207,13 +208,6 @@ def pp_box(m: int, n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((0, n) for _ in range(m))
 
 
-def contains_point(h: HRep, x: Sequence) -> bool:
-    """Exact membership test of a (rational) point in the halfspace system."""
-    if len(x) != h.dim:
-        raise ValueError("point dimension mismatch")
-    return all(sum(c * xi for c, xi in zip(a, x)) <= b for a, b in h.rows)
-
-
 def count_points(
     h: HRep,
     t: int,
@@ -229,8 +223,10 @@ def count_points(
     cost follows the number of distinct states rather than of points
     (6*P(5,6), 55 million points, takes about 0.01 s).  ``box`` bounds the
     *undilated* polytope coordinatewise; when omitted it is derived by exact
-    vertex enumeration, which is affordable only for small systems, so
-    callers with known geometry should pass it.  For P(m,n) itself
+    vertex enumeration (``bounding_box``), which is affordable only for
+    small systems, so callers with known geometry should pass it.  Without
+    a box, an empty or unbounded system is refused with ValueError rather
+    than counted inside the box of its vertices.  For P(m,n) itself
     ``pp_count`` is still faster, by 3x at 6*P(5,6) and 20-60x from m = 7.
 
     The interior count reads every row strictly: an integer point has
@@ -322,11 +318,25 @@ def vertex_box(points: Sequence[Sequence]) -> Tuple[Tuple[int, int], ...]:
 
 
 def bounding_box(h: HRep) -> Tuple[Tuple[int, int], ...]:
-    """Integer coordinate box enclosing the polytope, via vertex enumeration."""
-    v = hull_convert(h)
-    if not v.points:
+    """Integer coordinate box enclosing the polytope, via vertex enumeration.
+
+    Reads the extreme rays (w, x) of the homogenised cone that
+    ``hull_convert`` converts, in one conversion.  Raises ValueError when
+    the system has no vertex (it is empty), when the cone also has a ray
+    with w = 0 (a direction in which the polytope is unbounded), and when
+    the rows have rank below the dimension (the cone contains a line, so
+    the system is empty or unbounded).
+    """
+    rays = _cone_rays(h)
+    if rays is None:
+        raise ValueError("polytope has no bounding box: its rows have rank below "
+                         f"the dimension {h.dim}, so it is empty or unbounded")
+    points = _vertices(rays)
+    if not points:
         raise ValueError("empty polytope has no bounding box")
-    return vertex_box(v.points)
+    if any(w == 0 for w, *_ in rays):
+        raise ValueError("unbounded polytope has no bounding box: it has a direction of recession")
+    return vertex_box(points)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +345,7 @@ def bounding_box(h: HRep) -> Tuple[Tuple[int, int], ...]:
 
 def _primitive(v) -> Tuple[int, ...]:
     g = gcd(*v)
-    return tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def _adjacent(common: int, zeros: List[int]) -> bool:
@@ -353,25 +363,32 @@ def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
     """Primitive extreme rays of the cone {y : g . y >= 0 for every g in gens}.
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
-    integer arithmetic.  It starts from the simplicial cone on d
-    independent rows R, the first d that ``row_reduce`` finds, whose rays
-    are the columns of R^-1, read from [R | I] -> [D*I | D*R^-1].  It then
-    adds the other rows one at a time: rays on the violated side are
-    dropped, and every adjacent pair across the new hyperplane gives one
-    new ray.  Each ray keeps its zero set (the rows it lies on) as a
-    bitmask, and two rays are adjacent when no third ray vanishes on all
-    the rows they share.  Returns None when the rows have rank below d,
-    that is when the cone contains a line.
+    integer arithmetic; rational generators are first scaled to integer
+    rows (``_integral``).  It starts from the simplicial cone on d
+    independent generators R, all read from one ``row_reduce`` of
+    [G^T | I_d], G having the N generators as rows.  The pivots in the
+    first N columns pick R: the first d generators that are independent.
+    Row k then ends in D times column k of R^-1 (D the common pivot
+    value), the ray that lies on every row of R but the k-th.  As
+    [G^T | I_d] has rank d, fewer than d pivots among the generators put
+    one in the identity block: the generators have rank below d, the cone
+    contains a line, and None is returned.  The other generators are then
+    added one at a time: rays on the violated side are dropped, and every
+    adjacent pair across the new hyperplane gives one new ray.  Each ray
+    keeps its zero set (the generators it lies on) as a bitmask, and two
+    rays are adjacent when no third ray vanishes on all the generators
+    they share.
     """
-    gens = [_integral(g) for g in gens]
-    d = len(gens[0])
-    basis = row_reduce(list(zip(*gens)))[1]
-    if len(basis) < d:
+    if not all(type(x) is int for g in gens for x in g):
+        gens = [_integral(g) for g in gens]
+    n, d = len(gens), len(gens[0])
+    unit = (0,) * d
+    reduced, basis, _ = row_reduce(
+        [col + unit[:k] + (1,) + unit[k + 1:] for k, col in enumerate(zip(*gens))])
+    if basis[-1] >= n:
         return None
-    reduced, _, _ = row_reduce(
-        [gens[i] + [int(j == k) for j in range(d)] for k, i in enumerate(basis)])
-    sign = 1 if reduced[0][0] > 0 else -1
-    rays = [_primitive([sign * row[d + k] for row in reduced]) for k in range(d)]
+    sign = 1 if reduced[0][basis[0]] > 0 else -1
+    rays = [_primitive([sign * x for x in row[n:]]) for row in reduced]
     everything = sum(1 << i for i in basis)
     zeros = [everything & ~(1 << i) for i in basis]
     skip = set(basis)
@@ -379,21 +396,26 @@ def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
         if i in skip:
             continue
         bit = 1 << i
-        vals = [sum(a * y for a, y in zip(g, r)) for r in rays]
-        pos = [k for k, s in enumerate(vals) if s > 0]
-        neg = [k for k, s in enumerate(vals) if s < 0]
-        new_rays, new_zeros = [], []
-        for p in pos:
-            for q in neg:
-                common = zeros[p] & zeros[q]
-                if common.bit_count() < d - 2 or not _adjacent(common, zeros):
-                    continue
-                ray = [vals[p] * y - vals[q] * x for x, y in zip(rays[p], rays[q])]
-                new_rays.append(_primitive(ray))
-                new_zeros.append(common | bit)
-        keep = [k for k, s in enumerate(vals) if s >= 0]
-        rays = [rays[k] for k in keep] + new_rays
-        zeros = [zeros[k] | (bit if vals[k] == 0 else 0) for k in keep] + new_zeros
+        # Rays with g . y >= 0 stay, in order; those on g = 0 gain its bit.
+        new_rays, new_zeros, pos, neg = [], [], [], []
+        for r, z in zip(rays, zeros):
+            s = sum(map(mul, g, r))
+            if s < 0:
+                neg.append((s, r, z))
+                continue
+            if s > 0:
+                pos.append((s, r, z))
+            else:
+                z |= bit
+            new_rays.append(r)
+            new_zeros.append(z)
+        for sp, rp, zp in pos:
+            for sq, rq, zq in neg:
+                common = zp & zq
+                if common.bit_count() >= d - 2 and _adjacent(common, zeros):
+                    new_rays.append(_primitive([sp * y - sq * x for x, y in zip(rp, rq)]))
+                    new_zeros.append(common | bit)
+        rays, zeros = new_rays, new_zeros
     return rays
 
 
@@ -435,11 +457,20 @@ def _hull_v_to_h(v: VRep) -> HRep:
     return HRep(tuple(sorted(rows)), v.dim)
 
 
-def _hull_h_to_v(h: HRep) -> VRep:
+def _cone_rays(h: HRep) -> Optional[List[Tuple[int, ...]]]:
+    """Extreme rays (w, x) of {(w, x) : a . x <= b w, w >= 0}; None when
+    the cone contains a line, that is when the rows have rank below dim."""
     gens = [(1,) + (0,) * h.dim] + [(b,) + tuple(-x for x in a) for a, b in h.rows]
-    rays = _extreme_rays(gens) or []
-    pts = [tuple(_exact(x, w) for x in xs) for w, *xs in rays if w > 0]
-    return VRep(tuple(sorted(pts)), h.dim)
+    return _extreme_rays(gens)
+
+
+def _vertices(rays) -> List[tuple]:
+    """The vertices x / w of the cone rays with w > 0."""
+    return [tuple(_exact(x, w) for x in xs) for w, *xs in rays if w > 0]
+
+
+def _hull_h_to_v(h: HRep) -> VRep:
+    return VRep(tuple(sorted(_vertices(_cone_rays(h) or []))), h.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,13 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from partperm import (
     CHAIN_WORK_MAX,
     DRACONIAN_LIST_MAX,
     DRACONIAN_MAX_M,
     chain_in_family,
-    descents,
     draconian_census,
-    draconian_check,
     draconian_domain,
     draconian_indices,
     draconian_shape_tally,
@@ -32,9 +28,7 @@ from partperm import (
     f_vector,
     missing_ranks,
     r_set,
-    r_set_and_order,
 )
-from partperm.combinat import permutation_inverse
 
 # --------------------------------------------------------------------------
 # Brute-force chain oracle
@@ -199,6 +193,21 @@ def test_missing_ranks_full_chain_is_zero():
 # R-sets and the face order
 
 
+def r_set_and_order(c1, c2, m, n):
+    """R-sets of two chains plus the face-order verdict c1 <= c2.
+
+    The face of c1 is contained in the face of c2 exactly when R(c2) is a
+    subset of R(c1) (more markers pin down a smaller face).
+    """
+    for c in (c1, c2):
+        cc = tuple(frozenset(a) for a in c)
+        if cc and not chain_in_family(cc, m, n):
+            raise ValueError("chain outside the family")
+    r1 = r_set(c1, m, n)
+    r2 = r_set(c2, m, n)
+    return r1, r2, r2 <= r1
+
+
 def test_r_set_golden_m6_n4():
     c1 = (frozenset(), frozenset({1, 2}), frozenset({1, 2, 3}), frozenset({1, 2, 3, 4}))
     c2 = (frozenset({1, 2, 5}), frozenset({1, 2, 3, 4, 5}))
@@ -246,6 +255,48 @@ def test_face_order_dimension_monotone():
 
 # --------------------------------------------------------------------------
 # Draconian sequences
+
+
+def _hall_ok(a, supports):
+    """Hall's condition via bipartite matching of unit tokens into [m].
+
+    Token k (one per unit of a_k) may occupy any element of its support
+    I_k; the condition sum_{k in S} a_k <= |union I_k| for all S holds iff
+    a perfect matching of all tokens exists (defect Hall theorem).
+    """
+    tokens = []
+    for ak, sup in zip(a, supports):
+        tokens.extend([sup] * ak)
+    match = {}  # ground element -> token index
+
+    def try_assign(t, seen):
+        for x in tokens[t]:
+            if x in seen:
+                continue
+            seen.add(x)
+            if x not in match or try_assign(match[x], seen):
+                match[x] = t
+                return True
+        return False
+
+    return all(try_assign(t, set()) for t in range(len(tokens)))
+
+
+def draconian_check(a, m):
+    """Is ``a`` a draconian sequence for ground set [m]? (caps + Hall.)
+
+    ``a`` is indexed by draconian_indices(m); its length must match.  The
+    reference for the listing, which keeps its own incremental Hall test.
+    """
+    supports = draconian_indices(m)
+    if len(a) != len(supports):
+        raise ValueError(f"sequence length {len(a)} != {len(supports)} supports")
+    if any(x < 0 for x in a):
+        return False
+    for x, sup in zip(a, supports):
+        if x > len(sup):  # caps: 1 on a singleton, 2 on a pair
+            return False
+    return _hall_ok(a, supports)
 
 
 def _hall_oracle(a, supports):
@@ -421,28 +472,3 @@ def test_draconian_domain():
     assert not draconian_domain(4, 2)
     assert not draconian_domain(DRACONIAN_MAX_M + 1, 100)
     assert not draconian_domain(0, 3)
-
-
-# --------------------------------------------------------------------------
-# Permutation statistics
-
-
-def test_descents_examples():
-    assert descents((1, 2, 3)) == 0
-    assert descents((3, 2, 1)) == 2
-    assert descents((2, 1, 3)) == 1
-    assert descents(()) == 0
-
-
-def test_permutation_inverse_examples():
-    assert permutation_inverse((2, 3, 1)) == (3, 1, 2)
-    assert permutation_inverse((1,)) == (1,)
-
-
-@given(st.permutations(list(range(1, 7))))
-@settings(max_examples=50)
-def test_permutation_inverse_involution(perm):
-    p = tuple(perm)
-    assert permutation_inverse(permutation_inverse(p)) == p
-    inv = permutation_inverse(p)
-    assert all(inv[p[i] - 1] == i + 1 for i in range(len(p)))

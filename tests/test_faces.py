@@ -43,7 +43,6 @@ from partperm import (
     pp_vertices,
     r_set,
 )
-from partperm.combinat import descents, permutation_inverse
 from partperm.faces import H_POLY_ENGINES
 
 # --------------------------------------------------------------------------
@@ -542,6 +541,44 @@ def test_h_poly_n_independent_for_n_ge_m():
         base = h_poly(m, m)
         for n in (m + 1, m + 2):
             assert h_poly(m, n) == base
+
+
+# --------------------------------------------------------------------------
+# Permutation statistics
+
+
+def descents(seq):
+    """Number of descents in a sequence: positions i with seq[i] > seq[i+1]."""
+    return sum(1 for x, y in zip(seq, seq[1:]) if x > y)
+
+
+def permutation_inverse(perm):
+    """Inverse of a permutation of 1..k given in one-line notation."""
+    inv = [0] * len(perm)
+    for pos, val in enumerate(perm, start=1):
+        inv[val - 1] = pos
+    return tuple(inv)
+
+
+def test_descents_examples():
+    assert descents((1, 2, 3)) == 0
+    assert descents((3, 2, 1)) == 2
+    assert descents((2, 1, 3)) == 1
+    assert descents(()) == 0
+
+
+def test_permutation_inverse_examples():
+    assert permutation_inverse((2, 3, 1)) == (3, 1, 2)
+    assert permutation_inverse((1,)) == (1,)
+
+
+@given(st.permutations(list(range(1, 7))))
+@settings(max_examples=50)
+def test_permutation_inverse_involution(perm):
+    p = tuple(perm)
+    assert permutation_inverse(permutation_inverse(p)) == p
+    inv = permutation_inverse(p)
+    assert all(inv[p[i] - 1] == i + 1 for i in range(len(p)))
 
 
 # --------------------------------------------------------------------------

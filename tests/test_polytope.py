@@ -27,11 +27,11 @@ from partperm import (
     VRep,
     antiblocking_vertices_edges,
     bounding_box,
-    contains_point,
     count_points,
     cut,
     ehr_recurrence,
     hull_convert,
+    int_det,
     oracle_domain,
     pp_box,
     pp_count,
@@ -42,7 +42,13 @@ from partperm import (
     solve_linear,
     verify_antiblocking_identity,
 )
-from partperm.polytope import vertex_box
+from partperm.polytope import _extreme_rays, vertex_box
+
+
+def contains_point(h, x):
+    """Exact membership of a (rational) point in the halfspace system."""
+    return all(sum(c * xi for c, xi in zip(a, x)) <= b for a, b in h.rows)
+
 
 # --------------------------------------------------------------------------
 # Vertices
@@ -523,6 +529,116 @@ def test_bounding_box():
     assert bounding_box(h) == ((0, 3), (0, 3))
     tri = hull_convert(VRep(((0, 0), (2, 0), (0, 2)), 2))
     assert bounding_box(tri) == ((0, 2), (0, 2))
+
+
+def test_bounding_box_refuses_unbounded_systems():
+    # the strip |x1 - x2| <= 1 in the quadrant runs off along (1, 1); its
+    # vertices (0,0), (1,0), (0,1) span a box with 4 points, not the count
+    strip = HRep((((-1, 0), 0), ((0, -1), 0), ((1, -1), 1), ((-1, 1), 1)), 2)
+    assert hull_convert(strip).points == ((0, 0), (0, 1), (1, 0))
+    with pytest.raises(ValueError, match="unbounded polytope"):
+        bounding_box(strip)
+    with pytest.raises(ValueError, match="unbounded polytope"):
+        count_points(strip, 1)
+    assert count_points(strip, 1, box=((0, 3), (0, 3))) == 10
+    # rows of rank below the dimension: the cone holds a line
+    half_plane = HRep((((1, 0), 1),), 2)
+    with pytest.raises(ValueError, match="empty or unbounded"):
+        count_points(half_plane, 2)
+    # an empty system is still refused as empty
+    empty = HRep((((1, 0), -1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)), 2)
+    with pytest.raises(ValueError, match="empty polytope"):
+        bounding_box(empty)
+
+
+def _unimodular(rng, m):
+    """A random unimodular matrix and its inverse, from elementary steps:
+    row i += c * row j on the matrix is column j -= c * column i on the
+    inverse."""
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    inv = [row[:] for row in u]
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return u, inv
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (4, 3), (5, 2)])
+def test_hull_convert_of_lattice_transformed_pp(m, n):
+    # y = U x + s with U unimodular takes P(m,n) to a lattice polytope with
+    # no coordinate symmetry, and runs the double description at d = m + 1.
+    # a . x <= b becomes (a U^-1) . y <= b + (a U^-1) . s, whose normal is
+    # still primitive, so both conversions are known exactly.
+    rng = random.Random(f"lattice-{m}-{n}")
+    u, inv = _unimodular(rng, m)
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)] for row in u] == \
+        [[int(i == j) for j in range(m)] for i in range(m)]
+    shift = [rng.randrange(-5, 6) for _ in range(m)]
+    points = sorted(tuple(sum(c * x for c, x in zip(row, p)) + t for row, t in zip(u, shift))
+                    for p in pp_vertices(m, n).points)
+    rows = []
+    for a, b in pp_facets(m, n).rows:
+        normal = tuple(sum(a[i] * inv[i][j] for i in range(m)) for j in range(m))
+        rows.append((normal, b + sum(c * t for c, t in zip(normal, shift))))
+    v, h = VRep(tuple(points), m), HRep(tuple(sorted(rows)), m)
+    assert hull_convert(v) == h
+    assert hull_convert(h) == v
+
+
+def _brute_rays(gens):
+    """Extreme rays of the pointed cone {y : g . y >= 0}, by brute force:
+    the primitive cofactor vector of every d-1 generators that spans a
+    line, on whichever side of it satisfies every generator."""
+    d = len(gens[0])
+    found = set()
+    for sub in combinations(gens, d - 1):
+        r = [(-1) ** j * int_det([g[:j] + g[j + 1:] for g in sub]) for j in range(d)]
+        if not any(r):
+            continue
+        g = math.gcd(*r)
+        for ray in (tuple(x // g for x in r), tuple(-x // g for x in r)):
+            if all(sum(a * y for a, y in zip(gen, ray)) >= 0 for gen in gens):
+                found.add(ray)
+    return found
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_extreme_rays_refuses_rank_deficient_generators(d):
+    # rank below d: the cone holds a line, and in [G^T | I_d] a pivot lands
+    # in the identity block, with fewer, as many or more generators than d
+    rng = random.Random(f"rank-{d}")
+    for rank in range(1, d):
+        span = [[rng.randrange(-3, 4) for _ in range(d)] for _ in range(rank)]
+        for count in (rank, d, d + 4):
+            gens = []
+            for _ in range(count):
+                coeffs = [rng.randrange(-2, 3) for _ in span]
+                gens.append(tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*span)))
+            assert _extreme_rays(gens) is None, gens
+    # the last coordinate is free: three pivots among the generators, the
+    # fourth in the identity block
+    assert _extreme_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)]) is None
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_extreme_rays_when_the_first_d_generators_are_dependent(d):
+    # the homogenised V->H cone of points whose first d lie on the hyperplane
+    # x_1 = x_2: the starting basis must take a later generator, and the
+    # full-rank set must not be refused
+    rng = random.Random(f"lead-{d}")
+    for _ in range(4):
+        points = [(x,) + (x,) + tuple(rng.randrange(-3, 4) for _ in range(d - 3))
+                  for x in (rng.randrange(-3, 4) for _ in range(d))]
+        points += [tuple(rng.randrange(-3, 4) for _ in range(d - 1)) for _ in range(3)]
+        gens = [(1,) + tuple(-x for x in p) for p in points]
+        assert int_det(gens[:d]) == 0
+        rays = _extreme_rays(gens)
+        assert rays is not None
+        assert len(set(rays)) == len(rays)
+        assert set(rays) == _brute_rays(gens)
 
 
 # --------------------------------------------------------------------------
