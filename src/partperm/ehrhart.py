@@ -18,9 +18,9 @@ ehr(P, t) = #(tP intersect Z^m) is a degree-m polynomial in t.  Routes:
 * ``ehr_parking``       — the pairs-only specialization at n = m-1, whose
                           summand count equals the lattice-point count of
                           P(m, m-1) itself;
-* ``ehr_conjecture``    — two generating-function forms (a finite double
-                          sum and m! [z^m] sqrt(1-tz)e^{(nt+t/2+1)z-tz^2/4}),
-                          cross-checked against each other (n >= m-1);
+* ``ehr_conjecture``    — the generating function
+                          m! [z^m] sqrt(1-tz)e^{(nt+t/2+1)z-tz^2/4}, read as
+                          one Cauchy product (n >= m-1);
 * ``ehr_recurrence``    — the three-term recurrence in m of that generating
                           function (n >= m-1).
 
@@ -46,11 +46,10 @@ Their sum is F = (b + 1/t - 1/2) T - T^2/(4t) - log(1-T)/2, and
 ehr(P(m,n), t) = m! [z^m] exp(F).  Lagrange inversion,
 [x^m] H(T) = [u^m] H(u)(1-u)e^{mu}, with m + b - 1/2 = n + 1/2, gives
 m! t^m [u^m] sqrt(1-u) exp((n + 1/2 + 1/t)u - u^2/(4t)), and u = tz gives
-m! [z^m] G(z) with G = sqrt(1-tz) exp((nt + t/2 + 1)z - tz^2/4): form (2)
-of ``ehr_conjecture``, whose form (1) is G expanded term by term.  G
-satisfies (1-tz) G' = (nt + 1 - t(nt + t/2 + 3/2) z + (t^2/2) z^2) G, and
-reading off the coefficient of z^(k-1) gives the recurrence of
-``ehr_recurrence``.
+m! [z^m] G(z) with G = sqrt(1-tz) exp((nt + t/2 + 1)z - tz^2/4), the
+form ``ehr_conjecture`` reads.  G satisfies
+(1-tz) G' = (nt + 1 - t(nt + t/2 + 3/2) z + (t^2/2) z^2) G, and reading off
+the coefficient of z^(k-1) gives the recurrence of ``ehr_recurrence``.
 
 Also here: h*-vector helpers (basis change between the monomial and
 binomial-coefficient bases) and the closed quasi-difference polynomial for
@@ -79,7 +78,6 @@ from .exactmath import (
     EngineDisagreement,
     Polynomial,
     binomial_poly,
-    double_factorial,
     interpolate,
 )
 from .polytope import pp_count
@@ -263,37 +261,19 @@ def ehr_parking(m: int) -> Tuple[Polynomial, int]:
 
 
 def ehr_conjecture(m: int, n: int) -> Polynomial:
-    """Two closed Ehrhart forms from the generating function, cross-checked
-    (n >= m-1; the module docstring derives them from the draconian sum).
+    """The closed Ehrhart form m! [z^m] sqrt(1-tz) exp((nt+t/2+1)z - (t/4)z^2)
+    from the generating function (n >= m-1; the module docstring derives it
+    from the draconian sum); ``verify --suite engines`` compares it with the
+    engine table.
 
-    (1) (1/2^m) sum_{i=0}^{floor(m/2)} sum_{j=2i}^{m} (-1)^{i+1}
-        m!/((m-j)!(j-2i)!i!) (2(j-2i)-3)!! t^{j-i} (2nt+t+2)^{m-j};
-    (2) m! [z^m] sqrt(1-tz) exp((nt+t/2+1)z - (t/4)z^2).
-    They are verified equal to each other here, and the one checked value
-    is returned; ``verify --suite engines`` compares it with the engine
-    table.  Form (1) reads (2i-3)!! from double_factorial.  Form (2) does
-    not: it is the Cauchy product
-    sum_a r_a g_{m-a} of the two factors' coefficients in z, each from a
-    recurrence.  With b = (n+1/2)t + 1, r_0 = 1 and
-    r_a = r_{a-1} t (2a-3)/(2a) for sqrt(1-tz); g_0 = 1, g_1 = b and
-    (k+1) g_{k+1} = b g_k - (t/2) g_{k-1}, the ODE g' = (b - (t/2)z) g of
-    exp(bz - tz^2/4).
+    It is the Cauchy product sum_a r_a g_{m-a} of the two factors'
+    coefficients in z, each from a recurrence.  With b = (n+1/2)t + 1,
+    r_0 = 1 and r_a = r_{a-1} t (2a-3)/(2a) for sqrt(1-tz); g_0 = 1, g_1 = b
+    and (k+1) g_{k+1} = b g_k - (t/2) g_{k-1}, the ODE g' = (b - (t/2)z) g
+    of exp(bz - tz^2/4).
     """
     polynomial_domain.require("ehr_conjecture", m, n)
     t = Polynomial.x()
-    base = Polynomial([2, 2 * n + 1])  # (2n+1)t + 2
-    total = Polynomial()
-    for i in range(m // 2 + 1):
-        for j in range(2 * i, m + 1):
-            c = Fraction(
-                (-1) ** (i + 1) * factorial(m),
-                factorial(m - j) * factorial(j - 2 * i) * factorial(i),
-            )
-            total = total + c * double_factorial(j - 2 * i) * t ** (j - i) * base ** (
-                m - j
-            )
-    p1 = total / Fraction(2**m)
-
     b = Polynomial([1, n + Fraction(1, 2)])
     half_t = Polynomial([0, Fraction(1, 2)])
     root, expo = [Polynomial([1])], [Polynomial([1]), b]
@@ -301,10 +281,7 @@ def ehr_conjecture(m: int, n: int) -> Polynomial:
         root.append(root[-1] * t * Fraction(2 * k - 3, 2 * k))
     for k in range(1, m):
         expo.append((b * expo[k] - half_t * expo[k - 1]) / (k + 1))
-    p2 = factorial(m) * sum(r * g for r, g in zip(root, reversed(expo)))
-    if p1 != p2:
-        raise EngineDisagreement(f"conjectural Ehrhart forms disagree at ({m},{n})")
-    return p1
+    return factorial(m) * sum(r * g for r, g in zip(root, reversed(expo)))
 
 
 def ehr_recurrence(m: int, n: int) -> Polynomial:

@@ -11,12 +11,6 @@ and volume polynomials), the combinatorial number tables (Eulerian,
 Stirling), exact interpolation, and the package's one elimination routine
 ``row_reduce`` (fraction-free Gauss-Jordan, which ``solve_linear``,
 ``int_det`` and the hull conversion of ``polytope`` all read from).
-
-Sign convention: ``double_factorial(i)`` returns the value of (2i-3)!! under
-the convention (-3)!! = -1, (-1)!! = 1, i.e. -prod_{j=1}^{i}(2j-3).  Note
-that this differs in sign at i=0 from libraries that define (-1)!! = 1 and
-leave (-3)!! undefined; the minus sign at i=0 is intentional and is relied
-on by the closed volume and Ehrhart formulas.
 """
 
 from __future__ import annotations
@@ -29,9 +23,9 @@ from typing import Iterable, Iterator, List, Sequence
 class EngineDisagreement(RuntimeError):
     """Two independent computations of the same quantity disagree.
 
-    Raised when internal cross-checks fail (e.g. two closed forms of the
-    same volume differ, or an interpolated polynomial fails its fresh-count
-    verification).  CLI maps this to exit code 3.
+    Raised when internal cross-checks fail (e.g. an interpolated polynomial
+    fails its fresh-count verification, or an engine gives a non-integral
+    volume).  CLI maps this to exit code 3.
     """
 
 
@@ -224,20 +218,6 @@ def binomial_poly(p, k: int):
     for j in range(k):
         acc *= p - j
     return acc / factorial(k)
-
-
-def double_factorial(i: int) -> int:
-    """(2i-3)!! with (-3)!! = -1 and (-1)!! = 1, i.e. -prod_{j=1}^{i}(2j-3).
-
-    Values: i=0 -> -1, i=1 -> 1, i=2 -> 1, i=3 -> 3, i=4 -> 15.  The global
-    minus sign (visible at i=0) is deliberate; see the module docstring.
-    """
-    if i < 0:
-        raise ValueError("double_factorial requires i >= 0")
-    prod = 1
-    for j in range(1, i + 1):
-        prod *= 2 * j - 3
-    return -prod
 
 
 def eulerian(m: int) -> Polynomial:

@@ -463,18 +463,12 @@ def _h_closed(m: int, n: int) -> Polynomial:
 
 def _h_stellohedron(m: int, n: int) -> Polynomial:
     stellohedron_domain.require("h_poly", m, n)
-    h1 = [1] + [0] * m  # 1 + t sum_{i>=1} C(m,i) A_i(t)
-    h2 = [0] * (m + 1)  # sum_i C(m,i) A_i(t) t^{m-i}
+    h = [0] * (m + 1)  # sum_i C(m,i) A_i(t) t^{m-i}
     for i, row in enumerate(eulerian_rows(m + 1)):
         scale = comb(m, i)
         for d, a in enumerate(row):
-            a *= scale
-            h2[d + m - i] += a
-            if i:
-                h1[d + 1] += a
-    if h1 != h2:
-        raise EngineDisagreement("the two stellohedron h-forms disagree")
-    return Polynomial(h2)
+            h[d + m - i] += a * scale
+    return Polynomial(h)
 
 
 def _h_orientation(m: int, n: int) -> Polynomial:
@@ -512,8 +506,7 @@ def h_poly(m: int, n: int, method: str = "from_f") -> Polynomial:
 
     from_f        h(t) = f(t-1) from the chain census;
     closed        1 + sum_{i<n} sum_{j=1}^{m-i} C(m,i) A_i(t) t^j;
-    stellohedron  sum_i C(m,i) A_i(t) t^{m-i} (requires n >= m), checked
-                  internally against 1 + t sum_{i>=1} C(m,i) A_i(t);
+    stellohedron  sum_i C(m,i) A_i(t) t^{m-i} (requires n >= m);
     orientation   1 + sum over nonzero vertices of t^{indegree} with
                   indegree 1 + des of the inverse permutation, plus the
                   trailing-zero count beta for vertices containing 1.

@@ -226,7 +226,9 @@ def count_points(
     vertex enumeration (``bounding_box``), which is affordable only for
     small systems, so callers with known geometry should pass it.  Without
     a box, an empty or unbounded system is refused with ValueError rather
-    than counted inside the box of its vertices.  For P(m,n) itself
+    than counted inside the box of its vertices, at t = 0 too.  A caller
+    who passes a box vouches for a nonempty polytope: t = 0 then counts
+    the one point 0 unchecked.  For P(m,n) itself
     ``pp_count`` is still faster, by 3x at 6*P(5,6) and 20-60x from m = 7.
 
     The interior count reads every row strictly: an integer point has
@@ -236,10 +238,10 @@ def count_points(
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
-    if t == 0:
-        return 0 if interior else 1
     if box is None:
         box = bounding_box(h)
+    if t == 0:
+        return 0 if interior else 1
     if len(box) != h.dim:
         raise ValueError("box dimension mismatch")
     rows_a = [list(a) for a, _ in h.rows]
@@ -490,8 +492,12 @@ def cut(h: HRep, a: Sequence[int], b: int) -> CutResult:
     Returns the two closed sides and the slice, each as halfspace systems
     obtained by appending rows, plus a flag telling whether the far side
     P intersect {a.x >= b} is empty (then the cut did not meet P and the
-    near side equals P).  Emptiness is decided exactly by evaluating a on
-    the vertices of P, so this is intended for small systems.
+    near side equals P).  Emptiness is decided exactly from the extreme
+    rays (w, x) of one conversion (``_cone_rays``), so this is intended for
+    small systems: the far side is nonempty when a direction of recession
+    (a ray with w = 0) has a . x > 0, and otherwise when a . x reaches b at
+    a vertex.  An empty system, and one whose rows have rank below the
+    dimension, raise ValueError.
     """
     a = tuple(_as_int(x, "cut normal entry") for x in a)
     if len(a) != h.dim:
@@ -500,10 +506,16 @@ def cut(h: HRep, a: Sequence[int], b: int) -> CutResult:
     pprime = h.with_rows([(a, b)])
     q = h.with_rows([(neg, -b)])
     f = h.with_rows([(a, b), (neg, -b)])
-    verts = hull_convert(h)
-    if not verts.points:
+    rays = _cone_rays(h)
+    if rays is None:
+        raise ValueError(f"cut of a system whose rows have rank below the dimension "
+                         f"{h.dim}: it is empty or holds a line")
+    points = _vertices(rays)
+    if not points:
         raise ValueError("cut of an empty polytope")
-    top = max(sum(c * x for c, x in zip(a, p)) for p in verts.points)
+    if any(w == 0 and sum(c * x for c, x in zip(a, xs)) > 0 for w, *xs in rays):
+        return CutResult(pprime, q, f, False)
+    top = max(sum(c * x for c, x in zip(a, p)) for p in points)
     return CutResult(pprime, q, f, top < b)
 
 

@@ -7,9 +7,9 @@ an integer for lattice polytopes.  Engines implemented here:
                          times m! (oracle domain only; ground truth);
 * ``nvol_recursive``   — a facet-coning recursion over the non-origin
                          facets, valid for n >= m-1;
-* ``nvol_closed``      — three closed forms (a double sum in 2n, a single
-                         sum in 2n+1, and (m!)^2 [z^m] sqrt(1-z)e^{(n+1/2)z}),
-                         cross-checked against each other, one value;
+* ``nvol_closed``      — the closed form (m!)^2 [z^m] sqrt(1-z)e^{(n+1/2)z},
+                         read as -(m!/2^m) Q_m(2n+1) with Q_m an integer
+                         polynomial, n >= m-1;
 * ``nvol_three_term``  — a three-term recurrence in k for W = v/m!;
 * ``nvol_draconian``   — a sum of multinomial coefficients times powers of
                          (n-m+1) over draconian sequences, by the weighted
@@ -50,7 +50,7 @@ from .combinat import (
     oracle_domain,
     polynomial_domain,
 )
-from .exactmath import EngineDisagreement, Polynomial, double_factorial, solve_linear
+from .exactmath import EngineDisagreement, Polynomial, solve_linear
 from .polytope import VRep, count_points, hull_convert, vertex_box
 from . import ehrhart as _ehrhart
 
@@ -73,8 +73,10 @@ LAMBDA_MAX_M = 5
 
 # Work bounds of the recursive, closed and three-term engines, each at most
 # about 2 s at its edge (2-core VM, Python 3.11): recursive 0.6 s at
-# (390,390) and 1.6 s at (42, 10^4299); closed 1.2 s at (316,316) and 2.3 s
-# at (33, 10^4299); three-term 1.4 s at (5926,5926) and 1.2 s at (88, 10^4299).
+# (390,390) and 1.6 s at (42, 10^4299); three-term 1.4 s at (5926,5926) and
+# 1.2 s at (88, 10^4299).  The closed engine, one Horner evaluation of Q_m,
+# runs far inside its bound: 0.002 s at (316,316) and 0.07 s at
+# (33, 10^4299).
 NVOL_RECURSIVE_WORK_MAX = 2**30
 NVOL_CLOSED_WORK_MAX = 2**29
 NVOL_THREE_TERM_WORK_MAX = 2**47
@@ -178,37 +180,27 @@ def nvol_recursive(m: int, n: int) -> int:
     return _integral(_nvol_rec(m, n), f"nvol_recursive({m},{n})")
 
 
-def nvol_closed(m: int, n: int) -> int:
-    """Three closed forms of v(m,n), cross-checked; returns the one value.
+def _closed_q(m: int) -> Polynomial:
+    """Q_m(x) = sum_{i=0}^{m} C(m,i) c_i x^{m-i}, with c_0 = -1 and
+    c_i = c_{i-1} (2i-3): the integer polynomial of the closed form."""
+    high_to_low, c = [], -1
+    for i in range(m + 1):
+        high_to_low.append(comb(m, i) * c)
+        c *= 2 * i - 1
+    return Polynomial(reversed(high_to_low))
 
-    (1) -(m!/2^m) sum_{0<=i<=j<=m} C(m,j) C(j,i) (2i-3)!! (2n)^{m-j};
-    (2) -(m!/2^m) sum_{i=0}^{m} C(m,i) (2i-3)!! (2n+1)^{m-i};
-    (3) (m!)^2 [z^m] sqrt(1-z) e^{(n+1/2)z}.
-    Forms (1) and (2) use the convention (-3)!! = -1 baked into
-    double_factorial.  Form (3) does not read it: it is the Cauchy product
-    sum_i r_i e_{m-i} of the coefficient lists of the two factors, each
-    from its first-order recurrence, r_0 = e_0 = 1,
-    r_k = r_{k-1} (2k-3)/(2k) and e_k = e_{k-1} (n+1/2)/k.
+
+def nvol_closed(m: int, n: int) -> int:
+    """The closed form v(m,n) = (m!)^2 [z^m] sqrt(1-z) e^{(n+1/2)z}, n >= m-1.
+
+    The coefficient of z^i in sqrt(1-z) is -c_i/(2^i i!) and that of z^j in
+    e^{(n+1/2)z} is (2n+1)^j/(2^j j!), so their Cauchy product is
+    v(m,n) = -(m!/2^m) Q_m(2n+1), with Q_m from ``_closed_q``.  A
+    fractional value raises EngineDisagreement.
     """
     closed_domain.require("nvol_closed", m, n)
-    scale = -Fraction(factorial(m), 2**m)
-    s1 = Fraction(0)
-    for j in range(m + 1):
-        for i in range(j + 1):
-            s1 += comb(m, j) * comb(j, i) * double_factorial(i) * (2 * n) ** (m - j)
-    v1 = scale * s1
-    s2 = Fraction(0)
-    for i in range(m + 1):
-        s2 += comb(m, i) * double_factorial(i) * (2 * n + 1) ** (m - i)
-    v2 = scale * s2
-    root, expo = [Fraction(1)], [Fraction(1)]
-    for k in range(1, m + 1):
-        root.append(root[-1] * (2 * k - 3) / (2 * k))
-        expo.append(expo[-1] * (2 * n + 1) / (2 * k))
-    v3 = factorial(m) ** 2 * sum(r * e for r, e in zip(root, reversed(expo)))
-    if not v1 == v2 == v3:
-        raise EngineDisagreement(f"closed volume forms disagree at ({m},{n})")
-    return _integral(v1, f"nvol_closed({m},{n})")
+    return _integral(Fraction(-factorial(m) * _closed_q(m)(2 * n + 1), 2**m),
+                     f"nvol_closed({m},{n})")
 
 
 def nvol_three_term(m: int, n: int) -> int:
@@ -320,33 +312,18 @@ VOLUME_ENGINES: Dict[str, Engine] = {
 def nvol_poly(m: int, variable: str = "n") -> Polynomial:
     """v(m, .) as an exact polynomial.
 
-    variable 'n' (m <= 8): expansion of the closed forms in n, with the two
-    independent closed forms cross-checked; leading coefficient m!, all
-    lower coefficients nonpositive integers.
+    variable 'n' (m <= 8): the closed form -(m!/2^m) Q_m(2n+1) expanded in
+    n; leading coefficient m!, all lower coefficients nonpositive integers.
     variable 'N' (m <= DRACONIAN_MAX_M): the draconian sum in N = n-m+1,
     component weight N^s 2^(v-p2); all coefficients positive integers,
     leading coefficient m!.
     """
     if variable == "n":
         _require(1 <= m <= 8, "nvol_poly in n is limited to m <= 8")
-        scale = -Fraction(factorial(m), 2**m)
-        coef1 = [Fraction(0)] * (m + 1)
-        for j in range(m + 1):
-            for i in range(j + 1):
-                coef1[m - j] += (
-                    comb(m, j) * comb(j, i) * double_factorial(i) * 2 ** (m - j)
-                )
-        poly1 = Polynomial([scale * c for c in coef1])
-        coef2 = [Fraction(0)] * (m + 1)
-        for i in range(m + 1):
-            for d in range(m - i + 1):
-                coef2[d] += comb(m, i) * double_factorial(i) * comb(m - i, d) * 2**d
-        poly2 = Polynomial([scale * c for c in coef2])
-        if poly1 != poly2:
-            raise EngineDisagreement("the two closed n-polynomial forms disagree")
-        if any(c.denominator != 1 for c in poly1.coeffs):
+        poly = _closed_q(m)(Polynomial([1, 2])) * Fraction(-factorial(m), 2**m)
+        if any(c.denominator != 1 for c in poly.coeffs):
             raise EngineDisagreement(f"v({m}, n) has a non-integral coefficient")
-        return poly1
+        return poly
     if variable == "N":
         draconian_domain.require("nvol_poly in N", m, m - 1)
         coeffs = draconian_coefficients(

@@ -957,13 +957,18 @@ def test_verify_engines_runs_no_engine_that_is_a_shapes_only_route(monkeypatch):
     assert all(r["status"] == "pass" for r in (*volume.values(), *ehrhart.values()))
 
 
-@pytest.mark.parametrize("route", ["ehr_recurrence", "ehr_conjecture"])
+@pytest.mark.parametrize("route", ["ehr_recurrence", "ehr_conjecture", "nvol_closed"])
 def test_verify_engines_compares_both_generating_function_forms(monkeypatch, route):
+    # each generating function is read once, so a wrong coefficient in it is
+    # caught only where the engines suite sets its route beside another
     import partperm.ehrhart as EH
+    import partperm.volume as VO
 
-    true_route = getattr(EH, route)
-    monkeypatch.setattr(EH, route, lambda m, n: true_route(m, n) + 1)
-    records = _engine_records("ehrhart-engines-agree", max_m=3, max_n=3)
+    module, check = {"ehr": (EH, "ehrhart-engines-agree"),
+                     "nvol": (VO, "volume-engines-agree")}[route.split("_")[0]]
+    true_route = getattr(module, route)
+    monkeypatch.setattr(module, route, lambda m, n: true_route(m, n) + 1)
+    records = _engine_records(check, max_m=3, max_n=3)
     failed = sorted(shape for shape, r in records.items() if r["status"] == "fail")
     assert failed == [(m, n) for m in range(1, 4) for n in range(m - 1, 4)]
     name = route.split("_")[1]
@@ -1129,6 +1134,7 @@ def test_closed_pipe_exits_quietly():
     first = proc.stdout.readline()
     proc.stdout.close()  # the reader goes away after one line, as `head -1` does
     err = proc.stderr.read()
+    proc.stderr.close()
     proc.wait(timeout=60)
     assert json.loads(first) == {"chain": [[]], "dimension": 0, "vertex_count": 1}
     assert err == ""

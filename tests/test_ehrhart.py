@@ -426,17 +426,6 @@ def test_recurrence_equals_conjecture():
         assert ehr_recurrence(m, n) == ehr_conjecture(m, n)
 
 
-def test_conjecture_series_form_is_independent_of_double_factorial(monkeypatch):
-    # form (1) reads (2i-3)!! from double_factorial; form (2) must not, or a
-    # wrong entry would pass the internal check
-    import partperm.ehrhart as EH
-
-    true_df = EH.double_factorial
-    monkeypatch.setattr(EH, "double_factorial", lambda i: true_df(i) + (i == 3))
-    with pytest.raises(EngineDisagreement, match="conjectural Ehrhart forms disagree"):
-        ehr_conjecture(4, 4)
-
-
 def test_series_forms_match_the_recurrences():
     for m in range(1, 17):
         for n in (m - 1, m, m + 3):

@@ -20,7 +20,6 @@ from partperm import (
     EngineDisagreement,
     Polynomial,
     binomial_poly,
-    double_factorial,
     eulerian,
     int_det,
     interpolate,
@@ -143,20 +142,6 @@ def test_binomial_poly_of_polynomial_argument():
 def test_binomial_poly_negative_k():
     with pytest.raises(ValueError):
         binomial_poly(Fraction(3), -1)
-
-
-# --------------------------------------------------------------------------
-# double factorial (the signed convention (2i-3)!! = -prod_{j=1..i} (2j-3))
-
-
-@pytest.mark.parametrize("i,value", [(0, -1), (1, 1), (2, 1), (3, 3), (4, 15), (5, 105)])
-def test_double_factorial_values(i, value):
-    assert double_factorial(i) == value
-
-
-def test_double_factorial_recurrence():
-    for i in range(2, 12):
-        assert double_factorial(i) == double_factorial(i - 1) * (2 * i - 3)
 
 
 # --------------------------------------------------------------------------

@@ -202,6 +202,16 @@ def test_count_points_t0_is_one():
     assert count_points(pp_facets(3, 3), 0) == 1
 
 
+def test_count_points_t0_refuses_an_empty_system_without_a_box():
+    # x1 <= -1, x1 >= 0, |x2| <= 1: 0 times the empty set holds no point
+    empty = HRep((((1, 0), -1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)), 2)
+    for interior in (False, True):
+        with pytest.raises(ValueError, match="empty polytope"):
+            count_points(empty, 0, interior=interior)
+    # a caller who passes a box vouches for a nonempty polytope
+    assert count_points(empty, 0, box=((0, 0), (0, 0))) == 1
+
+
 def test_count_points_matches_direct_scan():
     for m, n in [(2, 2), (2, 3), (3, 2)]:
         h = pp_facets(m, n)
@@ -687,6 +697,27 @@ def test_cut_degenerate_misses_polytope():
     # the near side equals P
     for t in (1, 2):
         assert count_points(res.pprime, t) == count_points(p, t)
+
+
+def test_cut_far_side_of_an_unbounded_system():
+    # the strip |x1 - x2| <= 1 in the quadrant runs off along (1, 1)
+    strip = HRep((((-1, 0), 0), ((0, -1), 0), ((1, -1), 1), ((-1, 1), 1)), 2)
+    res = cut(strip, (1, 1), 10)
+    assert not res.q_empty
+    assert count_points(res.q, 1, box=((0, 8), (0, 8))) == 10
+    # no direction of recession raises these normals: the vertices decide
+    assert cut(strip, (-1, -1), 1).q_empty
+    assert cut(strip, (1, -1), 2).q_empty
+    assert not cut(strip, (1, -1), 1).q_empty
+
+
+def test_cut_refuses_rows_of_rank_below_the_dimension():
+    band = HRep((((1, 0), 1), ((-1, 0), 1)), 2)  # |x1| <= 1 in R^2
+    with pytest.raises(ValueError, match="rank below the dimension 2"):
+        cut(band, (1, 0), 0)
+    empty = HRep((((1, 0), -1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)), 2)
+    with pytest.raises(ValueError, match="cut of an empty polytope"):
+        cut(empty, (1, 0), 0)
 
 
 def test_cut_dimension_mismatch():

@@ -228,18 +228,6 @@ def test_lambda_rejects_repeats():
         nvol_lambda(2, 2, lam=[1, 2])  # wrong length
 
 
-def test_nvol_closed_series_form_is_independent_of_double_factorial(monkeypatch):
-    # forms (1) and (2) read (2i-3)!! from double_factorial and agree with
-    # each other for any table of it, so only a form (3) computed by another
-    # route catches a wrong entry
-    import partperm.volume as VO
-
-    true_df = VO.double_factorial
-    monkeypatch.setattr(VO, "double_factorial", lambda i: true_df(i) + (i == 3))
-    with pytest.raises(EngineDisagreement, match="closed volume forms disagree"):
-        nvol_closed(5, 5)
-
-
 # --------------------------------------------------------------------------
 # Small-n closed volumes (valid for every m, including n < m-1)
 
