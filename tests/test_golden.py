@@ -34,6 +34,8 @@ GOLDEN = {
     "table-volume-n": ("table", "--which", "volume-n"),
     "table-volume-N": ("table", "--which", "volume-N"),
     "verify-engines-5-6": ("verify", "--suite", "engines", "--max-m", "5", "--max-n", "6"),
+    "verify-engines-12-14": (
+        "verify", "--suite", "engines", "--max-m", "12", "--max-n", "14"),
     "ehrhart-eval4-5-6": (
         "ehrhart", "--m", "5", "--n", "6", "--all-methods", "--eval", "4"),
     "volume-oracle-5-1": ("volume", "--m", "5", "--n", "1", "--method", "oracle"),
