@@ -138,15 +138,39 @@ def ehr_interpolate(m: int, n: int) -> Polynomial:
 # (2-core VM, Python 3.11).
 EHR_SMALL_N_MAX_M = 700
 
+# Work bounds of the two generating-function routes, in quadratic_work, each
+# at most about 2 s at its edge (2-core VM, Python 3.11): ehr_conjecture
+# 1.2-1.5 s at (232,232) and 0.4 s at (24, 10^4299); ehr_recurrence
+# 1.8-2.3 s at (316,316) and 1.8-1.9 s at (33, 10^4299).
+EHR_CONJECTURE_WORK_MAX = 3 * 2**26
+EHR_RECURRENCE_WORK_MAX = 2**29
 
-# The domains of ehr_closed_small_n, ehr_closed_small_m and ehr_recurrence.
+
+def value_bits(m: int, n: int) -> int:
+    """m times the bit length of mn: at least the bit length of v(m,n), which
+    is at most m! n^m <= (mn)^m, as P(m,n) lies in the cube [0,n]^m."""
+    return m * (m * n).bit_length()
+
+
+def quadratic_work(m: int, n: int) -> int:
+    """m^2 steps on values of up to value_bits(m, n) bits: the work of the
+    generating-function routes, m polynomials of up to m coefficients, and
+    of the volume recursion, m^2 terms."""
+    return m * m * value_bits(m, n)
+
+
+# The domains of ehr_closed_small_n, ehr_closed_small_m, ehr_conjecture and
+# ehr_recurrence.
 small_n_domain = Domain(
     Rule(lambda m, n: m >= 1 and 0 <= n <= 3, "covers only m >= 1, 0 <= n <= 3"),
     Bound("EHR_SMALL_N_MAX_M", globals()))
 small_m_domain = Domain(polynomial_domain,
                         Rule(lambda m, n: m <= 4 and n >= 1, "covers only m <= 4, n >= 1"))
+conjecture_domain = Domain(polynomial_domain, Bound(
+    "EHR_CONJECTURE_WORK_MAX", globals(), "work", quadratic_work))
 recurrence_domain = Domain(Rule(lambda m, n: m >= 0 and n >= 0, "requires m >= 0 and n >= 0"),
-                           PYRAMIDAL)
+                           PYRAMIDAL, Bound(
+                               "EHR_RECURRENCE_WORK_MAX", globals(), "work", quadratic_work))
 
 
 def ehr_closed_small_n(m: int, n: int) -> Polynomial:
@@ -263,8 +287,8 @@ def ehr_parking(m: int) -> Tuple[Polynomial, int]:
 def ehr_conjecture(m: int, n: int) -> Polynomial:
     """The closed Ehrhart form m! [z^m] sqrt(1-tz) exp((nt+t/2+1)z - (t/4)z^2)
     from the generating function (n >= m-1; the module docstring derives it
-    from the draconian sum); ``verify --suite engines`` compares it with the
-    engine table.
+    from the draconian sum), within ``EHR_CONJECTURE_WORK_MAX``;
+    ``verify --suite engines`` compares it with the engine table.
 
     It is the Cauchy product sum_a r_a g_{m-a} of the two factors'
     coefficients in z, each from a recurrence.  With b = (n+1/2)t + 1,
@@ -272,7 +296,7 @@ def ehr_conjecture(m: int, n: int) -> Polynomial:
     and (k+1) g_{k+1} = b g_k - (t/2) g_{k-1}, the ODE g' = (b - (t/2)z) g
     of exp(bz - tz^2/4).
     """
-    polynomial_domain.require("ehr_conjecture", m, n)
+    conjecture_domain.require("ehr_conjecture", m, n)
     t = Polynomial.x()
     b = Polynomial([1, n + Fraction(1, 2)])
     half_t = Polynomial([0, Fraction(1, 2)])
@@ -292,10 +316,11 @@ def ehr_recurrence(m: int, n: int) -> Polynomial:
               - (k-1) t (nt + t/2 + 3/2) E_{k-2}
               + (k-1)(k-2)/2 t^2 E_{k-3},      E_0 = 1.
 
-    E_m is ehr(P(m,n), t).  Domain: m >= 0 and n >= max(0, m-1); m = 0
-    gives the constant 1.  Below n = m-1 the recurrence is not the Ehrhart
-    polynomial (at (5,2) its value at t = 1 is -119, where P(5,2) has 51
-    lattice points), so those shapes are refused.
+    E_m is ehr(P(m,n), t).  Domain: m >= 0 and n >= max(0, m-1), within
+    ``EHR_RECURRENCE_WORK_MAX``; m = 0 gives the constant 1.  Below n = m-1
+    the recurrence is not the Ehrhart polynomial (at (5,2) its value at
+    t = 1 is -119, where P(5,2) has 51 lattice points), so those shapes
+    are refused.
     """
     recurrence_domain.require("ehr_recurrence", m, n)
     e: List[Polynomial] = [Polynomial([1])]

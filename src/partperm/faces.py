@@ -3,16 +3,17 @@
 Every nonempty face of P(m,n) is indexed by a chain A_1 < ... < A_l from
 the width-bounded chain family (see ``combinat``), the face dimension being
 the chain's missing-rank count |A_l| - l + 1.  Two equality systems carve
-out the face:
+out the face, each right-hand side a value of the profile g of P(m,n)
+(``polytope.pp_profile``, g(k) = C(n+1,2) - C(n+1-k,2)):
 
 * the case form —
     x_i = 0 for i outside A_l;
-    sum_{i in A_l \\ A_j} x_i = C(n+1,2) - C(n+1-|A_l \\ A_j|,2) for
+    sum_{i in A_l \\ A_j} x_i = g(|A_l \\ A_j|) for
     j = l-1, ..., 2, and also j = 1 unless (A_1 = empty and |A_l| >= n);
-    sum_{i in [m]} x_i = C(n+1,2) when A_1 = empty and |A_l| >= n;
+    sum_{i in [m]} x_i = g(m) = C(n+1,2) when A_1 = empty and |A_l| >= n;
 
 * the compact form —
-    sum_{i in [m] \\ A_j} x_i = C(n+1,2) - C(n+1-|A_l \\ A_j|,2) for
+    sum_{i in [m] \\ A_j} x_i = g(|A_l \\ A_j|) for
     j = 1..l (the j = l row reduces to a zero-sum row over [m] \\ A_l).
 
 The two forms can span different affine subspaces (e.g. for the chain
@@ -70,7 +71,7 @@ from .combinat import (
     r_set,
 )
 from .exactmath import EngineDisagreement, Polynomial, check_bound, eulerian_rows, stirling2
-from .polytope import VERTEX_LIST_MAX, _facet_rhs, placement_count, placements, pp_vertices
+from .polytope import VERTEX_LIST_MAX, placement_count, placements, pp_profile, pp_vertices
 
 # comb_equiv_check builds comparability matrices of at most this many chain
 # pairs.  Its rows are bitmasks (_face_order_rows), so the largest shapes
@@ -126,6 +127,7 @@ def face_from_chain(chain: Sequence, m: int, n: int) -> FaceSystem:
     ell = len(c)
     ground = frozenset(range(1, m + 1))
     special = (not c[0]) and len(top) >= n  # empty bottom, wide top
+    g = pp_profile(m, n)
 
     case_rows = []
     for i in sorted(ground - top):
@@ -136,15 +138,14 @@ def face_from_chain(chain: Sequence, m: int, n: int) -> FaceSystem:
         if j == 1 and special:
             continue
         diff = top - c[j - 1]
-        case_rows.append((_indicator(diff, m), _facet_rhs(len(diff), n)))
+        case_rows.append((_indicator(diff, m), g[len(diff)]))
     if special:
-        case_rows.append((_indicator(ground, m), comb(n + 1, 2)))
+        case_rows.append((_indicator(ground, m), g[m]))
 
     compact_rows = []
     for j in range(1, ell + 1):
         outside = ground - c[j - 1]
-        w = len(top - c[j - 1])
-        compact_rows.append((_indicator(outside, m), _facet_rhs(w, n)))
+        compact_rows.append((_indicator(outside, m), g[len(top - c[j - 1])]))
 
     dim = missing_ranks(c)
     face = FaceSystem(c, dim, tuple(case_rows), tuple(compact_rows))
@@ -213,8 +214,8 @@ def _vertices_on(rows, m: int, n: int) -> List[Tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _reach(m: int, n: int) -> Tuple[Tuple[int, ...], ...]:
     """reach[v][k]: the most k free coordinates can still take when the
-    values v, v-1, ... are left to place, ``_facet_rhs(k, v)``."""
-    return tuple(tuple(_facet_rhs(k, v) for k in range(m + 1)) for v in range(n + 1))
+    values v, v-1, ... are left to place, g(k) of P(m,v)."""
+    return tuple(pp_profile(m, v) for v in range(n + 1))
 
 
 # _tight_sets keeps at most this many face vertices: all 127 size classes

@@ -3,14 +3,18 @@
 The partial permutohedron P(m,n) is the convex hull of all vectors in
 {0,...,n}^m whose nonzero entries are pairwise distinct.  Its vertices are
 the vectors whose k nonzero entries are exactly the top values
-{n, n-1, ..., n-k+1} placed injectively, 0 <= k <= min(m,n); its facet
-inequalities are x_i >= 0 together with, for every nonempty S in [m] with
-|S| <= n-1 or |S| = m,
+{n, n-1, ..., n-k+1} placed injectively, 0 <= k <= min(m,n).
 
-    sum_{i in S} x_i  <=  C(n+1,2) - C(n+1-|S|,2),
+P(m,n) is the anti-blocking polytope of the score vector z_i = max(n-i+1, 0):
+the x >= 0 whose k largest coordinates sum to at most g(k) = z_1 + ... + z_k,
+for every k.  ``pp_profile`` returns (g(0), ..., g(m)), and every reader of
+the description indexes it.  g(k) = kn - C(k,2) for k <= n, and C(n+1,2)
+beyond.  The facet inequalities are x_i >= 0 together with, for every
+nonempty S in [m] with |S| <= n-1 or |S| = m,
 
-where C(a,2) is taken as 0 for a <= 1 (equivalently the right-hand side is
-|S|*n - C(|S|,2) when |S| <= n and C(n+1,2) otherwise).
+    sum_{i in S} x_i  <=  g(|S|),
+
+the sizes where z_{|S|+1} > 0, or S = [m].
 
 ``placements`` lists and ``placement_count`` counts the vertices of P(m,n),
 of its faces and of anti-blocking polytopes.  Also here: exact
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb, floor, ceil, gcd
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -141,10 +145,18 @@ def pp_vertices(m: int, n: int) -> VRep:
     return VRep(tuple(sorted(pts)), m)
 
 
-def _facet_rhs(k: int, n: int) -> int:
-    """C(n+1,2) - C(n+1-k,2) with C(a,2)=0 for a<=1; equals kn-C(k,2) for k<=n."""
-    a = n + 1 - k
-    return comb(n + 1, 2) - (comb(a, 2) if a >= 2 else 0)
+def pp_profile(m: int, n: int) -> Tuple[int, ...]:
+    """(g(0), ..., g(m)): the prefix sums g(k) = z_1 + ... + z_k of the
+    score vector z_i = max(n-i+1, 0) of P(m,n).
+
+    g(k) = C(n+1,2) - C(n+1-k,2), with C(a,2) = 0 for a <= 1: kn - C(k,2)
+    for k <= n, and C(n+1,2) from k = n on.  It is the facet right-hand
+    side of every k-subset row, and t*g(k) bounds the sum of the k largest
+    coordinates of a point of t*P(m,n).
+    """
+    if m < 0 or n < 0:
+        raise ValueError("pp_profile requires m >= 0 and n >= 0")
+    return tuple(accumulate((max(n - i, 0) for i in range(m)), initial=0))
 
 
 # pp_facets lists at most this many rows (about 1.2 s); P(19,19) has
@@ -176,30 +188,32 @@ def pp_facet_count(m: int, n: int) -> int:
 def pp_facets(m: int, n: int) -> HRep:
     """The irredundant facet system of P(m,n).
 
-    Nonnegativity rows -x_i <= 0 first, then the subset rows over all
-    nonempty S with |S| <= n-1 or |S| = m, ordered by (|S|, S).
-    For n = 0 the system pins the single point at the origin.  Shapes
-    with more than ``FACET_LIST_MAX`` rows (``pp_facet_count``) are refused
-    up front, on a count that stops once it passes the bound.
+    Nonnegativity rows -x_i <= 0 first, then the subset rows
+    sum_S x_i <= g(|S|) (``pp_profile``), ordered by (|S|, S), for the
+    sizes k = m and those with g(k+1) > g(k), that is |S| <= n-1.  For
+    n = 0 only the row over [m] is kept, and the system pins the single
+    point at the origin.  Shapes with more than ``FACET_LIST_MAX`` rows
+    (``pp_facet_count``) are refused up front, on a count that stops once
+    it passes the bound.
     """
     if m < 1 or n < 0:
         raise ValueError("pp_facets requires m >= 1 and n >= 0")
     check_bound(f"P({m},{n})", "facet rows counted", _facet_rows_counted(m, n, FACET_LIST_MAX),
                 "FACET_LIST_MAX", FACET_LIST_MAX)
+    g = pp_profile(m, n)
     rows = []
     for i in range(m):
         a = [0] * m
         a[i] = -1
         rows.append((tuple(a), 0))
     for k in range(1, m + 1):
-        if not (k <= n - 1 or k == m):
+        if k < m and g[k + 1] == g[k]:
             continue
-        rhs = _facet_rhs(k, n)
         for S in combinations(range(m), k):
             a = [0] * m
             for i in S:
                 a[i] = 1
-            rows.append((tuple(a), rhs))
+            rows.append((tuple(a), g[k]))
     return HRep(tuple(rows), m)
 
 
@@ -267,7 +281,7 @@ def pp_count(m: int, n: int, t: int, interior: bool = False) -> int:
     Reads the anti-blocking description of P(m,n), not the facet list: an
     integer x >= 0 lies in t*P(m,n) exactly when, for every k, the sum of
     its k largest coordinates is at most t*g(k), where g(k) = z_1 + ... + z_k
-    is a prefix sum of the score vector z_i = max(n-i+1, 0).
+    is a prefix sum of the score vector z_i = max(n-i+1, 0) (``pp_profile``).
 
     A dynamic programme places the values t*n, ..., 1 from the largest
     down, c copies at a time, in C(free, c) ways.  Its state is (positions
@@ -283,9 +297,7 @@ def pp_count(m: int, n: int, t: int, interior: bool = False) -> int:
     """
     if m < 1 or n < 0 or t < 0:
         raise ValueError("pp_count requires m >= 1, n >= 0 and t >= 0")
-    bound = [0]
-    for i in range(m):
-        bound.append(bound[-1] + t * max(n - i, 0))
+    bound = [t * x for x in pp_profile(m, n)]
     check_bound(f"pp_count({m}, {n}, {t})", "steps",
                 t * n * sum((b + 1) * (m - k) for k, b in enumerate(bound[:m])),
                 "PP_COUNT_WORK_MAX", PP_COUNT_WORK_MAX)
@@ -595,9 +607,11 @@ def antiblocking_vertices_edges(z: Sequence[int]) -> Tuple[VRep, Tuple[Tuple[int
 def verify_antiblocking_identity(m: int, n: int) -> bool:
     """Does the anti-blocking polytope of (n, n-1, ..., down to 0) equal P(m,n)?
 
-    Compares vertex sets exactly: the score vector is z_i = max(n-i+1, 0).
+    Compares vertex sets exactly, by two independent routes: the score
+    vector z, the differences of ``pp_profile``, placed by
+    ``antiblocking_vertices_edges``, and the vertices that hull conversion
+    finds for the facet system ``pp_facets``.
     """
-    z = [max(n - i, 0) for i in range(m)]
-    av, _ = antiblocking_vertices_edges(z)
-    pv = pp_vertices(m, n)
-    return set(av.points) == set(pv.points)
+    g = pp_profile(m, n)
+    av, _ = antiblocking_vertices_edges([b - a for a, b in zip(g, g[1:])])
+    return set(av.points) == set(hull_convert(pp_facets(m, n)).points)

@@ -51,8 +51,9 @@ from .combinat import (
     polynomial_domain,
 )
 from .exactmath import EngineDisagreement, Polynomial, solve_linear
-from .polytope import VRep, count_points, hull_convert, vertex_box
+from .polytope import VRep, count_points, hull_convert, pp_profile, vertex_box
 from . import ehrhart as _ehrhart
+from .ehrhart import quadratic_work, value_bits
 
 
 def _require(cond: bool, msg: str):
@@ -74,27 +75,22 @@ LAMBDA_MAX_M = 5
 # Work bounds of the recursive, closed and three-term engines, each at most
 # about 2 s at its edge (2-core VM, Python 3.11): recursive 0.6 s at
 # (390,390) and 1.6 s at (42, 10^4299); three-term 1.4 s at (5926,5926) and
-# 1.2 s at (88, 10^4299).  The closed engine, one Horner evaluation of Q_m,
-# runs far inside its bound: 0.002 s at (316,316) and 0.07 s at
-# (33, 10^4299).
+# 1.2 s at (88, 10^4299).  The closed engine, one Horner evaluation of Q_m
+# (nvol_closed_work), takes 0.1-0.2 s at (1746,1746) and 0.2-0.4 s at
+# (68, 10^4299).  Its bound stops there, short of 2 s, so that every engine
+# still refuses (100, 10^4000): at 2^27 closed would admit it (0.5 s).
 NVOL_RECURSIVE_WORK_MAX = 2**30
-NVOL_CLOSED_WORK_MAX = 2**29
+NVOL_CLOSED_WORK_MAX = 2**26
 NVOL_THREE_TERM_WORK_MAX = 2**47
 
 # nvol_small_n raises 10 to the m-th power; m = 2^20 takes 0.7 s.
 NVOL_SMALL_N_MAX_M = 2**20
 
 
-def value_bits(m: int, n: int) -> int:
-    """m times the bit length of mn: at least the bit length of v(m,n), which
-    is at most m! n^m <= (mn)^m, as P(m,n) lies in the cube [0,n]^m."""
-    return m * (m * n).bit_length()
-
-
-def nvol_sum_work(m: int, n: int) -> int:
-    """The work of the recursive and closed engines: m^2 terms, each of up
-    to value_bits(m, n) bits."""
-    return m * m * value_bits(m, n)
+def nvol_closed_work(m: int, n: int) -> int:
+    """The work of the closed engine, one Horner evaluation of Q_m: m steps
+    on integers of up to value_bits(m, n) bits."""
+    return m * value_bits(m, n)
 
 
 def nvol_three_term_work(m: int, n: int) -> int:
@@ -106,15 +102,18 @@ def nvol_three_term_work(m: int, n: int) -> int:
 # The domain of each engine (polynomial_domain and the draconian and oracle
 # domains are declared in combinat), work bounds included.
 recursive_domain = Domain(polynomial_domain,
-                          Bound("NVOL_RECURSIVE_WORK_MAX", globals(), "work", nvol_sum_work))
+                          Bound("NVOL_RECURSIVE_WORK_MAX", globals(), "work", quadratic_work))
 closed_domain = Domain(polynomial_domain,
-                       Bound("NVOL_CLOSED_WORK_MAX", globals(), "work", nvol_sum_work))
+                       Bound("NVOL_CLOSED_WORK_MAX", globals(), "work", nvol_closed_work))
 three_term_domain = Domain(polynomial_domain, Bound(
     "NVOL_THREE_TERM_WORK_MAX", globals(), "work", nvol_three_term_work))
 lambda_domain = Domain(polynomial_domain, Bound("LAMBDA_MAX_M", globals()))
 small_n_domain = Domain(
     Rule(lambda m, n: m >= 1 and 0 <= n <= 4, "covers only m >= 1, 0 <= n <= 4"),
     Bound("NVOL_SMALL_N_MAX_M", globals()))
+# nvol_poly takes m alone: its forms in n and in N cover P(m, m-1).  In n
+# it expands Q_m for the m of the paper's table.
+poly_n_domain = Domain(polynomial_domain, Rule(lambda m, n: m <= 8, "is limited to m <= 8"))
 
 
 def nvol_oracle(m: int, n: int) -> int:
@@ -154,9 +153,12 @@ def _nvol_rec(m: int, n: int) -> int:
     """v(m,n) for n >= m-1 by the facet-coning recursion, in integers along
     the diagonal d = n-m, which every term keeps: v_0 = 1 and
 
-        v_j = sum_{k=1}^{j} k^{k-2} (k(j+d) - C(k,2)) C(j,k) (j-1)!/(j-k)! v_{j-k},
+        v_j = sum_{k=1}^{j} k^{k-2} g_{j+d}(k) C(j,k) (j-1)!/(j-k)! v_{j-k},
 
-    reading k^{k-2} as 1 at k = 1.  A loop, so no shape exhausts the stack.
+    reading k^{k-2} as 1 at k = 1.  The height g_{j+d}(k) is the profile
+    value g(k) of P(j, j+d) (``pp_profile``); as k <= j <= j+d+1 it is
+    k(j+d) - C(k,2), written inline so the inner loop builds no profile.
+    A loop, so no shape exhausts the stack.
     """
     d = n - m
     trees = [1, 1] + [k ** (k - 2) for k in range(2, m + 1)]
@@ -236,17 +238,17 @@ def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
         v(m,n) = sum_{sigma in S_{m+1}}  A(sigma)^m / prod_{i=1}^{m}
                  (lambda_{sigma(i)} - lambda_{sigma(i+1)}),
 
-    where, with p the position of m+1 in sigma,
-    A(sigma) = sum_{i<p} (n-i+1) lambda_{sigma(i)}
-               + (m-p+1)(2n-m-p+2)/2 * lambda_{m+1}.
+    where, with p the 0-based position of m+1 in sigma and g the profile
+    of P(m,n) (``pp_profile``, z_i = g(i) - g(i-1)),
+    A(sigma) = sum_{i<p} z_{i+1} lambda_{sigma(i)} + (g(m) - g(p)) lambda_{m+1}.
     The value is independent of the lambdas; the default is (1,...,m+1).
 
     Every term is homogeneous of degree 0 in lambda (A^m and the product
     of m differences both have degree m), so the lambdas are first scaled
-    by the lcm of their denominators to integers.  Then 2A is an integer,
-    and all (m+1)! terms are summed as integers (2A)^m, grouped by their
+    by the lcm of their denominators to integers.  Then A is an integer,
+    and all (m+1)! terms are summed as integers A^m, grouped by their
     integer product of differences; one Fraction is built per distinct
-    product at the end, and the total is divided by 2^m.
+    product at the end.
     """
     lambda_domain.require("nvol_lambda", m, n)
     if lam is None:
@@ -258,15 +260,15 @@ def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
         raise ValueError("lambda values must be pairwise distinct")
     scale = lcm(*(x.denominator for x in lam))
     mu = [int(x * scale) for x in lam]
+    g = pp_profile(m, n)
     # sigma runs over orderings of the indices 0..m; index m is lambda_{m+1}
     sums: Dict[int, int] = {}
     for sigma in permutations(range(m + 1)):
-        p = sigma.index(m) + 1
-        twice_a = (2 * sum((n - i) * mu[sigma[i]] for i in range(p - 1))
-                   + (m - p + 1) * (2 * n - m - p + 2) * mu[m])
+        p = sigma.index(m)
+        a = sum((g[i + 1] - g[i]) * mu[sigma[i]] for i in range(p)) + (g[m] - g[p]) * mu[m]
         denom = prod(mu[sigma[i]] - mu[sigma[i + 1]] for i in range(m))
-        sums[denom] = sums.get(denom, 0) + twice_a**m
-    return sum((Fraction(s, denom) for denom, s in sums.items()), Fraction(0)) / 2**m
+        sums[denom] = sums.get(denom, 0) + a**m
+    return sum((Fraction(s, denom) for denom, s in sums.items()), Fraction(0))
 
 
 def nvol_small_n(m: int, n: int) -> int:
@@ -312,14 +314,15 @@ VOLUME_ENGINES: Dict[str, Engine] = {
 def nvol_poly(m: int, variable: str = "n") -> Polynomial:
     """v(m, .) as an exact polynomial.
 
-    variable 'n' (m <= 8): the closed form -(m!/2^m) Q_m(2n+1) expanded in
-    n; leading coefficient m!, all lower coefficients nonpositive integers.
+    variable 'n' (m <= 8, ``poly_n_domain``): the closed form
+    -(m!/2^m) Q_m(2n+1) expanded in n; leading coefficient m!, all lower
+    coefficients nonpositive integers.
     variable 'N' (m <= DRACONIAN_MAX_M): the draconian sum in N = n-m+1,
     component weight N^s 2^(v-p2); all coefficients positive integers,
     leading coefficient m!.
     """
     if variable == "n":
-        _require(1 <= m <= 8, "nvol_poly in n is limited to m <= 8")
+        poly_n_domain.require("nvol_poly in n", m, m - 1)
         poly = _closed_q(m)(Polynomial([1, 2])) * Fraction(-factorial(m), 2**m)
         if any(c.denominator != 1 for c in poly.coeffs):
             raise EngineDisagreement(f"v({m}, n) has a non-integral coefficient")

@@ -27,10 +27,11 @@ TABLES = {"volume": VOLUME_ENGINES, "ehrhart": EHRHART_ENGINES,
 # Public routes outside the tables, each with the declaration it reads;
 # ehr_parking and nvol_poly take m alone, and cover P(m, m-1).
 ROUTES = {
-    "ehr_conjecture": Engine(C.polynomial_domain, ehr_conjecture),
+    "ehr_conjecture": Engine(EH.conjecture_domain, ehr_conjecture),
     "ehr_recurrence": Engine(EH.recurrence_domain, ehr_recurrence),
     "ehr_parking": Engine(lambda m, n: draconian_domain(m, m - 1), lambda m, n: ehr_parking(m)),
-    "nvol_poly-n": Engine(lambda m, n: 1 <= m <= 8, lambda m, n: nvol_poly(m, "n")),
+    "nvol_poly-n": Engine(lambda m, n: VO.poly_n_domain(m, m - 1),
+                          lambda m, n: nvol_poly(m, "n")),
     "nvol_poly-N": Engine(lambda m, n: draconian_domain(m, m - 1),
                           lambda m, n: nvol_poly(m, "N")),
 }
@@ -193,19 +194,21 @@ def test_engine_values_hold_no_float():
                                for x in parts), (method, m, n, value)
 
 
-# Engine, the bound it reads, the edge of its domain (inside, outside), and
-# the shape it refuses: every refusal is up front.
+# Engine, the bound it reads, the edge of its domain (inside, outside), the
+# shape it refuses (every refusal is up front), and a bound low enough to
+# refuse part of the small grid.
 VOLUME_EDGES = [
-    ("recursive", "NVOL_RECURSIVE_WORK_MAX", (390, 390), (391, 391), (1000, 1000)),
-    ("closed", "NVOL_CLOSED_WORK_MAX", (316, 316), (317, 317), (400, 400)),
-    ("three_term", "NVOL_THREE_TERM_WORK_MAX", (5926, 5926), (5927, 5927), (10000, 10000)),
-    ("small_n", "NVOL_SMALL_N_MAX_M", (2**20, 4), (2**20 + 1, 4), (10**9, 4)),
+    ("recursive", "NVOL_RECURSIVE_WORK_MAX", (390, 390), (391, 391), (1000, 1000), 500),
+    ("closed", "NVOL_CLOSED_WORK_MAX", (1746, 1746), (1747, 1747), (4000, 4000), 100),
+    ("three_term", "NVOL_THREE_TERM_WORK_MAX", (5926, 5926), (5927, 5927), (10000, 10000),
+     500),
+    ("small_n", "NVOL_SMALL_N_MAX_M", (2**20, 4), (2**20 + 1, 4), (10**9, 4), 3),
 ]
 
 
-@pytest.mark.parametrize("method,bound,inside,outside,refused", VOLUME_EDGES)
+@pytest.mark.parametrize("method,bound,inside,outside,refused,low", VOLUME_EDGES)
 def test_volume_engines_declare_their_work_bounds(monkeypatch, method, bound,
-                                                  inside, outside, refused):
+                                                  inside, outside, refused, low):
     engine = VOLUME_ENGINES[method]
     assert engine.domain(*inside) and not engine.domain(*outside)
     start = time.perf_counter()
@@ -214,9 +217,9 @@ def test_volume_engines_declare_their_work_bounds(monkeypatch, method, bound,
     assert time.perf_counter() - start < 1
     # the value refuses exactly where the domain does, with the bound lowered
     if method == "small_n":
-        base, low = (lambda m, n: m >= 1 and 0 <= n <= 4), 3
+        base = lambda m, n: m >= 1 and 0 <= n <= 4
     else:
-        base, low = VO.polynomial_domain, 500
+        base = VO.polynomial_domain
     monkeypatch.setattr(VO, bound, low)
     refused = 0
     for m in range(0, 7):
@@ -239,6 +242,52 @@ def test_polynomial_volume_work_reads_the_size_of_n():
     # a huge n is refused at a small m, not computed for minutes
     for method in ("recursive", "closed", "three_term"):
         assert not VOLUME_ENGINES[method].domain(100, 10**4000)
+
+
+# What each route outside the tables names when it refuses a large m.
+ROUTE_REFUSALS = {"ehr_conjecture": "EHR_CONJECTURE_WORK_MAX",
+                  "ehr_recurrence": "EHR_RECURRENCE_WORK_MAX",
+                  "ehr_parking": "DRACONIAN_MAX_M", "nvol_poly-n": "limited to m <= 8",
+                  "nvol_poly-N": "DRACONIAN_MAX_M"}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_routes_refuse_a_large_m_up_front(route):
+    engine = ROUTES[route]
+    for m, n in [(10**4, 10**4), (10**4, 10**4000)]:
+        assert not engine.domain(m, n)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=ROUTE_REFUSALS[route]):
+            engine.value(m, n)
+        assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("route,bound,inside,outside", [
+    ("ehr_conjecture", "EHR_CONJECTURE_WORK_MAX", [(232, 232), (24, 10**4299)],
+     [(233, 233), (25, 10**4299)]),
+    ("ehr_recurrence", "EHR_RECURRENCE_WORK_MAX", [(316, 316), (33, 10**4299)],
+     [(317, 317), (34, 10**4299)]),
+])
+def test_generating_function_routes_declare_their_work_bounds(monkeypatch, route, bound,
+                                                              inside, outside):
+    engine = ROUTES[route]
+    # both routes and the volume recursion read the one measure
+    assert EH.quadratic_work is VO.quadratic_work and EH.value_bits is VO.value_bits
+    assert all(engine.domain(*shape) for shape in inside)
+    assert not any(engine.domain(*shape) for shape in outside)
+    # the value refuses exactly where the domain does, with the bound lowered
+    monkeypatch.setattr(EH, bound, 100)
+    refused = 0
+    for m in range(0, 7):
+        for n in range(-1, 9):
+            if engine.domain(m, n):
+                assert engine.value(m, n) == (Polynomial([1]) if m == 0 else
+                                              EHRHART_ENGINES["draconian"].value(m, n))
+            else:
+                refused += n >= max(m - 1, 0) and m >= 1
+                with pytest.raises(ValueError):
+                    engine.value(m, n)
+    assert refused > 0
 
 
 def test_ehrhart_small_n_declares_its_bound(monkeypatch):

@@ -37,6 +37,7 @@ from partperm import (
     pp_count,
     pp_facet_count,
     pp_facets,
+    pp_profile,
     pp_vertex_count,
     pp_vertices,
     solve_linear,
@@ -790,6 +791,39 @@ def test_antiblocking_pm1_edge_count(m):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_antiblocking_identity_grid(m, n):
     assert verify_antiblocking_identity(m, n)
+
+
+# Profiles with ties and zeros; Q(z) need not be simple at a tie.
+TIED_PROFILES = [(1,), (2, 1), (1, 1, 0, 0), (3, 3, 1), (5, 3, 3, 1), (2, 2, 2),
+                 (4, 3, 2, 1, 0), (3, 0, 0), (4, 4, 2, 1), (6, 3, 1, 1), (5, 5, 5, 2, 2),
+                 (7, 4, 4, 1, 0)]
+
+
+@pytest.mark.parametrize("z", TIED_PROFILES)
+def test_antiblocking_vertices_match_the_hull_of_the_full_h_form(z):
+    # Q(z): x >= 0 and, for every nonempty S, sum_S x <= z_1 + ... + z_|S|;
+    # the hull conversion finds its vertices without placing any value
+    m = len(z)
+    rows = [(tuple(-int(i == j) for i in range(m)), 0) for j in range(m)]
+    for k in range(1, m + 1):
+        for S in combinations(range(m), k):
+            rows.append((tuple(int(i in S) for i in range(m)), sum(z[:k])))
+    v, _ = antiblocking_vertices_edges(z)
+    assert set(v.points) == set(hull_convert(HRep(tuple(rows), m)).points)
+
+
+def test_pp_profile_is_the_facet_right_hand_side():
+    for m in range(0, 9):
+        for n in range(0, 11):
+            g = pp_profile(m, n)
+            assert len(g) == m + 1 and g[0] == 0
+            for k in range(m + 1):
+                a = n + 1 - k
+                assert g[k] == math.comb(n + 1, 2) - (math.comb(a, 2) if a >= 2 else 0)
+    assert pp_profile(4, 2) == (0, 2, 3, 3, 3)
+    for m, n in [(-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match="pp_profile requires"):
+            pp_profile(m, n)
 
 
 def test_antiblocking_edges_are_valid_indices():
