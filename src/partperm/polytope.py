@@ -156,7 +156,9 @@ def pp_profile(m: int, n: int) -> Tuple[int, ...]:
     """
     if m < 0 or n < 0:
         raise ValueError("pp_profile requires m >= 0 and n >= 0")
-    return tuple(accumulate((max(n - i, 0) for i in range(m)), initial=0))
+    # z is n, n-1, ..., 1 and then zeros, so g stays at C(n+1,2) from k = n
+    g = list(accumulate(range(n, max(n - m, 0), -1), initial=0))
+    return tuple(g + g[-1:] * (m + 1 - len(g)))
 
 
 # pp_facets lists at most this many rows (about 1.2 s); P(19,19) has
