@@ -38,7 +38,7 @@ from .combinat import (
     enumerate_chains,
     oracle_domain,
 )
-from .exactmath import EngineDisagreement, Polynomial
+from .exactmath import EngineDisagreement, Polynomial, check_bound
 from .polytope import (
     KERNEL_NAME,
     VRep,
@@ -316,7 +316,16 @@ _SERIES: Dict[str, Engine] = {
 }
 
 
+# verify --suite engines checks at most this many shapes, max_m*(max_n+1).
+# Measured (2-core VM, Python 3.11.7): grids of about 1,000 shapes take
+# 0.4-1.8 s when long in one flag, (2,500), (1000,0) and (5,200), and up to
+# 4 s when square, (30,30) and (12,80); (12,14) takes 1.3 s.
+VERIFY_GRID_MAX = 2**10
+
+
 def _suite_engines(max_m: int, max_n: int) -> Iterator[dict]:
+    check_bound(f"verify --suite engines --max-m {max_m} --max-n {max_n}", "shapes",
+                max_m * (max_n + 1), "VERIFY_GRID_MAX", VERIFY_GRID_MAX)
     grid = [(m, n) for m in range(1, max_m + 1) for n in range(max_n + 1)]
     # Each shape's routes are counted before any runs, so an engine that
     # would be a shape's only route is never run.

@@ -71,7 +71,14 @@ from .combinat import (
     r_set,
 )
 from .exactmath import EngineDisagreement, Polynomial, check_bound, eulerian_rows, stirling2
-from .polytope import VERTEX_LIST_MAX, placement_count, placements, pp_profile, pp_vertices
+from .polytope import (
+    VERTEX_LIST_MAX,
+    _HeldMemo,
+    placement_count,
+    placements,
+    pp_profile,
+    pp_vertices,
+)
 
 # comb_equiv_check builds comparability matrices of at most this many chain
 # pairs.  Its rows are bitmasks (_face_order_rows), so the largest shapes
@@ -224,17 +231,7 @@ def _reach(m: int, n: int) -> Tuple[Tuple[int, ...], ...]:
 _TIGHT_VERTICES_MAX = 2**13
 
 
-class _VertexMemo(dict):
-    """A dict of face vertex set pairs that counts the vertices it holds."""
-
-    held = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.held = 0
-
-
-_tight_memo = _VertexMemo()
+_tight_memo = _HeldMemo()  # face vertex set pairs; held counts their vertices
 
 
 def _tight_sets(case_rows, compact_rows, m: int, n: int) -> Tuple[frozenset, frozenset]:

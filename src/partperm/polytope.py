@@ -34,7 +34,7 @@ from math import comb, floor, ceil, gcd
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from ._counting_py import count_lattice_points
+from ._counting_py import count_dilate, count_lattice_points, prepare
 from .exactmath import _as_int, _integral, check_bound, row_reduce
 
 # The one counting kernel; kept as a name because benchmark records and the
@@ -224,6 +224,19 @@ def pp_box(m: int, n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((0, n) for _ in range(m))
 
 
+def _require_dilation(t, what: str) -> None:
+    """Refuse, with a ValueError naming t, a dilation factor that is not a
+    nonnegative int: the counters scale the box and rows by t exactly."""
+    if not isinstance(t, int) or t < 0:
+        raise ValueError(f"{what} requires a nonnegative int dilation factor t, got t = {t!r}")
+
+
+# count_points keeps what the counter prepares (``_counting_py.prepare``)
+# for this many systems at most, dropping the one it prepared first.
+_PREPARED_MAX = 16
+_prepared: dict = {}
+
+
 def count_points(
     h: HRep,
     t: int,
@@ -244,30 +257,49 @@ def count_points(
     a box, an empty or unbounded system is refused with ValueError rather
     than counted inside the box of its vertices, at t = 0 too.  A caller
     who passes a box vouches for a nonempty polytope: t = 0 then counts
-    the one point 0 unchecked.  For P(m,n) itself
-    ``pp_count`` is still faster, by 3x at 6*P(5,6) and 20-60x from m = 7.
+    the one point 0 unchecked.  t must be a nonnegative int; anything else
+    raises ValueError.
+
+    What the counter reads of a system over an integer box does not depend
+    on t, so it is prepared once per (rows, box, interior) and kept for the
+    last ``_PREPARED_MAX`` systems; the dilates of one system, as
+    ``interpolate_counts`` asks for them, share it.  A box with a rational
+    bound is rounded inward at each t and prepared for that t alone.
+
+    On P(m,n) itself the crossover with ``pp_count`` is at m = 4, where
+    the two are within 30% of each other.  From m = 5 ``pp_count`` is the
+    faster: 2.2x at 6*P(5,6), 5.3x at 4*P(5,4) and 23x at 2*P(7,5).  At
+    m <= 3 this counter is, and by far at large t: 0.24 ms against 1.21 ms
+    at 9*P(3,6), 0.47 against 1.37 at 20*P(3,3), and 0.05 against 4.3 at
+    30*P(2,6) (medians of 31 single-use counts, 2-core VM, Python 3.11.7).
 
     The interior count reads every row strictly: an integer point has
     a . x < t*b exactly when a . x <= ceil(t*b) - 1, since the rows are
     integral.  That is the interior of a full-dimensional polytope, whose
     every valid row is strict inside it; the dilate t = 0 has no interior.
     """
-    if t < 0:
-        raise ValueError("dilation factor must be nonnegative")
+    _require_dilation(t, "count_points")
     if box is None:
         box = bounding_box(h)
     if t == 0:
         return 0 if interior else 1
     if len(box) != h.dim:
         raise ValueError("box dimension mismatch")
-    rows_a = [list(a) for a, _ in h.rows]
-    if interior:
-        rows_b = [ceil(b * t) - 1 for _, b in h.rows]
-    else:
-        rows_b = [b * t for _, b in h.rows]
-    lows = [lo * t for lo, _ in box]
-    highs = [hi * t for _, hi in box]
-    return count_lattice_points(rows_a, rows_b, lows, highs)
+    rows_a = [a for a, _ in h.rows]
+    if all(type(v) is int for bounds in box for v in bounds):
+        key = (h.rows, tuple(map(tuple, box)), interior)
+        prepared = _prepared.get(key)
+        if prepared is None:
+            prepared = prepare(rows_a, [b for _, b in h.rows], [lo for lo, _ in box],
+                               [hi for _, hi in box], interior)
+            if len(_prepared) >= _PREPARED_MAX:
+                del _prepared[next(iter(_prepared))]
+            _prepared[key] = prepared
+        return count_dilate(prepared, t)
+    # Rational bounds round inward at this t: lows up, highs down.
+    return count_dilate(prepare(rows_a, [b * t for _, b in h.rows],
+                                [ceil(lo * t) for lo, _ in box],
+                                [floor(hi * t) for _, hi in box], interior), 1)
 
 
 # pp_count tries at most m-k copy counts at each state (value, k positions
@@ -297,8 +329,9 @@ def pp_count(m: int, n: int, t: int, interior: bool = False) -> int:
     programme places the values t*n - 1, ..., 1, and only the states with
     all m positions filled count, so no zeros are placed.
     """
-    if m < 1 or n < 0 or t < 0:
-        raise ValueError("pp_count requires m >= 1, n >= 0 and t >= 0")
+    if m < 1 or n < 0:
+        raise ValueError("pp_count requires m >= 1 and n >= 0")
+    _require_dilation(t, "pp_count")
     bound = [t * x for x in pp_profile(m, n)]
     check_bound(f"pp_count({m}, {n}, {t})", "steps",
                 t * n * sum((b + 1) * (m - k) for k, b in enumerate(bound[:m])),
@@ -375,28 +408,36 @@ def _adjacent(common: int, zeros: List[int]) -> bool:
     return True
 
 
-def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
-    """Primitive extreme rays of the cone {y : g . y >= 0 for every g in gens}.
+class _HeldMemo(dict):
+    """A dict that counts what its entries hold, in ``held``."""
 
-    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
-    integer arithmetic; rational generators are first scaled to integer
-    rows (``_integral``).  It starts from the simplicial cone on d
-    independent generators R, all read from one ``row_reduce`` of
-    [G^T | I_d], G having the N generators as rows.  The pivots in the
-    first N columns pick R: the first d generators that are independent.
-    Row k then ends in D times column k of R^-1 (D the common pivot
-    value), the ray that lies on every row of R but the k-th.  As
-    [G^T | I_d] has rank d, fewer than d pivots among the generators put
-    one in the identity block: the generators have rank below d, the cone
-    contains a line, and None is returned.  The other generators are then
-    added one at a time: rays on the violated side are dropped, and every
-    adjacent pair across the new hyperplane gives one new ray.  Each ray
-    keeps its zero set (the generators it lies on) as a bitmask, and two
-    rays are adjacent when no third ray vanishes on all the generators
-    they share.
+    held = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+
+# _extreme_rays keeps the generators and final rays of recent conversions,
+# at most this many vectors in all: the 36 conversions of a generic-hull
+# round of the benchmark hold 859.  A larger conversion is not kept, and the
+# conversion kept first is dropped first.
+_RAY_MEMO_MAX = 2**12
+_ray_memo = _HeldMemo()
+
+
+def _start_cone(gens):
+    """(rays, zero sets, basis) of the simplicial cone on the first d
+    independent generators, or None when the generators have rank below d.
+
+    All are read from one ``row_reduce`` of [G^T | I_d], G having the N
+    generators as rows.  The pivots in the first N columns pick the basis
+    R: the first d generators that are independent.  Row k then ends in D
+    times column k of R^-1 (D the common pivot value), the ray that lies on
+    every row of R but the k-th.  As [G^T | I_d] has rank d, fewer than d
+    pivots among the generators put one in the identity block: the cone
+    contains a line.
     """
-    if not all(type(x) is int for g in gens for x in g):
-        gens = [_integral(g) for g in gens]
     n, d = len(gens), len(gens[0])
     unit = (0,) * d
     reduced, basis, _ = row_reduce(
@@ -406,32 +447,87 @@ def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
     sign = 1 if reduced[0][basis[0]] > 0 else -1
     rays = [_primitive([sign * x for x in row[n:]]) for row in reduced]
     everything = sum(1 << i for i in basis)
-    zeros = [everything & ~(1 << i) for i in basis]
-    skip = set(basis)
-    for i, g in enumerate(gens):
-        if i in skip:
+    return rays, [everything & ~(1 << i) for i in basis], basis
+
+
+def _add_generator(rays, zeros, g, bit: int, d: int):
+    """The rays and zero sets of the cone cut by g . y >= 0, whose zero-set
+    bit is ``bit``: rays on the violated side are dropped, and every
+    adjacent pair across the hyperplane gives one new ray."""
+    # Rays with g . y >= 0 stay, in order; those on g = 0 gain its bit.
+    new_rays, new_zeros, pos, neg = [], [], [], []
+    for r, z in zip(rays, zeros):
+        s = sum(map(mul, g, r))
+        if s < 0:
+            neg.append((s, r, z))
             continue
-        bit = 1 << i
-        # Rays with g . y >= 0 stay, in order; those on g = 0 gain its bit.
-        new_rays, new_zeros, pos, neg = [], [], [], []
-        for r, z in zip(rays, zeros):
-            s = sum(map(mul, g, r))
-            if s < 0:
-                neg.append((s, r, z))
-                continue
-            if s > 0:
-                pos.append((s, r, z))
-            else:
-                z |= bit
-            new_rays.append(r)
-            new_zeros.append(z)
-        for sp, rp, zp in pos:
-            for sq, rq, zq in neg:
-                common = zp & zq
-                if common.bit_count() >= d - 2 and _adjacent(common, zeros):
-                    new_rays.append(_primitive([sp * y - sq * x for x, y in zip(rp, rq)]))
-                    new_zeros.append(common | bit)
-        rays, zeros = new_rays, new_zeros
+        if s > 0:
+            pos.append((s, r, z))
+        else:
+            z |= bit
+        new_rays.append(r)
+        new_zeros.append(z)
+    for sp, rp, zp in pos:
+        for sq, rq, zq in neg:
+            common = zp & zq
+            if common.bit_count() >= d - 2 and _adjacent(common, zeros):
+                new_rays.append(_primitive([sp * y - sq * x for x, y in zip(rp, rq)]))
+                new_zeros.append(common | bit)
+    return new_rays, new_zeros
+
+
+def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
+    """Primitive extreme rays of the cone {y : g . y >= 0 for every g in gens}.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
+    integer arithmetic; rational generators are first scaled to integer
+    rows (``_integral``).  It starts from the simplicial cone on d
+    independent generators (``_start_cone``); when the generators have
+    rank below d the cone contains a line, and None is returned.  The other
+    generators are then added one at a time (``_add_generator``).  Each ray
+    keeps its zero set (the generators it lies on) as a bitmask, and two
+    rays are adjacent when no third ray vanishes on all the generators
+    they share.
+
+    The conversion is incremental, so it resumes.  The final rays and zero
+    sets of recent conversions are kept on their integer generators, within
+    ``_RAY_MEMO_MAX``.  Generators that extend a kept list by trailing
+    generators start from its rays and add only the new ones: the list's
+    basis is the first d independent generators of the extension too, so
+    the steps, and the rays in their order, are those of a full
+    conversion.  ``cut`` and the boxless counts on its sides convert the
+    system once and then add one or two generators.
+    """
+    if not all(type(x) is int for g in gens for x in g):
+        gens = [_integral(g) for g in gens]
+    gens = tuple(map(tuple, gens))
+    held = _ray_memo.get(gens)
+    if held is not None:
+        return list(held[0])
+    n, d = len(gens), len(gens[0])
+    for k in sorted({len(key) for key in _ray_memo if len(key) < n}, reverse=True):
+        held = _ray_memo.get(gens[:k])
+        if held is not None:
+            rays, zeros = held
+            begin, basis = k, ()
+            break
+    else:
+        start = _start_cone(gens)
+        if start is None:
+            return None
+        rays, zeros, basis = start
+        begin = 0
+    skip = set(basis)
+    for i in range(begin, n):
+        if i not in skip:
+            rays, zeros = _add_generator(rays, zeros, gens[i], 1 << i, d)
+    size = n + len(rays)
+    if size <= _RAY_MEMO_MAX:
+        while _ray_memo.held + size > _RAY_MEMO_MAX:
+            old = next(iter(_ray_memo))
+            _ray_memo.held -= len(old) + len(_ray_memo.pop(old)[0])
+        _ray_memo[gens] = (tuple(rays), tuple(zeros))
+        _ray_memo.held += size
     return rays
 
 
@@ -446,7 +542,8 @@ def hull_convert(rep):
     {(w, x) : a . x <= b w, w >= 0}; its rays with w > 0 are the vertices
     x / w, sorted, each coordinate an int when integral and a Fraction
     otherwise.  A system whose rows have rank below m has no vertex and
-    gives the empty VRep.
+    gives the empty VRep.  H->V resumes from a kept conversion of a system
+    whose rows the given ones extend (``_extreme_rays``).
     """
     if isinstance(rep, VRep):
         return _hull_v_to_h(rep)
@@ -511,7 +608,8 @@ def cut(h: HRep, a: Sequence[int], b: int) -> CutResult:
     small systems: the far side is nonempty when a direction of recession
     (a ray with w = 0) has a . x > 0, and otherwise when a . x reaches b at
     a vertex.  An empty system, and one whose rows have rank below the
-    dimension, raise ValueError.
+    dimension, raise ValueError.  The conversion is kept, so a boxless
+    ``count_points`` on a side resumes it with the side's one or two rows.
     """
     a = tuple(_as_int(x, "cut normal entry") for x in a)
     if len(a) != h.dim:
@@ -537,6 +635,23 @@ def cut(h: HRep, a: Sequence[int], b: int) -> CutResult:
 # Anti-blocking polytopes of weakly decreasing score vectors.
 
 
+def _antiblocking_points(z: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The sorted vertices of the anti-blocking polytope of the weakly
+    decreasing, nonnegative scores z: the injective placements of the
+    prefixes z_1..z_k (k = 0..m) into the m coordinates, with duplicates
+    removed (placing a zero value changes nothing)."""
+    m = len(z)
+    if m < 1:
+        raise ValueError("empty score vector")
+    z = [_as_int(x, "score") for x in z]
+    if any(x < 0 for x in z):
+        raise ValueError("scores must be nonnegative")
+    if any(z[i] < z[i + 1] for i in range(m - 1)):
+        raise ValueError("scores must be weakly decreasing")
+    # equal scores, or a zero, place equal points
+    return sorted(set(placements([(range(1, m + 1), z, range(m + 1))], m)))
+
+
 def antiblocking_vertices_edges(z: Sequence[int]) -> Tuple[VRep, Tuple[Tuple[int, int], ...]]:
     """Vertices and edges of the anti-blocking polytope of z_1 >= ... >= z_m >= 0.
 
@@ -554,17 +669,10 @@ def antiblocking_vertices_edges(z: Sequence[int]) -> Tuple[VRep, Tuple[Tuple[int
     Returned edges are index pairs (i, j), i < j, into the sorted vertex
     list.
     """
+    vlist = _antiblocking_points(z)
     m = len(z)
-    if m < 1:
-        raise ValueError("empty score vector")
-    z = [_as_int(x, "score") for x in z]
-    if any(x < 0 for x in z):
-        raise ValueError("scores must be nonnegative")
-    if any(z[i] < z[i + 1] for i in range(m - 1)):
-        raise ValueError("scores must be weakly decreasing")
+    z = [int(x) for x in z]
     bigk = sum(1 for x in z if x > 0)
-    # equal scores, or a zero, place equal points
-    vlist = sorted(set(placements([(range(1, m + 1), z, range(m + 1))], m)))
     vindex = {v: i for i, v in enumerate(vlist)}
     edges = set()
     for u in vlist:
@@ -610,10 +718,10 @@ def verify_antiblocking_identity(m: int, n: int) -> bool:
     """Does the anti-blocking polytope of (n, n-1, ..., down to 0) equal P(m,n)?
 
     Compares vertex sets exactly, by two independent routes: the score
-    vector z, the differences of ``pp_profile``, placed by
-    ``antiblocking_vertices_edges``, and the vertices that hull conversion
-    finds for the facet system ``pp_facets``.
+    vector z, the differences of ``pp_profile``, placed as the vertices of
+    ``antiblocking_vertices_edges`` are, and the vertices that hull
+    conversion finds for the facet system ``pp_facets``.
     """
     g = pp_profile(m, n)
-    av, _ = antiblocking_vertices_edges([b - a for a, b in zip(g, g[1:])])
-    return set(av.points) == set(hull_convert(pp_facets(m, n)).points)
+    av = _antiblocking_points([b - a for a, b in zip(g, g[1:])])
+    return set(av) == set(hull_convert(pp_facets(m, n)).points)

@@ -991,6 +991,26 @@ def test_verify_engines_census_stops_at_the_listing_bound(monkeypatch):
         (m, mode) for m in range(1, 5) for mode in ("volume", "ehrhart")]
 
 
+def test_verify_engines_refuses_a_grid_above_its_bound(capsys, monkeypatch):
+    import partperm.cli as CLI
+
+    # refused before a shape of the grid is listed: 10^9 * 7 shapes
+    monkeypatch.setattr(CLI, "_methods", lambda *args: pytest.fail("the grid started"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--max-m", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "shapes = 7000000000" in err and "VERIFY_GRID_MAX" in err
+    monkeypatch.undo()
+    for max_m, max_n in [(4, 6), (5, 6), (12, 14), (200, 2)]:
+        assert max_m * (max_n + 1) <= CLI.VERIFY_GRID_MAX
+    # the bound is read at each call, and admits a grid of exactly its size
+    monkeypatch.setattr(CLI, "VERIFY_GRID_MAX", 12)
+    assert next(verify_suite("engines", max_m=4, max_n=2))["status"] == "pass"
+    with pytest.raises(ValueError, match="shapes = 14, above the bound VERIFY_GRID_MAX"):
+        next(verify_suite("engines", max_m=2, max_n=6))
+
+
 def test_facets_listing_bound_is_an_error(capsys):
     # the row count of P(10^5,10^5) has about 30,000 digits; the bound
     # stops counting once passed

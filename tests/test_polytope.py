@@ -43,6 +43,7 @@ from partperm import (
     solve_linear,
     verify_antiblocking_identity,
 )
+from partperm import polytope as PT
 from partperm.polytope import _extreme_rays, vertex_box
 
 
@@ -229,6 +230,72 @@ def test_count_points_known_values():
     assert count_points(pp_facets(2, 3), 1) == 15
     assert count_points(pp_facets(3, 3), 1) == 51
     assert count_points(pp_facets(4, 4), 1) == 455
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, Fraction(3, 2), Fraction(2), -1, "2", None])
+def test_count_points_and_pp_count_refuse_a_t_that_is_not_a_nonnegative_int(t):
+    # a float t was counted from float products, and pp_count raised a
+    # TypeError on it
+    with pytest.raises(ValueError, match=r"count_points requires .* t = "):
+        count_points(pp_facets(2, 2), t, box=((0, 2), (0, 2)))
+    with pytest.raises(ValueError, match=r"count_points requires .* t = "):
+        count_points(pp_facets(2, 2), t)
+    with pytest.raises(ValueError, match=r"pp_count requires .* t = "):
+        pp_count(2, 2, t)
+
+
+def _dilate_scan(h, t, box, interior):
+    """Points of t times the box, rounded inward, on every row of h, strictly
+    when ``interior``."""
+    ranges = [range(math.ceil(lo * t), math.floor(hi * t) + 1) for lo, hi in box]
+    return sum(1 for x in product(*ranges)
+               if all(sum(c * xi for c, xi in zip(a, x)) < b * t if interior
+                      else sum(c * xi for c, xi in zip(a, x)) <= b * t for a, b in h.rows))
+
+
+def _prepared_cases():
+    """Systems with integer and rational right-hand sides, over integer and
+    rational boxes: P(3,3), the pentagon with a cut at a rational offset,
+    and a triangle with rows that never bind and a suffix that starts at 0."""
+    pentagon = pp_facets(2, 2).with_rows([((1, 2), Fraction(7, 2)), ((-1, 1), Fraction(3, 2))])
+    triangle = HRep((((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 3),
+                     ((0, 1, 1), 9), ((0, 0, 1), Fraction(5, 2)), ((1, 1, 1), 4)), 3)
+    return [(pp_facets(3, 3), pp_box(3, 3)), (pentagon, ((0, 2), (0, 2))),
+            (pentagon, ((Fraction(1, 3), Fraction(5, 2)), (0, Fraction(7, 3)))),
+            (triangle, ((0, 3), (0, 3), (0, 3))),
+            (triangle, ((Fraction(-1, 2), 3), (0, Fraction(10, 3)), (0, 3)))]
+
+
+@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("interior", [False, True])
+def test_count_points_at_dilates_in_any_order_equals_a_fresh_count(case, interior):
+    # one preparation serves every dilate of an integer box, whatever the
+    # order; a rational box is prepared at each t
+    h, box = _prepared_cases()[case]
+    ts = list(range(7))
+    random.Random(f"{case}-{interior}").shuffle(ts)
+    PT._prepared.clear()
+    warm = [count_points(h, t, box=box, interior=interior) for t in ts]
+    fresh = []
+    for t in ts:
+        PT._prepared.clear()
+        fresh.append(count_points(h, t, box=box, interior=interior))
+    assert warm == fresh
+    assert warm == [_dilate_scan(h, t, box, interior) if t else int(not interior) for t in ts]
+    integral = all(type(v) is int for bounds in box for v in bounds)
+    assert len(PT._prepared) == int(integral)
+
+
+def test_prepared_memo_holds_at_most_its_bound():
+    PT._prepared.clear()
+    boxes = [((0, k), (0, k)) for k in range(1, PT._PREPARED_MAX + 5)]
+    h = pp_facets(2, 2)
+    for box in boxes:
+        count_points(h, 2, box=box)
+        assert len(PT._prepared) <= PT._PREPARED_MAX
+    # the systems prepared first are dropped first
+    held = [key[1] for key in PT._prepared]
+    assert held == boxes[-PT._PREPARED_MAX:]
 
 
 # --------------------------------------------------------------------------
@@ -650,6 +717,85 @@ def test_extreme_rays_when_the_first_d_generators_are_dependent(d):
         assert rays is not None
         assert len(set(rays)) == len(rays)
         assert set(rays) == _brute_rays(gens)
+
+
+def _chain_gens(rng, d, count):
+    """``count`` generators in dimension d: small integer rows, with now and
+    then a rational one."""
+    gens = []
+    for _ in range(count):
+        if rng.random() < 0.2:
+            gens.append(tuple(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                              for _ in range(d)))
+        else:
+            gens.append(tuple(rng.randrange(-3, 4) for _ in range(d)))
+    return gens
+
+
+def test_resumed_conversions_equal_full_conversions(monkeypatch):
+    # prefix chains extended by 1-2 generators at a time; some prefixes
+    # have rank below d (None), and the extension then converts in full
+    rng = random.Random("resume")
+    starts = []
+    start_cone = PT._start_cone
+    monkeypatch.setattr(PT, "_start_cone", lambda gens: starts.append(1) or start_cone(gens))
+    resumed_steps = 0
+    for trial in range(300):
+        d = rng.randrange(2, 6)
+        chain = [_chain_gens(rng, d, rng.randrange(1, 9))]
+        if trial % 10 == 0:  # a rank-deficient prefix: the last coordinate is free
+            chain = [[g[:-1] + (0,) for g in chain[0]]]
+        for _ in range(rng.randrange(1, 4)):
+            chain.append(chain[-1] + _chain_gens(rng, d, rng.randrange(1, 3)))
+        full = []
+        for gens in chain:
+            PT._ray_memo.clear()
+            full.append(_extreme_rays(gens))
+        PT._ray_memo.clear()
+        del starts[:]
+        assert [_extreme_rays(gens) for gens in chain] == full
+        # a conversion starts afresh only until one has full rank
+        converted = [i for i, rays in enumerate(full) if rays is not None]
+        assert len(starts) == (converted[0] + 1 if converted else len(chain))
+        resumed_steps += len(chain) - len(starts)
+    assert resumed_steps > 300
+
+
+def test_cut_sides_resume_from_the_cut_conversion(monkeypatch):
+    # cut converts h once; the boxless counts of both sides add one row
+    starts = []
+    start_cone = PT._start_cone
+    monkeypatch.setattr(PT, "_start_cone", lambda gens: starts.append(1) or start_cone(gens))
+    PT._ray_memo.clear()
+    h = pp_facets(3, 3)
+    res = cut(h, (1, 2, 0), 4)
+    near, far = count_points(res.pprime, 2), count_points(res.q, 2)
+    assert len(starts) == 1
+    PT._ray_memo.clear()
+    assert (near, far) == (count_points(res.pprime, 2), count_points(res.q, 2))
+    assert len(starts) == 3
+
+
+def test_ray_memo_holds_within_its_bound(monkeypatch):
+    monkeypatch.setattr(PT, "_RAY_MEMO_MAX", 80)
+    PT._ray_memo.clear()
+    # the cone of P(4,4): 20 generators and 65 rays, above the bound
+    assert len(PT._cone_rays(pp_facets(4, 4))) == 65
+    assert len(PT._ray_memo) == 0 and PT._ray_memo.held == 0
+    rng = random.Random("held")
+    kept = []
+    for _ in range(40):
+        gens = _chain_gens(rng, 3, 6)
+        rays = _extreme_rays(gens)
+        if rays is not None:
+            kept.append(tuple(tuple(PT._integral(g)) if any(type(x) is not int for x in g)
+                              else g for g in gens))
+        held = sum(len(key) + len(rays) for key, (rays, _) in PT._ray_memo.items())
+        assert PT._ray_memo.held == held <= 80
+    # the conversions kept first are dropped first
+    assert list(PT._ray_memo) == kept[-len(PT._ray_memo):]
+    PT._ray_memo.clear()
+    assert PT._ray_memo.held == 0
 
 
 # --------------------------------------------------------------------------
