@@ -238,12 +238,6 @@ def count_dilate(prepared, t: int) -> int:
                 v = state[g]
                 if v < cap[h]:
                     cap[h] = v
-        if not move:  # every x leads to the same state
-            key = tuple(cap)
-            sub = memo.get(key)
-            if sub is None:
-                sub = memo[key] = rec(d + 1, key)
-            return sub * (ub - lb + 1)
         for x in range(lb, ub + 1):
             nxt = cap[:]
             for g, c, h in move:
