@@ -10,7 +10,8 @@ of the chain family but may be requested explicitly.
 A chain's face has dimension equal to its number of "missing ranks",
 |A_l| - l + 1.  The partial order on faces is read off from R-sets:
 each chain maps to a set of markers (points of [m] and blocks of [m]),
-and C1 <= C2 in the face order iff R(C2) is a subset of R(C1).
+and C1 <= C2 in the face order iff R(C2) is a subset of R(C1).  ``r_set``
+lists the markers; ``r_mask`` writes the same set as one integer.
 
 Draconian sequences drive the Lawrence-style volume and lattice-point
 summation formulas: nonnegative integer vectors a indexed by the singleton
@@ -39,6 +40,7 @@ from math import comb, factorial
 from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .exactmath import check_bound
+from .polytope import _HeldMemo
 
 Chain = Tuple[frozenset, ...]
 Shape = Tuple[int, int, int]
@@ -57,6 +59,13 @@ ORACLE_MAX_M, ORACLE_MAX_N = 5, 6
 # shape, (17,1), takes about 0.75 s (2-core VM, Python 3.11).  Every shape
 # the earlier subset search admitted stays inside.
 CHAIN_WORK_MAX = 2**18
+
+# enumerate_chains keeps recent families, at most this many chains in all:
+# the faces suite of verify and faces at (4,4), (5,3) and (5,4) list 2,778
+# in 12 families.  A larger family is listed and not kept, and the family kept
+# first is dropped first.
+_CHAIN_MEMO_MAX = 2**12
+_chain_memo = _HeldMemo()
 
 # enumerate_draconian lists at most this many sequences; m = 6 in ehrhart
 # mode, 74,670 of them, takes about 0.65 s (2-core VM, Python 3.11), and
@@ -103,6 +112,11 @@ def enumerate_chains(m: int, n: int, include_empty: bool = False) -> List[Chain]
     ``include_empty`` the empty chain () is appended as a final extra
     element (it indexes the empty face but is not itself a family member).
     Shapes with more than ``CHAIN_WORK_MAX`` chains are refused up front.
+
+    A family is listed once per process while it stays in a memo of at
+    most ``_CHAIN_MEMO_MAX`` chains (every n >= m gives the family of
+    n = m, so they share it); each call returns a fresh list, and only
+    that list gets the empty chain.  A larger family is listed each time.
     """
     if m < 1 or n < 1:
         raise ValueError("enumerate_chains requires m >= 1 and n >= 1")
@@ -110,6 +124,24 @@ def enumerate_chains(m: int, n: int, include_empty: bool = False) -> List[Chain]
 
     check_bound(f"enumerate_chains({m}, {n})", "chain count", sum(f_vector(m, n)),
                 "CHAIN_WORK_MAX", CHAIN_WORK_MAX)
+    key = (m, min(n, m))  # every n >= m bounds no chain: one family
+    held = _chain_memo.get(key)
+    if held is None:
+        out = _list_chains(m, n)
+        if len(out) <= _CHAIN_MEMO_MAX:
+            while _chain_memo.held + len(out) > _CHAIN_MEMO_MAX:
+                _chain_memo.held -= len(_chain_memo.pop(next(iter(_chain_memo))))
+            _chain_memo[key] = tuple(out)
+            _chain_memo.held += len(out)
+    else:
+        out = list(held)
+    if include_empty:
+        out.append(())
+    return out
+
+
+def _list_chains(m: int, n: int) -> List[Chain]:
+    """The chain family on [m] with width bound n, in enumerate_chains order."""
     empty = frozenset()
     members: Dict[Tuple[int, ...], frozenset] = {}  # sorted tuple -> shared set
     memo: Dict[Tuple[frozenset, int], List[frozenset]] = {}
@@ -161,8 +193,6 @@ def enumerate_chains(m: int, n: int, include_empty: bool = False) -> List[Chain]
         out.extend([(empty,) + c for c in level])
         out.extend(nxt)
         level = nxt
-    if include_empty:
-        out.append(())
     return out
 
 
@@ -210,6 +240,30 @@ def r_set(chain: Sequence, m: int, n: int) -> frozenset:
         for a in c[:-1]:
             markers.add(("set", top - a))
     return frozenset(markers)
+
+
+def r_mask(masks: Sequence[int], m: int, n: int) -> int:
+    """R(C) of ``r_set`` as one integer, for the chain C given by its
+    members' bitmasks (element i is bit i-1): point marker i is bit i-1 and
+    block marker S is bit m + mask(S).  Blocks are nonempty, so bit m is
+    never set.  Then R(C1) is a subset of R(C2) iff R1 & ~R2 == 0.
+    """
+    full = (1 << m) - 1
+    if not masks:
+        r = full
+        for s in range(1, full + 1):
+            if s == full or s.bit_count() <= n - 1:
+                r |= 1 << (m + s)
+        return r
+    top = masks[-1]
+    r = full & ~top
+    if not masks[0] and top.bit_count() >= n:
+        for a in masks[1:-1]:
+            r |= 1 << (m + (top ^ a))
+        return r | 1 << (m + full)
+    for a in masks[:-1]:
+        r |= 1 << (m + (top ^ a))
+    return r
 
 
 def draconian_indices(m: int) -> List[frozenset]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Sequence
 
 from .combinat import (
@@ -68,7 +68,11 @@ def _integral(val: Fraction, what: str) -> int:
     return int(val)
 
 
-# nvol_lambda sums over the (m+1)! permutations of S_{m+1}.
+# nvol_lambda sums over the (m+1)! permutations of S_{m+1}, by insertion.
+# At the edge, m = 5, one sum takes 0.6 ms; m = 6 would take 3-4 ms and
+# m = 7 about 30 ms (2-core VM, Python 3.11.7).  The CLI runs it under
+# --all-methods wherever it is offered, so m = 5 keeps those outputs as
+# they are.
 LAMBDA_MAX_M = 5
 
 
@@ -249,6 +253,12 @@ def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
     and all (m+1)! terms are summed as integers A^m, grouped by their
     integer product of differences; one Fraction is built per distinct
     product at the end.
+
+    The terms are taken by insertion: each ordering tau of lambda_1..lambda_m
+    gives m+1 sigmas, with lambda_{m+1} inserted at p = 0..m.  The
+    differences inside tau[:p] and tau[p:] are a prefix and a suffix
+    product of tau's consecutive differences, and the sum in A is a running
+    prefix, so each term costs O(1) after O(m) work per tau.
     """
     lambda_domain.require("nvol_lambda", m, n)
     if lam is None:
@@ -261,13 +271,25 @@ def nvol_lambda(m: int, n: int, lam: Optional[Sequence] = None) -> Fraction:
     scale = lcm(*(x.denominator for x in lam))
     mu = [int(x * scale) for x in lam]
     g = pp_profile(m, n)
-    # sigma runs over orderings of the indices 0..m; index m is lambda_{m+1}
+    last = mu[m]  # lambda_{m+1}, inserted at position p of each tau
+    tails = [(g[m] - g[p]) * last for p in range(m + 1)]
     sums: Dict[int, int] = {}
-    for sigma in permutations(range(m + 1)):
-        p = sigma.index(m)
-        a = sum((g[i + 1] - g[i]) * mu[sigma[i]] for i in range(p)) + (g[m] - g[p]) * mu[m]
-        denom = prod(mu[sigma[i]] - mu[sigma[i + 1]] for i in range(m))
-        sums[denom] = sums.get(denom, 0) + a**m
+    for tau in permutations(mu[:m]):
+        suffix = [1] * (m + 1)  # suffix[p]: the product of the differences in tau[p:]
+        for p in range(m - 2, -1, -1):
+            suffix[p] = (tau[p] - tau[p + 1]) * suffix[p + 1]
+        prefix, a = 1, 0  # the product of the differences in tau[:p]; A less its tail
+        for p in range(m + 1):
+            denom = prefix * suffix[p]
+            if p:
+                denom *= tau[p - 1] - last
+            if p < m:
+                denom *= last - tau[p]
+            sums[denom] = sums.get(denom, 0) + (a + tails[p]) ** m
+            if p < m:
+                a += (g[p + 1] - g[p]) * tau[p]
+                if p:
+                    prefix *= tau[p - 1] - tau[p]
     return sum((Fraction(s, denom) for denom, s in sums.items()), Fraction(0))
 
 

@@ -1011,6 +1011,28 @@ def test_verify_engines_refuses_a_grid_above_its_bound(capsys, monkeypatch):
         next(verify_suite("engines", max_m=2, max_n=6))
 
 
+def test_verify_faces_refuses_a_grid_above_its_bound(capsys, monkeypatch):
+    import partperm.cli as CLI
+
+    # refused before the first record: 4 * 10^9 census shapes
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "faces", "--max-n", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "shapes = 4000000000" in err and "VERIFY_GRID_MAX" in err
+    # the edge, 4 * 256 shapes, is admitted at any --max-m; one more n is not
+    assert 4 * 256 == CLI.VERIFY_GRID_MAX
+    assert next(verify_suite("faces", max_m=10**9, max_n=256))["status"] == "pass"
+    with pytest.raises(ValueError, match="shapes = 1028, above the bound VERIFY_GRID_MAX"):
+        next(verify_suite("faces", max_m=4, max_n=257))
+    # below m = 4 the grid is narrower, and the bound is read at each call
+    assert next(verify_suite("faces", max_m=2, max_n=512))["status"] == "pass"
+    monkeypatch.setattr(CLI, "VERIFY_GRID_MAX", 24)
+    assert next(verify_suite("faces", max_m=4, max_n=6))["status"] == "pass"
+    with pytest.raises(ValueError, match="shapes = 28, above the bound VERIFY_GRID_MAX"):
+        next(verify_suite("faces", max_m=4, max_n=7))
+
+
 def test_facets_listing_bound_is_an_error(capsys):
     # the row count of P(10^5,10^5) has about 30,000 digits; the bound
     # stops counting once passed

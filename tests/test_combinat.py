@@ -14,6 +14,7 @@ from itertools import combinations
 
 import pytest
 
+import partperm.combinat as CB
 from partperm import (
     CHAIN_WORK_MAX,
     DRACONIAN_LIST_MAX,
@@ -73,6 +74,8 @@ def test_enumerate_chains_matches_brute_force(m, n):
     assert got == brute
     assert enumerate_chains(m, n, include_empty=True) == brute + [()]
     assert all(chain_in_family(c, m, n) for c in got)
+    # the listing itself, past the memo, which keys every n >= m as n = m
+    assert CB._list_chains(m, n) == brute
 
 
 @pytest.mark.parametrize(
@@ -113,6 +116,51 @@ def test_chain_work_bound_refuses_up_front():
     for m, n in [(9, 2), (10, 2), (11, 2), (7, 3), (6, 4), (5, 6), (4, 8),
                  (7, 7), (17, 1)]:
         assert sum(f_vector(m, n)) <= CHAIN_WORK_MAX
+
+
+def test_enumerate_chains_returns_a_fresh_list_each_call():
+    first = enumerate_chains(3, 2)
+    want = list(first)
+    first.pop()
+    first.append((frozenset({9}),))
+    second = enumerate_chains(3, 2)
+    assert second == want and second is not first
+    # the empty chain goes on the caller's copy only
+    with_empty = enumerate_chains(3, 2, include_empty=True)
+    assert with_empty == want + [()]
+    assert enumerate_chains(3, 2) == want
+    assert enumerate_chains(3, 2, include_empty=True) == want + [()]
+
+
+def test_chain_memo_is_bounded_by_the_chains_it_holds(monkeypatch):
+    # under a cap of 300 chains: P(4,4)'s 299 are kept (P(4,6) reads them),
+    # and each of P(4,4) and P(4,2), 87 chains, pushes the other out;
+    # P(5,3)'s 633 are listed each time and never kept
+    monkeypatch.setattr(CB, "_CHAIN_MEMO_MAX", 300)
+    CB._chain_memo.clear()
+    listed = []
+    true_list = CB._list_chains
+    monkeypatch.setattr(CB, "_list_chains",
+                        lambda m, n: listed.append((m, n)) or true_list(m, n))
+    for m, n in [(4, 4), (4, 6), (4, 2), (4, 4), (5, 3), (5, 3), (4, 2)]:
+        assert len(enumerate_chains(m, n)) == sum(f_vector(m, n))
+        held = sum(map(len, CB._chain_memo.values()))
+        assert CB._chain_memo.held == held <= 300, (m, n)
+    assert listed == [(4, 4), (4, 2), (4, 4), (5, 3), (5, 3), (4, 2)]
+    assert set(CB._chain_memo) == {(4, 2)}
+    CB._chain_memo.clear()
+
+
+def test_chain_refusal_comes_before_any_listing(monkeypatch):
+    # P(6,6) has 18,731 chains: under a bound below that it is refused from
+    # the f-vector, and nothing is listed or kept
+    monkeypatch.setattr(CB, "CHAIN_WORK_MAX", 18730)
+    monkeypatch.setattr(CB, "_list_chains", lambda m, n: pytest.fail("listed"))
+    CB._chain_memo.clear()
+    for include_empty in (False, True):
+        with pytest.raises(ValueError, match="CHAIN_WORK_MAX"):
+            enumerate_chains(6, 6, include_empty)
+    assert not CB._chain_memo and CB._chain_memo.held == 0
 
 
 def test_enumerate_chains_33_census_by_missing_ranks():

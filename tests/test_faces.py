@@ -691,17 +691,18 @@ def test_comb_equiv_same_n():
 
 def test_comb_equiv_compares_every_row(monkeypatch):
     # one extra marker on the top face under n2 changes one row of the
-    # comparability matrix: the check must see it
+    # comparability matrix: the check must see it.  Bit m is the block
+    # marker of the empty set, which no true R-set holds.
     m, n1, n2 = 3, 3, 5
     assert comb_equiv_check(m, n1, n2) is True
-    true_r_set = FA.r_set
-    top = (frozenset(range(1, m + 1)),)
+    true_r_mask = FA.r_mask
+    top = ((1 << m) - 1,)
 
-    def perturbed(chain, mm, nn):
-        r = true_r_set(chain, mm, nn)
-        return r | {("pt", 0)} if nn == n2 and tuple(chain) == top else r
+    def perturbed(masks, mm, nn):
+        r = true_r_mask(masks, mm, nn)
+        return r | 1 << mm if nn == n2 and tuple(masks) == top else r
 
-    monkeypatch.setattr(FA, "r_set", perturbed)
+    monkeypatch.setattr(FA, "r_mask", perturbed)
     assert comb_equiv_check(m, n1, n2) is False
 
 
@@ -720,11 +721,33 @@ def _pairwise_rows(r_sets):
     return [sum(1 << j for j, b in enumerate(r_sets) if b <= a) for a in r_sets]
 
 
+def _member_masks(chain):
+    return tuple(sum(2 ** (i - 1) for i in a) for a in chain)
+
+
+def _markers(r, m):
+    """An r_mask integer decoded into r_set's markers."""
+    bits = [k for k in range(r.bit_length()) if r >> k & 1]
+    return {("pt", k + 1) if k < m else
+            ("set", frozenset(i + 1 for i in range(m) if (k - m) >> i & 1)) for k in bits}
+
+
 @pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in range(1, 6)]
                          + [(4, 4)])
 def test_face_order_rows_equal_the_pairwise_matrix(m, n):
-    r_sets = [r_set(c, m, n) for c in enumerate_chains(m, n, include_empty=True)]
-    assert FA._face_order_rows(r_sets) == _pairwise_rows(r_sets)
+    # the bitmask rows of the r_mask integers against N^2 subset tests of
+    # the r_set marker sets
+    chains = enumerate_chains(m, n, include_empty=True)
+    r_sets = [r_set(c, m, n) for c in chains]
+    rows = FA._face_order_rows([FA.r_mask(_member_masks(c), m, n) for c in chains])
+    assert rows == _pairwise_rows(r_sets)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_r_mask_encodes_r_set(m):
+    for n in range(1, 7):
+        for c in enumerate_chains(m, n, include_empty=True):
+            assert _markers(FA.r_mask(_member_masks(c), m, n), m) == r_set(c, m, n), (c, n)
 
 
 def _comb_equiv_pairwise(m, n1, n2):

@@ -36,6 +36,7 @@ from partperm import (
     nvol_small_n,
     nvol_three_term,
 )
+from partperm.volume import LAMBDA_MAX_M
 
 # --------------------------------------------------------------------------
 # Frozen golden values
@@ -219,6 +220,25 @@ def test_lambda_matches_the_fraction_sum_on_negative_and_mixed_lambdas():
                 got = nvol_lambda(m, n, lam=lam)
                 assert type(got) is Fraction
                 assert got == _lambda_sum_reference(m, n, lam) == truth, (m, n, lam)
+
+
+def test_lambda_insertion_equals_the_permutation_sum_up_to_its_edge():
+    # the sum by insertion against the term-by-term Fraction sum over S_{m+1},
+    # on every m <= LAMBDA_MAX_M and n = m-1..m+3: default, rational and
+    # negative lambdas
+    assert LAMBDA_MAX_M == 5
+    lams = [
+        lambda k: None,
+        lambda k: [Fraction(3 * i + 1, i + 2) for i in range(k)],
+        lambda k: [-(i * i) - 1 for i in range(k)],
+    ]
+    for m in range(1, LAMBDA_MAX_M + 1):
+        for n in range(m - 1, m + 4):
+            truth = nvol_recursive(m, n)
+            for make in lams:
+                lam = make(m + 1)
+                ref = _lambda_sum_reference(m, n, lam or range(1, m + 2))
+                assert nvol_lambda(m, n, lam=lam) == ref == truth, (m, n, lam)
 
 
 def test_lambda_rejects_repeats():
