@@ -39,8 +39,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from .exactmath import check_bound
-from .polytope import _HeldMemo
+from .exactmath import _HeldMemo, check_bound
 
 Chain = Tuple[frozenset, ...]
 Shape = Tuple[int, int, int]
@@ -62,10 +61,9 @@ CHAIN_WORK_MAX = 2**18
 
 # enumerate_chains keeps recent families, at most this many chains in all:
 # the faces suite of verify and faces at (4,4), (5,3) and (5,4) list 2,778
-# in 12 families.  A larger family is listed and not kept, and the family kept
-# first is dropped first.
+# in 12 families.
 _CHAIN_MEMO_MAX = 2**12
-_chain_memo = _HeldMemo()
+_chain_memo = _HeldMemo(lambda key, chains: len(chains))
 
 # enumerate_draconian lists at most this many sequences; m = 6 in ehrhart
 # mode, 74,670 of them, takes about 0.65 s (2-core VM, Python 3.11), and
@@ -116,7 +114,7 @@ def enumerate_chains(m: int, n: int, include_empty: bool = False) -> List[Chain]
     A family is listed once per process while it stays in a memo of at
     most ``_CHAIN_MEMO_MAX`` chains (every n >= m gives the family of
     n = m, so they share it); each call returns a fresh list, and only
-    that list gets the empty chain.  A larger family is listed each time.
+    that list gets the empty chain.
     """
     if m < 1 or n < 1:
         raise ValueError("enumerate_chains requires m >= 1 and n >= 1")
@@ -127,14 +125,8 @@ def enumerate_chains(m: int, n: int, include_empty: bool = False) -> List[Chain]
     key = (m, min(n, m))  # every n >= m bounds no chain: one family
     held = _chain_memo.get(key)
     if held is None:
-        out = _list_chains(m, n)
-        if len(out) <= _CHAIN_MEMO_MAX:
-            while _chain_memo.held + len(out) > _CHAIN_MEMO_MAX:
-                _chain_memo.held -= len(_chain_memo.pop(next(iter(_chain_memo))))
-            _chain_memo[key] = tuple(out)
-            _chain_memo.held += len(out)
-    else:
-        out = list(held)
+        held = _chain_memo.keep(key, tuple(_list_chains(m, n)), _CHAIN_MEMO_MAX)
+    out = list(held)
     if include_empty:
         out.append(())
     return out

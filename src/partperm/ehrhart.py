@@ -59,6 +59,7 @@ the auxiliary four-dimensional cut polytope used in the volume analysis.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -81,8 +82,6 @@ from .exactmath import (
     interpolate,
 )
 from .polytope import pp_count
-
-_INTERP_CACHE: Dict[Tuple[int, int], Polynomial] = {}
 
 
 def interpolate_counts(count: Callable[[int, bool], int], m: int, what: str) -> Polynomial:
@@ -112,6 +111,7 @@ def interpolate_counts(count: Callable[[int, bool], int], m: int, what: str) -> 
     return poly
 
 
+@lru_cache(maxsize=None)
 def ehr_interpolate(m: int, n: int) -> Polynomial:
     """Ehrhart polynomial from exact counts on the oracle domain
     (m <= ORACLE_MAX_M, n <= ORACLE_MAX_N).
@@ -126,12 +126,7 @@ def ehr_interpolate(m: int, n: int) -> Polynomial:
     oracle_domain.require("ehr_interpolate", m, n)
     if n == 0:
         return Polynomial([1])
-    key = (m, n)
-    if key not in _INTERP_CACHE:
-        _INTERP_CACHE[key] = interpolate_counts(
-            lambda t, interior: pp_count(m, n, t, interior), m, f"P({m},{n})"
-        )
-    return _INTERP_CACHE[key]
+    return interpolate_counts(lambda t, interior: pp_count(m, n, t, interior), m, f"P({m},{n})")
 
 
 # ehr_closed_small_n expands binomials of degree m; (700,3) takes 2.1 s

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Iterator, List, Sequence
+from typing import Callable, Iterable, Iterator, List, Sequence
 
 
 class EngineDisagreement(RuntimeError):
@@ -37,6 +37,34 @@ def check_bound(what: str, quantity: str, size: int, name: str, bound: int) -> N
     if size > bound:
         raise ValueError(f"{what} has {quantity} = {size}, above the bound {name}: "
                          f"{quantity} <= {bound}")
+
+
+class _HeldMemo(dict):
+    """A memo for the life of the process, bounded by what its entries
+    hold: ``size(key, value)`` of each, summed in ``held``.  The package's
+    bounded memos keep through ``keep``, their one eviction rule."""
+
+    def __init__(self, size: Callable[[object, object], int]) -> None:
+        super().__init__()
+        self.size = size
+        self.held = 0
+
+    def keep(self, key, value, limit: int):
+        """Return ``value``, kept under ``key``, which is not yet kept,
+        unless its size passes ``limit``; the entries kept first are
+        dropped until it fits."""
+        size = self.size(key, value)
+        if size <= limit:
+            while self.held + size > limit:
+                old = next(iter(self))
+                self.held -= self.size(old, self.pop(old))
+            self[key] = value
+            self.held += size
+        return value
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
 
 
 def _frac(x) -> Fraction:

@@ -69,10 +69,16 @@ from .combinat import (
     enumerate_chains,
     r_mask,
 )
-from .exactmath import EngineDisagreement, Polynomial, check_bound, eulerian_rows, stirling2
+from .exactmath import (
+    EngineDisagreement,
+    Polynomial,
+    _HeldMemo,
+    check_bound,
+    eulerian_rows,
+    stirling2,
+)
 from .polytope import (
     VERTEX_LIST_MAX,
-    _HeldMemo,
     placement_count,
     placements,
     pp_profile,
@@ -188,7 +194,7 @@ def _vertices_on(rows, m: int, n: int) -> List[Tuple[int, ...]]:
             found.append(tuple(point))
         if not v:
             return
-        reach_v = reach[v]
+        reach_v = reach[n - v]
         for r in rows_range:
             if need[r] > reach_v[free[r]]:
                 return
@@ -215,18 +221,17 @@ def _vertices_on(rows, m: int, n: int) -> List[Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _reach(m: int, n: int) -> Tuple[Tuple[int, ...], ...]:
-    """reach[v][k]: the most k free coordinates can still take when the
-    values v, v-1, ... are left to place, g(k) of P(m,v)."""
-    return tuple(pp_profile(m, v) for v in range(n + 1))
+    """reach[d][k]: the most k free coordinates can still take when d
+    values are placed and n-d, n-d-1, ... are left, g(k) of P(m,n-d).  A
+    vertex places at most m values, so d runs over 0..min(m,n) only."""
+    return tuple(pp_profile(m, n - d) for d in range(min(m, n) + 1))
 
 
 # _tight_sets keeps at most this many face vertices: all 127 size classes
 # of P(6,6) take 5,690, while the whole of P(8,8), 109,601 vertices, would
 # hold 27.7 MB for the life of the process.
 _TIGHT_VERTICES_MAX = 2**13
-
-
-_tight_memo = _HeldMemo()  # face vertex set pairs; held counts their vertices
+_tight_memo = _HeldMemo(lambda key, sets: len(sets[0]) + len(sets[1]))
 
 
 def _tight_sets(case_rows, compact_rows, m: int, n: int) -> Tuple[frozenset, frozenset]:
@@ -236,24 +241,16 @@ def _tight_sets(case_rows, compact_rows, m: int, n: int) -> Tuple[frozenset, fro
     ``_verify_forms`` passes rows relabelled so that the chain's blocks
     are consecutive, which every chain of one size class shares.  Two
     forms that select one set share one frozenset, so with the rows built
-    right the memo holds at most one face vertex set per size class.  It
-    holds whole classes of at most ``_TIGHT_VERTICES_MAX`` vertices in all
-    (a shared set counted twice), dropping the class it kept first; a class
-    above that is searched again each time.
+    right the memo holds at most one face vertex set per size class, within
+    ``_TIGHT_VERTICES_MAX`` vertices in all (a shared set counted twice).
     """
     key = (case_rows, compact_rows, m, n)
     sets = _tight_memo.get(key)
     if sets is None:
         case = frozenset(_vertices_on(case_rows, m, n))
         compact = frozenset(_vertices_on(compact_rows, m, n))
-        sets = case, case if compact == case else compact
-        size = len(case) + len(compact)
-        if size <= _TIGHT_VERTICES_MAX:
-            while _tight_memo.held + size > _TIGHT_VERTICES_MAX:
-                a, b = _tight_memo.pop(next(iter(_tight_memo)))
-                _tight_memo.held -= len(a) + len(b)
-            _tight_memo[key] = sets
-            _tight_memo.held += size
+        sets = _tight_memo.keep(key, (case, case if compact == case else compact),
+                                _TIGHT_VERTICES_MAX)
     return sets
 
 

@@ -28,14 +28,13 @@ polytope of a weakly decreasing score vector with its vertex-edge graph.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from math import comb, floor, ceil, gcd
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._counting_py import count_dilate, count_lattice_points, prepare
-from .exactmath import _as_int, _integral, check_bound, row_reduce
+from .exactmath import _HeldMemo, _as_int, _integral, check_bound, row_reduce
 
 # The one counting kernel; kept as a name because benchmark records and the
 # ``verify`` summary report it.
@@ -125,16 +124,14 @@ def pp_vertex_count(m: int, n: int) -> int:
     return placement_count([(m, range(min(m, n) + 1))])
 
 
-@lru_cache(maxsize=8)
 def pp_vertices(m: int, n: int) -> VRep:
     """All vertices of P(m,n), lexicographically sorted.
 
     One block of ``placements``: for each k = 0..min(m,n), the values n,
     n-1, ..., n-k+1 placed injectively into k of the m positions; the total
     count is ``pp_vertex_count``.  P(m,0) is the single point at the origin.
-    The VRep is frozen, so the few most recent ones are memoised and shared
-    between callers.  Shapes with more than ``VERTEX_LIST_MAX`` vertices are
-    refused up front, on a count that stops once it passes the bound.
+    Shapes with more than ``VERTEX_LIST_MAX`` vertices are refused up front,
+    on a count that stops once it passes the bound.
     """
     if m < 1 or n < 0:
         raise ValueError("pp_vertices requires m >= 1 and n >= 0")
@@ -232,9 +229,9 @@ def _require_dilation(t, what: str) -> None:
 
 
 # count_points keeps what the counter prepares (``_counting_py.prepare``)
-# for this many systems at most, dropping the one it prepared first.
+# for this many systems at most.
 _PREPARED_MAX = 16
-_prepared: dict = {}
+_prepared = _HeldMemo(lambda key, prepared: 1)
 
 
 def count_points(
@@ -290,11 +287,9 @@ def count_points(
         key = (h.rows, tuple(map(tuple, box)), interior)
         prepared = _prepared.get(key)
         if prepared is None:
-            prepared = prepare(rows_a, [b for _, b in h.rows], [lo for lo, _ in box],
-                               [hi for _, hi in box], interior)
-            if len(_prepared) >= _PREPARED_MAX:
-                del _prepared[next(iter(_prepared))]
-            _prepared[key] = prepared
+            prepared = _prepared.keep(key, prepare(
+                rows_a, [b for _, b in h.rows], [lo for lo, _ in box],
+                [hi for _, hi in box], interior), _PREPARED_MAX)
         return count_dilate(prepared, t)
     # Rational bounds round inward at this t: lows up, highs down.
     return count_dilate(prepare(rows_a, [b * t for _, b in h.rows],
@@ -408,22 +403,11 @@ def _adjacent(common: int, zeros: List[int]) -> bool:
     return True
 
 
-class _HeldMemo(dict):
-    """A dict that counts what its entries hold, in ``held``."""
-
-    held = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.held = 0
-
-
 # _extreme_rays keeps the generators and final rays of recent conversions,
 # at most this many vectors in all: the 36 conversions of a generic-hull
-# round of the benchmark hold 859.  A larger conversion is not kept, and the
-# conversion kept first is dropped first.
+# round of the benchmark hold 859.
 _RAY_MEMO_MAX = 2**12
-_ray_memo = _HeldMemo()
+_ray_memo = _HeldMemo(lambda gens, held: len(gens) + len(held[0]))
 
 
 def _start_cone(gens):
@@ -521,13 +505,7 @@ def _extreme_rays(gens) -> Optional[List[Tuple[int, ...]]]:
     for i in range(begin, n):
         if i not in skip:
             rays, zeros = _add_generator(rays, zeros, gens[i], 1 << i, d)
-    size = n + len(rays)
-    if size <= _RAY_MEMO_MAX:
-        while _ray_memo.held + size > _RAY_MEMO_MAX:
-            old = next(iter(_ray_memo))
-            _ray_memo.held -= len(old) + len(_ray_memo.pop(old)[0])
-        _ray_memo[gens] = (tuple(rays), tuple(zeros))
-        _ray_memo.held += size
+    _ray_memo.keep(gens, (tuple(rays), tuple(zeros)), _RAY_MEMO_MAX)
     return rays
 
 

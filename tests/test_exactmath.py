@@ -26,7 +26,7 @@ from partperm import (
     solve_linear,
     stirling2,
 )
-from partperm.exactmath import row_reduce
+from partperm.exactmath import _HeldMemo, row_reduce
 
 # --------------------------------------------------------------------------
 # Polynomial arithmetic
@@ -405,3 +405,37 @@ def test_row_reduce_pivots_are_greedy_independent_columns():
 
 def test_engine_disagreement_is_runtime_error():
     assert issubclass(EngineDisagreement, RuntimeError)
+
+
+def test_held_memo_keeps_nothing_above_its_limit():
+    memo = _HeldMemo(lambda key, value: len(value))
+    value = "abcde"
+    assert memo.keep("k", value, 4) is value
+    assert not memo and memo.held == 0
+
+
+def test_held_memo_keeps_a_value_exactly_at_its_limit():
+    memo = _HeldMemo(lambda key, value: len(value))
+    memo.keep("k", "abcd", 4)
+    assert memo == {"k": "abcd"} and memo.held == 4
+
+
+def test_held_memo_drops_the_oldest_entries_until_the_new_one_fits():
+    memo = _HeldMemo(lambda key, value: len(value))
+    for key, value in [("a", "x"), ("b", "xx"), ("c", "xxx"), ("d", "x")]:
+        memo.keep(key, value, 7)
+    assert list(memo) == ["a", "b", "c", "d"] and memo.held == 7
+    memo.keep("e", "xxx", 7)  # a alone would not make room, a and b do
+    assert list(memo) == ["c", "d", "e"] and memo.held == 7
+    memo.keep("f", "x", 7)
+    assert list(memo) == ["d", "e", "f"] and memo.held == 5
+
+
+def test_held_memo_held_is_the_sum_of_the_sizes_kept():
+    memo = _HeldMemo(lambda key, value: len(key) + value)
+    rng = random.Random("held")
+    for i in range(200):
+        memo.keep("k" * rng.randint(1, 3) + str(i), rng.randint(0, 20), 50)
+        assert memo.held == sum(len(key) + value for key, value in memo.items()) <= 50
+    memo.clear()
+    assert not memo and memo.held == 0

@@ -286,6 +286,21 @@ def test_vertices_on_reach_table_is_per_shape():
                 assert set(FA._vertices_on(rows, m, n)) == _tight(rows, m, n), (m, n, rows)
 
 
+def test_vertices_on_reach_table_holds_only_the_rows_the_search_reads(monkeypatch):
+    # a vertex places at most m values, so P(2,10^6) needs 3 profiles, not
+    # one for every value 0..10^6
+    calls = []
+    true_profile = FA.pp_profile
+    monkeypatch.setattr(FA, "pp_profile", lambda m, n: calls.append(n) or true_profile(m, n))
+    FA._reach.cache_clear()
+    n = 10**6
+    try:
+        assert FA._vertices_on([((1, 0), n)], 2, n) == [(n, 0), (n, n - 1)]
+    finally:
+        FA._reach.cache_clear()
+    assert len(calls) <= 3
+
+
 def test_vertices_on_takes_only_0_1_rows():
     assert set(FA._vertices_on([], 2, 2)) == set(pp_vertices(2, 2).points)
     assert set(FA._vertices_on([((1, 1), 3)], 2, 2)) == {(2, 1), (1, 2)}
